@@ -7,12 +7,12 @@ error line, or --assert trips), 2 on input-validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 
 from .errors import ConsistencyError
-from .perturb import run_localisation, scenario_by_name
 from .reports import (
     brieskorn_report,
     parse_poly,
@@ -169,6 +169,9 @@ def _write_csv(path: str, reports: list[dict]) -> None:
 
 
 def _run_perturb(args) -> tuple[dict, bool]:
+    # imported here so that exact-only calls never load numpy
+    from .perturb import run_localisation, scenario_by_name
+
     scenario = scenario_by_name(args.scenario)
     problems = scenario.validate()
     if problems:
@@ -199,21 +202,46 @@ def _run_perturb(args) -> tuple[dict, bool]:
     return payload, all(rep.ok for rep in reports)
 
 
-def _run_batch_line(obj: dict) -> dict:
+def _typed(obj: dict, key: str, kind: type, required: bool = True):
+    """obj[key] checked to be a kind (a bool is no int); None when optional and absent."""
+    value = obj[key] if required else obj.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> list:
+    if not isinstance(values, list) or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in values
+    ):
+        raise TypeError(f"{what} must be a list of integers, got {values!r}")
+    return values
+
+
+def _run_batch_line(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"request must be a JSON object, got {type(obj).__name__}")
     mode = obj.get("mode")
-    su2 = parse_poly(obj["su2_poly"]) if obj.get("su2_poly") else None
+    su2_text = _typed(obj, "su2_poly", str, required=False)
+    su2 = parse_poly(su2_text) if su2_text else None
+    casson = _typed(obj, "casson", int, required=False)
     if mode == "brieskorn":
-        return brieskorn_report(obj["exponents"], casson=obj.get("casson"), su2_poly=su2)
+        return brieskorn_report(_ints(obj["exponents"], "exponents"), casson=casson, su2_poly=su2)
     if mode == "seifert":
-        fibers = tuple((int(a), int(g)) for a, g in obj["fibers"])
-        S = SeifertData(int(obj["b"]), fibers)
+        pairs = [_ints(f, "each fiber") for f in _typed(obj, "fibers", list)]
+        fibers = tuple((a, g) for a, g in pairs)  # unpacking rejects a non-pair
+        S = SeifertData(_typed(obj, "b", int), fibers)
         echo = {"mode": "seifert", "b": S.b, "fibers": [list(f) for f in fibers]}
-        if obj.get("casson") is not None:
-            echo["casson"] = int(obj["casson"])
-        return seifert_report(S, echo, casson=obj.get("casson"), su2_poly=su2)
+        if casson is not None:
+            echo["casson"] = casson
+        return seifert_report(S, echo, casson=casson, su2_poly=su2)
     if mode == "verify":
-        return verify_sweep_report(int(obj["max"]))
+        return verify_sweep_report(_typed(obj, "max", int))
     if mode == "perturb":
+        from .perturb import run_localisation, scenario_by_name
+
         scenario = scenario_by_name(obj["scenario"])
         reports = run_localisation(
             scenario,
@@ -235,23 +263,23 @@ def _run_batch(args) -> int:
     except OSError as exc:
         _emit(_dump_line(_error_obj(str(exc), "validation")), args.out)
         return 2
-    outputs = []
     had_error = False
-    for i, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            outputs.append(_dump_line(_run_batch_line(obj)))
-        except (ValueError, KeyError, TypeError) as exc:
-            had_error = True
-            outputs.append(
-                _dump_line(_error_obj(f"line {i}: {exc}", "validation"))
-            )
-    if outputs:
-        _emit("\n".join(outputs), args.out)
-    elif args.out:
-        open(args.out, "w").close()
+    # each line is written as soon as it is done, so a later line never loses it
+    with (
+        open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    ) as sink:
+        for i, line in enumerate(raw_lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                text = _dump_line(_run_batch_line(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                had_error = True
+                text = _dump_line(_error_obj(f"line {i}: {exc}", "validation"))
+            except ConsistencyError as exc:
+                had_error = True
+                text = _dump_line(_error_obj(f"line {i}: {exc}", "consistency"))
+            print(text, file=sink)
     return 1 if had_error else 0
 
 

@@ -11,7 +11,9 @@ Each such component carries:
 
         m = -chi(C) - deg(e;beta) - 1 + sum_i {(beta_i + 1)/alpha_i}
 
-    with {x} the fractional part, an exact non-negative integer;
+    with {x} the fractional part, an exact non-negative integer.  Scaled
+    by A = prod alpha_i this is an integer identity, which the enumeration
+    evaluates for every vector in the same pass that finds it;
   * an ambient component of complex dimension 2*(e + m);
   * a label (l0_power, k) with k in {0,1} expressing the divisor bundle as
     L0^(-2) N^k K for L0 = N^l0_power.
@@ -24,11 +26,13 @@ optional input, but its Euler characteristic is always -2 * casson.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exact import LaurentPoly, cp_poincare, euler_eval, frac_part, hat_normalize
+from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
 from .orbifold import (
     LineBundleData,
     Orbifold,
@@ -36,7 +40,6 @@ from .orbifold import (
     dual,
     h0,
     normalize,
-    orbifold_euler_char,
     power,
     tensor,
 )
@@ -62,11 +65,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EVector:
-    """Lattice vector (e; beta_1..beta_n) with its exact orbifold degree."""
+    """Lattice vector (e; beta_1..beta_n) with its exact orbifold degree.
+
+    ``exponent`` is the Morse-Bott half-index m, which
+    :func:`enumerate_e_vectors` computes in the same pass as the vector; it
+    is None on a vector built by hand.
+    """
 
     e: int
     betas: tuple[int, ...]
     degree: Fraction
+    exponent: int | None = None
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.e,) + self.betas
@@ -103,71 +112,92 @@ class ZComponent:
         }
 
 
+def _scale(C: Orbifold) -> tuple[int, list[int], int]:
+    """(A, [A/alpha_i], -chi(C)*A) with A = prod alpha_i: degrees times A are integers."""
+    A = math.prod(C.alphas)
+    cofactors = [A // a for a in C.alphas]
+    return A, cofactors, (C.n - 2) * A - sum(cofactors)
+
+
+def _exponent(scaled: int, A: int, vector: tuple[int, ...]) -> int:
+    """m from m*A, which must be a non-negative multiple of A."""
+    m, rem = divmod(scaled, A)
+    if rem or m < 0:
+        raise ConsistencyError(
+            f"exponent {Fraction(scaled, A)} for vector {vector} is not a non-negative integer"
+        )
+    return m
+
+
 def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     """All vectors (e; beta) with e >= 0, 0 <= beta_i < alpha_i, deg < -chi(C).
 
     The bound -chi(C) makes the set finite (possibly empty).  The scan runs
     in integers scaled by A = prod alpha_i, pruning each residue slot as soon
-    as the partial degree hits the bound.  Output is sorted by degree, then
-    lexicographically by (e, beta_1, ..., beta_n).
+    as the partial degree hits the bound, and carries each vector's
+    half-index in the same pass (see :func:`exponent_closed_form`).  Output
+    is sorted by degree, then lexicographically by (e, beta_1, ..., beta_n).
     """
     alphas = C.alphas
-    A = 1
-    for a in alphas:
-        A *= a
-    cofactors = [A // a for a in alphas]
-    # limit = -chi(C) * A as an exact integer
-    limit = (C.n - 2) * A - sum(cofactors)
-    found: list[EVector] = []
+    A, cofactors, limit = _scale(C)
     if limit <= 0:
-        return found
+        return []
+    # rows of (deg*A, (e, beta...), m*A); sorting them sorts by (degree, as_tuple())
+    rows: list[tuple[int, tuple[int, ...], int]] = []
 
-    def scan(i: int, acc: int, betas: list[int]):
+    def scan(i: int, acc: int, frac: int, vector: tuple[int, ...]):
         if i == C.n:
-            found.append(
-                EVector(e=betas[0], betas=tuple(betas[1:]), degree=Fraction(acc, A))
-            )
+            rows.append((acc, vector, limit - acc - A + frac))
             return
-        step = cofactors[i]
-        for beta in range(alphas[i]):
+        a, step = alphas[i], cofactors[i]
+        for beta in range(a):
             nxt = acc + beta * step
             if nxt >= limit:
                 break
-            scan(i + 1, nxt, betas + [beta])
+            # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
+            scan(i + 1, nxt, frac + (beta + 1) % a * step, vector + (beta,))
 
     e = 0
     while e * A < limit:
-        scan(0, e * A, [e])
+        scan(0, e * A, 0, (e,))
         e += 1
-    found.sort(key=lambda v: (v.degree, v.as_tuple()))
-    return found
+    rows.sort()
+    return [
+        EVector(
+            e=vector[0],
+            betas=vector[1:],
+            degree=Fraction(acc, A),
+            exponent=_exponent(scaled, A, vector),
+        )
+        for acc, vector, scaled in rows
+    ]
 
 
-def _check_enumerated(C: Orbifold, v: EVector) -> None:
+def _check_enumerated(C: Orbifold, v: EVector) -> tuple[int, list[int], int]:
+    """Validate v as a vector of C; return :func:`_scale` of C."""
     if v.e < 0 or len(v.betas) != C.n:
         raise ValueError(f"vector {v.as_tuple()} malformed for this orbifold")
     if any(not 0 <= b < a for b, a in zip(v.betas, C.alphas)):
         raise ValueError(f"vector {v.as_tuple()} has residues out of range")
-    if v.degree >= -orbifold_euler_char(C):
+    A, cofactors, limit = _scale(C)
+    if v.e * A + sum(b * c for b, c in zip(v.betas, cofactors)) >= limit:
         raise ValueError(f"vector {v.as_tuple()} violates the degree bound")
+    return A, cofactors, limit
 
 
 def exponent_closed_form(C: Orbifold, v: EVector) -> int:
-    """Morse-Bott half-index from the closed formula (exact rational arithmetic).
+    """Morse-Bott half-index from the closed formula, in integers scaled by A.
 
-    Computes -chi(C) - deg(v) - 1 + sum_i {(beta_i + 1)/alpha_i} and checks
-    that the result is a non-negative integer; failure of integrality would
-    mean corrupted input or a bug, never a property of valid data.
+    Computes m = -chi(C) - deg(v) - 1 + sum_i {(beta_i + 1)/alpha_i} as
+    m*A = -chi(C)*A - deg(v)*A - A + sum_i ((beta_i + 1) mod alpha_i) * A/alpha_i,
+    the formula :func:`enumerate_e_vectors` evaluates in its scan, and checks
+    that m is a non-negative integer; failure of integrality would mean
+    corrupted input or a bug, never a property of valid data.
     """
-    _check_enumerated(C, v)
-    value = -orbifold_euler_char(C) - v.degree - 1
-    for b, a in zip(v.betas, C.alphas):
-        value += frac_part(Fraction(b + 1, a))
-    if value.denominator != 1 or value < 0:
-        raise ConsistencyError(
-            f"exponent {value} for vector {v.as_tuple()} is not a non-negative integer"
-        )
-    return int(value)
+    A, cofactors, limit = _check_enumerated(C, v)
+    deg_scaled = v.e * A + sum(b * c for b, c in zip(v.betas, cofactors))
+    frac_scaled = sum((b + 1) % a * c for b, a, c in zip(v.betas, C.alphas, cofactors))
+    return _exponent(limit - deg_scaled - A + frac_scaled, A, v.as_tuple())
 
 
 def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
@@ -212,6 +242,12 @@ def _require_homology_sphere(S: SeifertData) -> None:
         )
 
 
+def _vectors(S: SeifertData) -> list[EVector]:
+    """The request's one enumeration: lattice vectors of a homology sphere's base."""
+    _require_homology_sphere(S)
+    return enumerate_e_vectors(S.orbifold)
+
+
 def z_decomposition(S: SeifertData) -> list[ZComponent]:
     """The critical locus: one SU(2) piece plus one CP^e piece per vector.
 
@@ -219,13 +255,16 @@ def z_decomposition(S: SeifertData) -> list[ZComponent]:
     routes (which must agree) and the ambient complex dimension 2*(e + m),
     re-derived independently as 2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1).
     """
-    _require_homology_sphere(S)
+    return _components(S, _vectors(S))
+
+
+def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
     C = S.orbifold
     N = n_bundle(S)
     K = canonical_bundle(C)
     components = [ZComponent(kind="su2", morse_index=0)]
-    for v in enumerate_e_vectors(C):
-        m_closed = exponent_closed_form(C, v)
+    for v in vectors:
+        m_closed = v.exponent
         m_bundle = exponent_via_bundles(C, v)
         if m_closed != m_bundle:
             raise ConsistencyError(
@@ -259,15 +298,25 @@ def z_decomposition(S: SeifertData) -> list[ZComponent]:
     return components
 
 
+def _excess(vectors: list[EVector]) -> LaurentPoly:
+    counts = Counter((v.e, v.exponent) for v in vectors)
+    return sum(
+        (c * cp_poincare(e).shift(2 * m) for (e, m), c in counts.items()),
+        LaurentPoly.zero(),
+    )
+
+
+def _hp_excess(vectors: list[EVector]) -> LaurentPoly:
+    counts = Counter(v.e for v in vectors)
+    return sum(
+        (c * hat_normalize(cp_poincare(e), 2 * e) for e, c in counts.items()),
+        LaurentPoly.zero(),
+    )
+
+
 def excess_poincare(S: SeifertData) -> LaurentPoly:
     """Sum over vectors of T^(2m) * P_T(CP^e): the non-SU(2) Poincare summand."""
-    _require_homology_sphere(S)
-    C = S.orbifold
-    total = LaurentPoly.zero()
-    for v in enumerate_e_vectors(C):
-        m = exponent_closed_form(C, v)
-        total = total + cp_poincare(v.e).shift(2 * m)
-    return total
+    return _excess(_vectors(S))
 
 
 def sl2c_euler(S: SeifertData, casson: int) -> int:
@@ -306,11 +355,7 @@ def hp_poincare(S: SeifertData, su2_hat_poly: LaurentPoly | None = None) -> Asse
     chi(CP^e) = e + 1 at T = 1, so the total at T = 1 equals the SL(2,C)
     Euler characteristic whenever the supplied SU(2) part does its share.
     """
-    _require_homology_sphere(S)
-    C = S.orbifold
-    total = LaurentPoly.zero()
-    for v in enumerate_e_vectors(C):
-        total = total + hat_normalize(cp_poincare(v.e), 2 * v.e)
+    total = _hp_excess(_vectors(S))
     if su2_hat_poly is None:
         return AssembledPoly(poly=total, partial=True)
     return AssembledPoly(poly=su2_hat_poly + total, partial=False)
@@ -326,20 +371,19 @@ class ModuliReport:
     hp_excess: LaurentPoly
     euler_sl2c: int | None
 
-    def __post_init__(self):
-        if euler_eval(self.excess_poincare) != self.pg:
-            raise ConsistencyError("excess Euler characteristic disagrees with pg")
-
 
 def moduli_report(S: SeifertData, casson: int | None = None) -> ModuliReport:
-    """Bundle the decomposition, polynomials, and (if casson is known) chi."""
-    components = z_decomposition(S)
-    excess = excess_poincare(S)
-    hp = hp_poincare(S)
+    """Bundle the decomposition, polynomials, and (if casson is known) chi.
+
+    Everything comes from one enumeration of the lattice vectors.
+    """
+    vectors = _vectors(S)
+    excess = _excess(vectors)
+    pg = euler_eval(excess)
     return ModuliReport(
-        z_components=tuple(components),
+        z_components=tuple(_components(S, vectors)),
         excess_poincare=excess,
-        pg=euler_eval(excess),
-        hp_excess=hp.poly,
-        euler_sl2c=None if casson is None else sl2c_euler(S, casson),
+        pg=pg,
+        hp_excess=_hp_excess(vectors),
+        euler_sl2c=None if casson is None else -2 * casson + pg,
     )

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .exact import LaurentPoly, euler_eval
-from .moduli import hp_poincare, moduli_report, sl2c_poincare
+from .moduli import moduli_report
 from .orbifold import canonical_bundle, orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, validate_homology_sphere
 from .singularity import (
@@ -117,13 +117,14 @@ def seifert_report(
     triple = _as_brieskorn_triple(S)
     link_oriented = S.euler_number < 0
 
-    chain = None
-    if triple is not None:
-        chain = verify_identity_chain(*triple)
-        if casson is None:
-            casson = chain.casson
-
     mod = moduli_report(S, casson=casson)
+    chain = None
+    lam, euler_sl2c = casson, mod.euler_sl2c
+    if triple is not None:
+        chain = verify_identity_chain(*triple, excess_euler=mod.pg)
+        if casson is None:
+            lam, euler_sl2c = chain.casson, chain.euler_sl2c
+
     report: dict = {
         "input": input_echo,
         "seifert": S.as_dict(),
@@ -146,13 +147,15 @@ def seifert_report(
         "milnor": None,
         "signature": None,
         "b_plus": None,
-        "casson": casson,
-        "euler_sl2c": mod.euler_sl2c,
+        "casson": lam,
+        "euler_sl2c": euler_sl2c,
     }
     notes: list[str] = []
     if link_oriented:
-        pg_pd = geometric_genus_pd(S)
-        pg_div = geometric_genus_divisors(S)
+        if chain is not None:
+            pg_pd, pg_div = chain.pg_pd, chain.pg_divisors
+        else:
+            pg_pd, pg_div = geometric_genus_pd(S), geometric_genus_divisors(S)
         checks["pg_routes"] = pg_pd == pg_div == mod.pg
     else:
         notes.append("reversed orientation (deg N > 0): singularity invariants unavailable")
@@ -162,23 +165,24 @@ def seifert_report(
         invariants["b_plus"] = 2 * chain.pg_pd
         checks["sigma_routes"] = chain.sigma_routes_ok
         checks["milnor_quarter"] = chain.milnor_quarter_ok
+        if casson is not None:
+            # a report must not state a Casson value its own chain contradicts
+            checks["casson_override"] = casson == chain.casson
     elif len(S.fibers) >= 4:
         notes.append("milnor/signature unavailable (complete intersection)")
-    if casson is None:
+    if lam is None:
         notes.append("euler_sl2c omitted: no casson invariant supplied or derivable")
     else:
-        hp_total = hp_poincare(S, su2_hat_poly=LaurentPoly({0: -2 * casson}))
-        checks["hp_euler"] = euler_eval(hp_total.poly) == mod.euler_sl2c
+        checks["hp_euler"] = -2 * lam + euler_eval(mod.hp_excess) == euler_sl2c
     invariants["notes"] = notes
     report["invariants"] = invariants
     report["checks"] = checks
 
-    sl2c = sl2c_poincare(S, su2_poly=su2_poly)
     report["polynomials"] = {
         "excess": str(mod.excess_poincare),
         "hp_excess": str(mod.hp_excess),
-        "sl2c": None if sl2c.partial else str(sl2c.poly),
-        "sl2c_partial": sl2c.partial,
+        "sl2c": None if su2_poly is None else str(su2_poly + mod.excess_poincare),
+        "sl2c_partial": su2_poly is None,
     }
     return report
 

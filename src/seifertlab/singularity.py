@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .moduli import excess_poincare, sl2c_euler
+from .moduli import excess_poincare
 from .exact import euler_eval
 from .orbifold import h0, orbifold_euler_char, power
 from .seifert import (
@@ -215,25 +215,33 @@ class IdentityChainReport:
         }
 
 
-def verify_identity_chain(p: int, q: int, r: int) -> IdentityChainReport:
+def verify_identity_chain(
+    p: int, q: int, r: int, excess_euler: int | None = None
+) -> IdentityChainReport:
     """Run the full cross-check chain for one pairwise-coprime triple.
 
     Asserted identities, all at exact integer precision:
       (i)   both geometric-genus routes agree (and match the excess Euler
             characteristic from the moduli side);
       (ii)  the Durfee signature equals the lattice-oracle signature;
-      (iii) -2*lambda + p_g = mu/4 = chi of the SL(2,C) character variety.
+      (iii) -2*lambda + p_g = mu/4 = chi of the SL(2,C) character variety,
+            with chi = -2*lambda + excess Euler characteristic.
+
+    ``excess_euler`` is the moduli side's value when the caller has already
+    assembled the excess polynomial of Sigma(p,q,r), in any order of the
+    exponents; otherwise it is computed here.
     """
     _check_triple(p, q, r)
     S = brieskorn_seifert_data((p, q, r))
     mu = milnor_number(p, q, r)
     pg_pd = geometric_genus_pd(S)
     pg_div = geometric_genus_divisors(S)
-    excess_euler = euler_eval(excess_poincare(S))
+    if excess_euler is None:
+        excess_euler = euler_eval(excess_poincare(S))
     sigma_lat = signature_lattice_oracle(p, q, r)
     sigma_dur = signature_durfee(pg_pd, mu)
     lam = casson_invariant(p, q, r)
-    chi_m = sl2c_euler(S, lam)
+    chi_m = -2 * lam + excess_euler
     pg_ok = pg_pd == pg_div == excess_euler
     sigma_ok = sigma_dur == sigma_lat
     quarter_ok = (mu % 4 == 0) and (-2 * lam + pg_pd == mu // 4 == chi_m)

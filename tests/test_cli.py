@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seifertlab
+import seifertlab.cli as cli
 from seifertlab.cli import main
+from seifertlab.errors import ConsistencyError
 from seifertlab.reports import parse_poly
 from seifertlab.exact import LaurentPoly
 
@@ -247,3 +254,100 @@ def test_parse_poly_roundtrip():
         parse_poly("")
     with pytest.raises(ValueError):
         parse_poly("2*")
+
+
+def test_default_output_matches_recorded_bytes(capsys):
+    # sha256 of the output before the moduli kernel kept its exponents in integers
+    for argv, digest in [
+        (
+            ("verify", "--max", "12", "--json"),
+            "883526ce6db15bf9c71bca1c719d41aea5e52fccf947c720b6d793302c94111a",
+        ),
+        (
+            ("brieskorn", "2", "3", "5", "7", "11", "--json"),
+            "ef93ccb7da7b05ed666a5275d76f0b967fc632a98f18fe9110b6e978b0e1c0fb",
+        ),
+    ]:
+        _, out = run(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exact_only_calls_do_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "from seifertlab.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "sys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
+    )
+    for argv in (["brieskorn", "2", "3", "7", "--json"], ["verify", "--max", "5"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("numpy loaded: False"), proc.stderr
+
+
+def test_casson_override_contradiction_fails(capsys):
+    code, out = run(capsys, "brieskorn", "2", "3", "7", "--casson", "5", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"]["casson_override"] is False
+    assert report["singularity"]["casson"] == -1
+    code, out = run(capsys, "brieskorn", "2", "3", "7", "--casson", "-1", "--json")
+    assert code == 0
+    assert json.loads(out)["checks"]["casson_override"] is True
+    _, out = run(capsys, "brieskorn", "2", "3", "7", "--json")
+    assert "casson_override" not in json.loads(out)["checks"]
+
+
+def _batch(capsys, tmp_path, *lines):
+    path = tmp_path / "requests.ndjson"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out = run(capsys, "batch", str(path))
+    return code, [json.loads(line) for line in out.strip().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "[1,2]",
+        '"brieskorn"',
+        '{"mode": "brieskorn", "exponents": [2, 3, 7], "su2_poly": 5}',
+        '{"mode": "brieskorn", "exponents": [2, 3, 7], "casson": "5"}',
+        '{"mode": "brieskorn", "exponents": [2, 3.5, 7]}',
+        '{"mode": "seifert", "b": "-1", "fibers": [[2, 1], [3, 1], [7, 1]]}',
+        '{"mode": "seifert", "b": -1, "fibers": [[2.9, 1], [3, 1], [7, 1]]}',
+        '{"mode": "seifert", "b": -1, "fibers": [[2, 1, 1], [3, 1], [7, 1]]}',
+        '{"mode": "verify", "max": null}',
+    ],
+)
+def test_batch_wrong_shape_gives_error_object(capsys, tmp_path, bad_line):
+    code, outputs = _batch(
+        capsys, tmp_path, '{"mode": "brieskorn", "exponents": [2, 3, 7]}', bad_line
+    )
+    assert code == 1
+    assert len(outputs) == 2
+    assert outputs[0]["invariants"]["casson"] == -1
+    assert outputs[1]["error"]["kind"] == "validation"
+    assert outputs[1]["error"]["message"].startswith("line 2")
+
+
+def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatch):
+    def failing(max_exponent):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr(cli, "verify_sweep_report", failing)
+    code, outputs = _batch(
+        capsys, tmp_path,
+        '{"mode": "brieskorn", "exponents": [2, 3, 7]}',
+        '{"mode": "verify", "max": 5}',
+        '{"mode": "brieskorn", "exponents": [2, 3, 5]}',
+    )
+    assert code == 1
+    assert len(outputs) == 3
+    assert outputs[1]["error"] == {"kind": "consistency", "message": "line 2: routes disagree"}
+    assert outputs[2]["invariants"]["pg"] == 0
+

@@ -233,3 +233,41 @@ def test_moduli_report_consistency():
     assert euler_eval(rep.excess_poincare) == rep.pg
     assert len(rep.z_components) == 3
     assert moduli_report(S).euler_sl2c is None
+
+
+def test_enumerated_exponent_matches_both_routes():
+    sets = coprime_tuples(3, 15) + [
+        (3, 5, 7, 11),
+        (2, 7, 9, 11),
+        (2, 5, 11, 13),
+        (3, 5, 7, 13),
+        (2, 7, 9, 13),
+        (2, 3, 5, 7, 11),
+    ]
+    for alphas in sets:
+        C = Orbifold(alphas)
+        for v in enumerate_e_vectors(C):
+            assert v.exponent == exponent_closed_form(C, v) == exponent_via_bundles(C, v)
+
+
+def test_one_enumeration_per_request(monkeypatch):
+    import seifertlab.moduli as moduli
+    from seifertlab.reports import brieskorn_report
+    from seifertlab.singularity import verify_identity_chain
+
+    calls = []
+    original = moduli.enumerate_e_vectors
+
+    def counting(C):
+        calls.append(C.alphas)
+        return original(C)
+
+    monkeypatch.setattr(moduli, "enumerate_e_vectors", counting)
+    verify_identity_chain(2, 3, 13)
+    assert calls == [(2, 3, 13)]
+    calls.clear()
+    brieskorn_report((13, 3, 2))
+    assert calls == [(13, 3, 2)]
+    calls.clear()
+    brieskorn_report((2, 3, 5, 7))
+    assert calls == [(2, 3, 5, 7)]
