@@ -168,14 +168,22 @@ def _write_csv(path: str, reports: list[dict]) -> None:
                 writer.writerow([rep["epsilon"]] + list(f["point"]) + [f["value"], f["index"]])
 
 
-def _run_perturb(args) -> tuple[dict, bool]:
+def _validated_scenario(name: str):
+    """The named perturbation scenario, once its declared structure checks out."""
     # imported here so that exact-only calls never load numpy
-    from .perturb import run_localisation, scenario_by_name
+    from .perturb import scenario_by_name
 
-    scenario = scenario_by_name(args.scenario)
+    scenario = scenario_by_name(name)
     problems = scenario.validate()
     if problems:
         raise ConsistencyError("scenario failed validation: " + "; ".join(problems))
+    return scenario
+
+
+def _run_perturb(args) -> tuple[dict, bool]:
+    from .perturb import run_localisation
+
+    scenario = _validated_scenario(args.scenario)
     try:
         eps = [float(e) for e in args.eps.split(",") if e != ""]
     except ValueError:
@@ -240,9 +248,9 @@ def _run_batch_line(obj) -> dict:
     if mode == "verify":
         return verify_sweep_report(_typed(obj, "max", int))
     if mode == "perturb":
-        from .perturb import run_localisation, scenario_by_name
+        from .perturb import run_localisation
 
-        scenario = scenario_by_name(obj["scenario"])
+        scenario = _validated_scenario(obj["scenario"])
         reports = run_localisation(
             scenario,
             [float(e) for e in obj["eps"]],

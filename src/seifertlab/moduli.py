@@ -43,7 +43,13 @@ from .orbifold import (
     power,
     tensor,
 )
-from .seifert import SeifertData, bundle_log, n_bundle, validate_homology_sphere
+from .seifert import (
+    SeifertData,
+    _bundle_log,
+    bundle_log,
+    n_bundle,
+    validate_homology_sphere,
+)
 
 __all__ = [
     "EVector",
@@ -173,16 +179,62 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     ]
 
 
-def _check_enumerated(C: Orbifold, v: EVector) -> tuple[int, list[int], int]:
-    """Validate v as a vector of C; return :func:`_scale` of C."""
+def _check_enumerated(C: Orbifold, v: EVector, scale: tuple[int, list[int], int]) -> None:
+    """Validate v as a vector of C, whose :func:`_scale` is scale."""
     if v.e < 0 or len(v.betas) != C.n:
         raise ValueError(f"vector {v.as_tuple()} malformed for this orbifold")
     if any(not 0 <= b < a for b, a in zip(v.betas, C.alphas)):
         raise ValueError(f"vector {v.as_tuple()} has residues out of range")
-    A, cofactors, limit = _scale(C)
+    A, cofactors, limit = scale
     if v.e * A + sum(b * c for b, c in zip(v.betas, cofactors)) >= limit:
         raise ValueError(f"vector {v.as_tuple()} violates the degree bound")
-    return A, cofactors, limit
+
+
+class _Bundles:
+    """Bundle data that every vector of one request shares.
+
+    Built from an orbifold C it holds :func:`_scale` of C, K and K^2, which
+    the exponent route needs.  Built from a fibration S it also holds N,
+    A*e(Y) and m_K = log K, which the label route needs.  Building it once
+    per request keeps the per-vector work to the vector's own bundles.
+    """
+
+    def __init__(self, C: Orbifold, S: SeifertData | None = None):
+        self.C = C
+        self.scale = _scale(C)
+        self.K = canonical_bundle(C)
+        self.KK = tensor(self.K, self.K)
+        if S is not None:
+            self.m_K = bundle_log(self.K, S)  # rejects a non-homology sphere first
+            self.N = n_bundle(S)
+            self.a_e = validate_homology_sphere(S).a_times_e
+
+    def exponent(self, v: EVector) -> tuple[LineBundleData, int]:
+        """(L, h^0(L^(-1) K^2)) for the divisor bundle L of a checked vector v."""
+        _check_enumerated(self.C, v, self.scale)
+        L = normalize(v.e, v.betas, self.C)
+        return L, h0(tensor(dual(L), self.KK))
+
+    def label(self, L: LineBundleData) -> tuple[int, int, int]:
+        """(m0, k, d): L = L0^(-2) N^k K with L0 = N^m0, confirmed on bundle data.
+
+        d = 2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1) re-derives the
+        ambient dimension from the label, reusing its bundles.
+        """
+        A, cofactors, _ = self.scale
+        N, K, m_K = self.N, self.K, self.m_K
+        m_L = _bundle_log(L, N, A, cofactors, self.a_e)
+        k = (m_L - m_K) % 2
+        m0 = (k + m_K - m_L) // 2
+        l0_inv2 = power(power(N, m0), -2)
+        n_k = power(N, k)
+        rebuilt = tensor(tensor(l0_inv2, n_k), K)
+        if rebuilt != L:
+            raise ConsistencyError(
+                f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}"
+            )
+        d = 2 * (h0(rebuilt) + h0(tensor(tensor(dual(l0_inv2), dual(n_k)), K)) - 1)
+        return m0, k, d
 
 
 def exponent_closed_form(C: Orbifold, v: EVector) -> int:
@@ -194,7 +246,9 @@ def exponent_closed_form(C: Orbifold, v: EVector) -> int:
     that m is a non-negative integer; failure of integrality would mean
     corrupted input or a bug, never a property of valid data.
     """
-    A, cofactors, limit = _check_enumerated(C, v)
+    scale = _scale(C)
+    _check_enumerated(C, v, scale)
+    A, cofactors, limit = scale
     deg_scaled = v.e * A + sum(b * c for b, c in zip(v.betas, cofactors))
     frac_scaled = sum((b + 1) % a * c for b, a, c in zip(v.betas, C.alphas, cofactors))
     return _exponent(limit - deg_scaled - A + frac_scaled, A, v.as_tuple())
@@ -206,10 +260,7 @@ def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
     Pure bundle arithmetic on the divisor bundle L of the vector; independent
     of :func:`exponent_closed_form`, which it must equal.
     """
-    _check_enumerated(C, v)
-    L = normalize(v.e, v.betas, C)
-    K = canonical_bundle(C)
-    return h0(tensor(dual(L), tensor(K, K)))
+    return _Bundles(C).exponent(v)[1]
 
 
 def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
@@ -217,20 +268,11 @@ def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
 
     With m_L = bundle_log(L) and m_K = bundle_log(K) the parity equation
     -2*m0 + k + m_K = m_L forces k = (m_L - m_K) mod 2 and
-    m0 = (k + m_K - m_L)/2.  The postcondition is re-checked on bundle data.
+    m0 = (k + m_K - m_L) // 2.  The postcondition is re-checked on bundle data.
     """
-    C = L.orbifold
-    K = canonical_bundle(C)
-    m_L = bundle_log(L, S)
-    m_K = bundle_log(K, S)
-    k = (m_L - m_K) % 2
-    m0 = (k + m_K - m_L) // 2
-    N = n_bundle(S)
-    rebuilt = tensor(tensor(power(power(N, m0), -2), power(N, k)), K)
-    if rebuilt != L:
-        raise ConsistencyError(
-            f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}"
-        )
+    if L.orbifold != S.orbifold:
+        raise ValueError("bundle lives on a different orbifold than the fibration")
+    m0, k, _ = _Bundles(S.orbifold, S).label(L)
     return m0, k
 
 
@@ -259,27 +301,18 @@ def z_decomposition(S: SeifertData) -> list[ZComponent]:
 
 
 def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
-    C = S.orbifold
-    N = n_bundle(S)
-    K = canonical_bundle(C)
+    bundles = _Bundles(S.orbifold, S)
     components = [ZComponent(kind="su2", morse_index=0)]
     for v in vectors:
         m_closed = v.exponent
-        m_bundle = exponent_via_bundles(C, v)
+        L, m_bundle = bundles.exponent(v)
         if m_closed != m_bundle:
             raise ConsistencyError(
                 f"exponent routes disagree on {v.as_tuple()}: "
                 f"closed form {m_closed}, bundle route {m_bundle}"
             )
-        L = normalize(v.e, v.betas, C)
-        m0, k = solve_L0_k(L, S)
+        m0, k, via_dims = bundles.label(L)
         ambient = 2 * (v.e + m_closed)
-        L0 = power(N, m0)
-        via_dims = 2 * (
-            h0(tensor(tensor(power(L0, -2), power(N, k)), K))
-            + h0(tensor(tensor(power(L0, 2), power(N, -k)), K))
-            - 1
-        )
         if ambient != via_dims:
             raise ConsistencyError(
                 f"ambient dimension mismatch on {v.as_tuple()}: {ambient} vs {via_dims}"

@@ -118,20 +118,39 @@ def normalize(e: int, raw_betas: Sequence[int], C: Orbifold) -> LineBundleData:
     return LineBundleData(carried, tuple(betas), C)
 
 
+def _reduced(e: int, raw_betas, C: Orbifold) -> LineBundleData:
+    """:func:`normalize` for raw data derived from valid bundles of C.
+
+    The residues are reduced with ``divmod``, so the result is normalized by
+    construction and skips :class:`LineBundleData` validation.
+    """
+    carried = e
+    betas = []
+    for raw, a in zip(raw_betas, C.alphas):
+        q, r = divmod(raw, a)
+        carried += q
+        betas.append(r)
+    out = object.__new__(LineBundleData)
+    fields = out.__dict__
+    fields["e"] = carried
+    fields["betas"] = tuple(betas)
+    fields["orbifold"] = C
+    return out
+
+
 def tensor(L1: LineBundleData, L2: LineBundleData) -> LineBundleData:
     """Tensor product; degrees add."""
-    if L1.orbifold != L2.orbifold:
+    C = L1.orbifold
+    if C is not L2.orbifold and C != L2.orbifold:
         raise ValueError("cannot tensor bundles over different orbifolds")
-    return normalize(
-        L1.e + L2.e,
-        [b1 + b2 for b1, b2 in zip(L1.betas, L2.betas)],
-        L1.orbifold,
-    )
+    return _reduced(L1.e + L2.e, [b1 + b2 for b1, b2 in zip(L1.betas, L2.betas)], C)
 
 
 def power(L: LineBundleData, m: int) -> LineBundleData:
     """m-fold tensor power; negative m gives powers of the dual."""
-    return normalize(m * L.e, [m * b for b in L.betas], L.orbifold)
+    if not isinstance(m, int):
+        raise ValueError(f"power exponent must be an integer, got {m!r}")
+    return _reduced(m * L.e, [m * b for b in L.betas], L.orbifold)
 
 
 def dual(L: LineBundleData) -> LineBundleData:

@@ -46,6 +46,7 @@ from .lab import (
     predicted_critical_points,
     predicted_spectrum,
     run_localisation,
+    spectral_gap,
 )
 
 __all__ = [
@@ -74,6 +75,7 @@ __all__ = [
     "predicted_spectrum",
     "FoundPoint",
     "ExperimentReport",
+    "spectral_gap",
     "run_localisation",
     "ConvergenceReport",
     "convergence_filter",

@@ -25,6 +25,7 @@ __all__ = [
     "predicted_spectrum",
     "FoundPoint",
     "ExperimentReport",
+    "spectral_gap",
     "run_localisation",
     "ConvergenceReport",
     "convergence_filter",
@@ -33,6 +34,8 @@ __all__ = [
 DIVERGENCE_NORM = 1e6
 RANK_RTOL = 1e-8  # pseudo-inverse cutoff, relative to the largest |eigenvalue|
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
+GAP_SHARE = 1e-2  # share of the smallest predicted eigenvalue that the gap takes
+EIGEN_RESOLUTION = 1e-12  # relative eigenvalue size float64 Hessians resolve, with margin
 
 
 class DegenerateCriticalPointError(RuntimeError):
@@ -370,19 +373,33 @@ def _expected_signed_count(scenario: Scenario, eps_sign: int) -> int:
     return total
 
 
+def spectral_gap(scenario: Scenario, eps: float, hessian_norm: float) -> float:
+    """Inertia gap for a critical point of S_eps near Z1, from the problem's scale.
+
+    Relative to the Hessian norm, the predicted eigenvalues there are O(1)
+    normal to Z0, O(|eps|) normal to Z1 inside Z0, and O(eps^2) along a flat
+    Z1.  The gap is GAP_SHARE of the smallest of these scales, times the
+    Hessian norm, and never below the float64 resolution EIGEN_RESOLUTION
+    times the norm; an eigenvalue inside it is a degeneracy at this eps, not
+    the expected small eigenvalue.
+    """
+    order = 2 if any(site.flat for site in scenario.z1_sites) else 1
+    return hessian_norm * max(GAP_SHARE * abs(eps) ** order, EIGEN_RESOLUTION)
+
+
 def run_localisation(
     scenario: Scenario,
     epsilons,
     basin_radius: float = 0.5,
     c_bound: float = 1e3,
     tol: float = 1e-10,
-    gap: float = 1e-8,
 ) -> list[ExperimentReport]:
     """Localise Crit(S_eps) near Z1 for each eps and verify the predictions.
 
     For each eps: Newton from every leading-term critical point, deduplicate
     (radius 10*tol), then check (a) found points biject onto the predictions
-    within basin_radius, (b) each Morse index matches the three-term index
+    within basin_radius, (b) each Morse index, read with the gap of
+    :func:`spectral_gap`, matches the three-term index
     sum, (c) the signed count equals the chi-weighted component formula
     (chi_c-weighted for eps < 0; skipped when the scenario declares the
     properness hypothesis unavailable).  Points with psi above c_bound are
@@ -441,7 +458,9 @@ def run_localisation(
             else:
                 used.add(matched)
             evals = np.linalg.eigvalsh(S_eps.hessian(x))
-            min_abs = float(np.min(np.abs(evals)))
+            abs_evals = np.abs(evals)
+            min_abs = float(np.min(abs_evals))
+            gap = spectral_gap(scenario, eps, float(np.max(abs_evals)))
             index: int | None
             try:
                 index = morse_index(S_eps, x, gap=gap)

@@ -87,7 +87,7 @@ class Scenario:
     family: PerturbationFamily
     components: tuple[Z0Component, ...]
     z1_sites: tuple[Z1Site, ...]
-    z0_sampler: Callable[[np.random.Generator, int], np.ndarray]
+    z0_sampler: Callable[[int], np.ndarray]  # n evenly spaced points of Z0
     psi: Callable[[np.ndarray], float] = field(
         default=lambda x: float(np.linalg.norm(x))
     )
@@ -97,11 +97,12 @@ class Scenario:
     def dim(self) -> int:
         return self.family.dim
 
-    def validate(self, tol: float = 1e-8, samples: int = 32, seed: int = 0) -> list[str]:
+    def validate(self, tol: float = 1e-8, samples: int = 32) -> list[str]:
         """Residual checks on the declared structure; empty list means valid.
 
         Every Z1 point must kill grad S0 and the component of grad S1
-        tangent to Z0; sampled Z0 points must kill grad S0.
+        tangent to Z0; sampled Z0 points must kill grad S0.  The samples are
+        deterministic, so validation draws no random numbers.
         """
         problems = []
         for site in self.z1_sites:
@@ -119,8 +120,7 @@ class Scenario:
                     f"site {site.point.tolist()}: tangential |grad S1| = "
                     f"{np.linalg.norm(tang_part):.3e}"
                 )
-        rng = np.random.default_rng(seed)
-        for x in self.z0_sampler(rng, samples):
+        for x in self.z0_sampler(samples):
             g0 = self.family.s0.gradient(x)
             if np.linalg.norm(g0) >= tol:
                 problems.append(f"sampled {np.asarray(x).tolist()}: |grad S0| = {np.linalg.norm(g0):.3e}")
@@ -165,8 +165,8 @@ def circle_scenario() -> Scenario:
         Z1Site(np.array([-1.0, 0.0, 0.0]), comp, chart_at(np.pi), z0_dim=1),
     )
 
-    def sampler(rng, n):
-        thetas = rng.uniform(0.0, 2 * np.pi, n)
+    def sampler(n):
+        thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         return np.stack([np.cos(thetas), np.sin(thetas), np.zeros(n)], axis=1)
 
     return Scenario("circle", family, (comp,), sites, sampler)
@@ -207,9 +207,13 @@ def sphere_scenario() -> Scenario:
         Z1Site(np.array([0.0, 0.0, -1.0]), comp, chart_pole(-1.0), z0_dim=2),
     )
 
-    def sampler(rng, n):
-        pts = rng.normal(size=(n, 3))
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    def sampler(n):
+        # Fibonacci lattice: equal-area bands in z, golden-angle steps in longitude
+        i = np.arange(n) + 0.5
+        z = 1.0 - 2.0 * i / n
+        r = np.sqrt(1.0 - z * z)
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
     return Scenario("sphere", family, (comp,), sites, sampler)
 
@@ -250,8 +254,8 @@ def linear_scenario() -> Scenario:
         ),
     )
 
-    def sampler(rng, n):
-        ws = rng.uniform(-2.0, 2.0, n)
+    def sampler(n):
+        ws = np.linspace(-2.0, 2.0, n)
         return np.stack([np.zeros(n), np.zeros(n), ws], axis=1)
 
     return Scenario(
@@ -285,7 +289,7 @@ def escape_scenario() -> Scenario:
         Z1Site(np.zeros(1), comp, lambda t: np.zeros(1), z0_dim=0),
     )
 
-    def sampler(rng, n):
+    def sampler(n):
         return np.zeros((n, 1))
 
     return Scenario("escape", family, (comp,), sites, sampler)

@@ -145,9 +145,8 @@ def bundle_log(L: LineBundleData, S: SeifertData) -> int:
     """The unique integer m with N^m = L, for Y an integral homology sphere.
 
     The degree ratio deg L / deg N fixes the candidate power; the result is
-    then confirmed on normalized data.  A non-integral ratio or a data
-    mismatch after powering means the input was not a homology sphere (or
-    the bundle lives on a different orbifold).
+    then confirmed on normalized data.  A data mismatch after powering means
+    the bundle lives on a different orbifold than N (or the data is corrupt).
     """
     check = validate_homology_sphere(S)
     if not check.ok:
@@ -157,10 +156,20 @@ def bundle_log(L: LineBundleData, S: SeifertData) -> int:
     N = n_bundle(S)
     if L.orbifold != N.orbifold:
         raise ValueError("bundle lives on a different orbifold than the fibration")
-    ratio = L.degree / N.degree
-    if ratio.denominator != 1:
-        raise ConsistencyError(f"degree ratio {ratio} is not an integer power of deg N")
-    m = int(ratio)
+    A = S.multiplicity
+    return _bundle_log(L, N, A, [A // a for a in S.alphas], check.a_times_e)
+
+
+def _bundle_log(
+    L: LineBundleData, N: LineBundleData, A: int, cofactors: Sequence[int], a_e: int
+) -> int:
+    """:func:`bundle_log` on a validated homology sphere, in integers.
+
+    With deg N = a_e/A and a_e = A*e(Y) = +-1, the ratio deg L / deg N is
+    m = (e*A + sum beta_i * A/alpha_i) * a_e, always an integer; the
+    confirmation power(N, m) == L is what can fail.
+    """
+    m = (L.e * A + sum(b * c for b, c in zip(L.betas, cofactors))) * a_e
     if power(N, m) != L:
         raise ConsistencyError(f"N^{m} does not reproduce the bundle data {L.as_dict()}")
     return m

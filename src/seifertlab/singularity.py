@@ -166,7 +166,11 @@ def casson_invariant(p: int, q: int, r: int) -> int:
     homology-sphere link is divisible by 8 (unimodular even form); a
     remainder signals an oracle bug.
     """
-    sigma = signature_lattice_oracle(p, q, r)
+    return _casson_from_signature(signature_lattice_oracle(p, q, r))
+
+
+def _casson_from_signature(sigma: int) -> int:
+    """lambda = sigma/8 from a lattice signature, which 8 must divide."""
     if sigma % 8 != 0:
         raise ConsistencyError(f"lattice signature {sigma} is not divisible by 8")
     return sigma // 8
@@ -240,7 +244,7 @@ def verify_identity_chain(
         excess_euler = euler_eval(excess_poincare(S))
     sigma_lat = signature_lattice_oracle(p, q, r)
     sigma_dur = signature_durfee(pg_pd, mu)
-    lam = casson_invariant(p, q, r)
+    lam = _casson_from_signature(sigma_lat)
     chi_m = -2 * lam + excess_euler
     pg_ok = pg_pd == pg_div == excess_euler
     sigma_ok = sigma_dur == sigma_lat

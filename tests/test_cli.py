@@ -290,6 +290,45 @@ def test_exact_only_calls_do_not_load_numpy():
         assert proc.stderr.endswith("numpy loaded: False"), proc.stderr
 
 
+def test_perturb_lines_validate_without_numpy_random(tmp_path):
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "requests.ndjson"
+    path.write_text('{"mode": "perturb", "scenario": "sphere", "eps": [0.05]}\n')
+    script = (
+        "import sys\n"
+        "from seifertlab.cli import main\n"
+        "import seifertlab.perturb.scenarios as scenarios\n"
+        "calls = []\n"
+        "validate = scenarios.Scenario.validate\n"
+        "scenarios.Scenario.validate = lambda self: calls.append(self.name) or validate(self)\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write('%d %s %s' % (code, calls, 'numpy.random' in sys.modules))\n"
+    )
+    # --assert: the linear scenario's O(eps^2) eigenvalue must read as index 0
+    perturb = ["perturb", "--scenario", "linear", "--eps=1e-5,-1e-5", "--assert"]
+    for argv in (["batch", str(path)], perturb):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        name = "sphere" if argv[0] == "batch" else "linear"
+        assert proc.stderr.endswith(f"0 ['{name}'] False"), proc.stderr
+
+
+def test_batch_perturb_reports_invalid_scenario(capsys, tmp_path, monkeypatch):
+    from seifertlab.perturb import Scenario
+
+    monkeypatch.setattr(Scenario, "validate", lambda self: ["declared Z1 point is not critical"])
+    code, outputs = _batch(
+        capsys, tmp_path, '{"mode": "perturb", "scenario": "circle", "eps": [0.1]}'
+    )
+    assert code == 1
+    assert outputs[0]["error"]["kind"] == "consistency"
+    assert "declared Z1 point is not critical" in outputs[0]["error"]["message"]
+
+
 def test_casson_override_contradiction_fails(capsys):
     code, out = run(capsys, "brieskorn", "2", "3", "7", "--casson", "5", "--json")
     assert code == 1

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from helpers import coprime_tuples
+from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly, euler_eval
 from seifertlab.moduli import (
     EVector,
@@ -271,3 +273,29 @@ def test_one_enumeration_per_request(monkeypatch):
     calls.clear()
     brieskorn_report((2, 3, 5, 7))
     assert calls == [(2, 3, 5, 7)]
+
+
+def test_components_check_every_vector(monkeypatch):
+    import seifertlab.moduli as moduli
+
+    S = brieskorn_seifert_data((2, 5, 13))
+    vectors = enumerate_e_vectors(S.orbifold)
+    assert len(vectors) > 3
+    # a wrong exponent on any one vector is caught by the bundle route
+    for i, v in enumerate(vectors):
+        tampered = list(vectors)
+        tampered[i] = dataclasses.replace(v, exponent=v.exponent + 1)
+        with pytest.raises(ConsistencyError, match="exponent routes disagree"):
+            moduli._components(S, tampered)
+    # the bundle context is built once per request, the log confirmed per vector
+    logs = []
+    original = moduli.bundle_log
+    monkeypatch.setattr(moduli, "bundle_log", lambda L, S: logs.append(L) or original(L, S))
+    confirmed = []
+    original_private = moduli._bundle_log
+    monkeypatch.setattr(
+        moduli, "_bundle_log", lambda *a: confirmed.append(a[0]) or original_private(*a)
+    )
+    components = moduli._components(S, vectors)
+    assert logs == [canonical_bundle(S.orbifold)]
+    assert confirmed == [c.divisor_bundle for c in components[1:]]

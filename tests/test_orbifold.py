@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_bundle, random_orbifold
+from helpers import coprime_tuples, random_bundle, random_orbifold
 from seifertlab.orbifold import (
     LineBundleData,
     Orbifold,
@@ -20,6 +21,7 @@ from seifertlab.orbifold import (
     tensor,
     trivial_bundle,
 )
+from seifertlab.seifert import SeifertData, brieskorn_seifert_data, bundle_log, n_bundle
 
 S235 = Orbifold((2, 3, 5))
 S237 = Orbifold((2, 3, 7))
@@ -61,6 +63,14 @@ def test_constructor_requires_normalized_data():
         LineBundleData(0, (2, 0, 0), S235)
     with pytest.raises(ValueError):
         LineBundleData(0, (0, 0), S235)
+    for betas in [(0, -1, 0), (0, 0, 5), (1.0, 0, 0), (0, 3, 4)]:
+        with pytest.raises(ValueError):
+            LineBundleData(0, betas, S235)
+
+
+def test_power_rejects_non_integer_exponent():
+    with pytest.raises(ValueError):
+        power(canonical_bundle(S237), 0.5)
 
 
 def test_tensor_examples():
@@ -121,3 +131,60 @@ def test_power_degree_scaling_and_h0_positivity():
             assert power(L, m).degree == m * L.degree
         assert (h0(L) > 0) == (L.e >= 0)
     assert h0(trivial_bundle(Orbifold((2, 3)))) == 1
+
+
+@st.composite
+def bundle_data(draw):
+    """An orbifold, two bundles on it given by raw data, and a power."""
+    C = Orbifold(tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))))
+
+    def bundle():
+        raw = [draw(st.integers(-40, 40)) for _ in C.alphas]
+        return normalize(draw(st.integers(-9, 9)), raw, C)
+
+    return C, bundle(), bundle(), draw(st.integers(-12, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle_data())
+def test_bundle_ops_equal_normalize_of_raw_data(data):
+    C, L1, L2, m = data
+    summed = normalize(L1.e + L2.e, [a + b for a, b in zip(L1.betas, L2.betas)], C)
+    # a bundle on an equal orbifold that is another object
+    L2_elsewhere = normalize(L2.e, L2.betas, Orbifold(C.alphas))
+    pairs = [
+        (tensor(L1, L2), summed),
+        (tensor(L1, L2_elsewhere), summed),
+        (power(L1, m), normalize(m * L1.e, [m * b for b in L1.betas], C)),
+        (dual(L2), normalize(-L2.e, [-b for b in L2.betas], C)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert got.orbifold == C
+        assert type(got.e) is int
+        assert all(type(b) is int and 0 <= b < a for b, a in zip(got.betas, C.alphas))
+        # the result passes the validation it skipped
+        assert LineBundleData(got.e, got.betas, C) == got
+
+
+_HOMOLOGY_SPHERE_BASES = coprime_tuples(3, 13) + coprime_tuples(4, 11)
+
+
+@st.composite
+def homology_sphere_bundle(draw):
+    """A Brieskorn fibration in either orientation and a bundle on its base."""
+    alphas = list(draw(st.sampled_from(_HOMOLOGY_SPHERE_BASES)))
+    S = brieskorn_seifert_data(draw(st.permutations(alphas)))
+    if draw(st.booleans()):  # (b; gamma_i) -> (-b - n; alpha_i - gamma_i) negates e(Y)
+        S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    raw = [draw(st.integers(-60, 60)) for _ in alphas]
+    return S, normalize(draw(st.integers(-9, 9)), raw, S.orbifold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homology_sphere_bundle())
+def test_bundle_log_equals_degree_ratio(data):
+    S, L = data
+    ratio = L.degree / n_bundle(S).degree
+    assert ratio.denominator == 1
+    assert bundle_log(L, S) == ratio

@@ -25,6 +25,7 @@ from seifertlab.perturb import (
     run_localisation,
     scenario_by_name,
     scenario_names,
+    spectral_gap,
     sphere_scenario,
 )
 
@@ -54,7 +55,7 @@ def test_fd_gradient_matches_analytic_on_scenarios():
     rng = np.random.default_rng(11)
     for build in ALL_SCENARIOS:
         sc = build()
-        samples = list(sc.z0_sampler(rng, 8)) + [s.point for s in sc.z1_sites]
+        samples = list(sc.z0_sampler(8)) + [s.point for s in sc.z1_sites]
         samples += [np.asarray(x) + rng.normal(scale=0.3, size=sc.dim) for x in samples[:4]]
         for s in (sc.family.s0, sc.family.s1, sc.family.s2):
             for x in samples:
@@ -64,10 +65,9 @@ def test_fd_gradient_matches_analytic_on_scenarios():
 
 
 def test_fd_hessian_matches_analytic_on_scenarios():
-    rng = np.random.default_rng(12)
     for build in ALL_SCENARIOS:
         sc = build()
-        for x in sc.z0_sampler(rng, 4):
+        for x in sc.z0_sampler(4):
             for s in (sc.family.s0, sc.family.s1, sc.family.s2):
                 an = s.hessian(x)
                 fd = s.fd_hessian(x)
@@ -277,6 +277,42 @@ def test_localisation_linear_flat():
     neg = run_localisation(sc, [-0.1])[0]
     assert neg.signed_count_ok is None  # chi_c check declared unavailable
     assert neg.indices_ok and neg.bijection_ok
+
+
+def test_linear_localisation_at_small_eps():
+    # the eigenvalue along the flat Z1 is 1.25*eps^2 = 1.25e-10, far below 1e-8
+    sc = linear_scenario()
+    pos, neg = run_localisation(sc, [1e-5, -1e-5])
+    for rep in (pos, neg):
+        assert rep.bijection_ok and rep.indices_ok, rep.messages
+        (found,) = rep.found
+        assert found.index == found.predicted_index == 0
+        assert found.min_abs_hessian_eig == pytest.approx(1.25e-10, rel=1e-3)
+    assert pos.ok and pos.signed_count == pos.expected_signed_count == 1
+    assert neg.signed_count == 1 and neg.signed_count_ok is None
+
+
+def test_spectral_gap_follows_predicted_eigenvalue_order():
+    eps, norm = 1e-5, 4.0
+    flat = spectral_gap(linear_scenario(), eps, norm)  # O(eps^2) along the flat Z1
+    isolated = spectral_gap(circle_scenario(), eps, norm)  # O(eps) inside Z0
+    assert 0 < flat < 1.25 * eps**2 < isolated < eps
+    assert spectral_gap(circle_scenario(), -eps, norm) == isolated
+    # an O(eps^2) eigenvalue where O(eps) is predicted reads as degenerate
+    def quadratic(a, b):
+        return ScalarField(
+            2, lambda x: a * x[0] ** 2 + b * x[1] ** 2, hess=lambda x: np.diag([2 * a, 2 * b])
+        )
+
+    S = quadratic(4.0, eps**2)
+    with pytest.raises(DegenerateCriticalPointError):
+        morse_index(S, [0.0, 0.0], gap=spectral_gap(circle_scenario(), eps, 8.0))
+    assert morse_index(S, [0.0, 0.0], gap=spectral_gap(linear_scenario(), eps, 8.0)) == 0
+    # below float64 resolution the gap stops shrinking, so an exact zero still trips
+    tiny = spectral_gap(linear_scenario(), 1e-9, norm)
+    assert tiny == pytest.approx(norm * 1e-12)
+    with pytest.raises(DegenerateCriticalPointError):
+        morse_index(quadratic(2.0, 0.0), [0.0, 0.0], gap=tiny)
 
 
 def test_localisation_abstains_on_degenerate_family():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import coprime_triples, coprime_tuples
+from seifertlab.errors import ConsistencyError
 from seifertlab.seifert import SeifertData, brieskorn_seifert_data
 from seifertlab.singularity import (
     brieskorn_invariants,
@@ -113,3 +114,23 @@ def test_brieskorn_invariants_pack():
         "casson": -1,
         "euler_sl2c": 3,
     }
+
+
+def test_identity_chain_runs_lattice_oracle_once(monkeypatch):
+    import seifertlab.singularity as singularity
+
+    calls = []
+    original = singularity.signature_lattice_oracle
+
+    def counting(p, q, r):
+        calls.append((p, q, r))
+        return original(p, q, r)
+
+    monkeypatch.setattr(singularity, "signature_lattice_oracle", counting)
+    chain = verify_identity_chain(2, 3, 13)
+    assert calls == [(2, 3, 13)]
+    assert chain.casson == casson_invariant(2, 3, 13) == chain.sigma_lattice // 8
+    # the divisibility check still guards the derived lambda
+    monkeypatch.setattr(singularity, "signature_lattice_oracle", lambda p, q, r: -12)
+    with pytest.raises(ConsistencyError, match="not divisible by 8"):
+        verify_identity_chain(2, 3, 7)
