@@ -1,7 +1,9 @@
 """Command-line interface: single requests, sweeps, perturbation runs, batch files.
 
-Exit codes: 0 on success, 1 when a cross-check fails (or a batch contains an
-error line, or --assert trips), 2 on input-validation failure.
+Every request, a CLI call or a batch line, goes through :func:`run_request`.
+Exit codes: 0 on success, 1 when a cross-check fails (a perturb check only
+under --assert; in a batch, also any error line), 2 on input-validation
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .reports import (
 )
 from .seifert import SeifertData
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_request"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated nonzero perturbation strengths")
     p_p.add_argument("--assert", dest="assert_checks", action="store_true",
                      help="exit 1 if any check fails")
-    p_p.add_argument("--basin-radius", type=float, default=0.5)
-    p_p.add_argument("--c-bound", type=float, default=1e3)
+    # unset, they are absent from the request and run_localisation's defaults apply
+    p_p.add_argument("--basin-radius", type=float, default=argparse.SUPPRESS)
+    p_p.add_argument("--c-bound", type=float, default=argparse.SUPPRESS)
     p_p.add_argument("--csv", metavar="FILE", help="dump (eps, point, value, index) rows")
 
     p_batch = sub.add_parser("batch", parents=[common], help="newline-delimited JSON requests")
@@ -88,8 +91,14 @@ def _dump_line(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def _error_obj(message: str, kind: str) -> dict:
-    return {"error": {"kind": kind, "message": message}}
+def _error(exc: Exception, where: str = "") -> tuple[dict, int]:
+    """The error object of a failed request and its exit code.
+
+    A failed internal cross-check (ConsistencyError) is kind "consistency",
+    exit 1; anything else is bad input, kind "validation", exit 2.
+    """
+    kind, code = ("consistency", 1) if isinstance(exc, ConsistencyError) else ("validation", 2)
+    return {"error": {"kind": kind, "message": f"{where}{exc}"}}, code
 
 
 def _parse_fiber(text: str) -> tuple[int, int]:
@@ -98,18 +107,6 @@ def _parse_fiber(text: str) -> tuple[int, int]:
         return int(a), int(g)
     except Exception:
         raise ValueError(f"fiber {text!r} is not of the form alpha/gamma") from None
-
-
-def _fibration_report(args) -> dict:
-    su2 = parse_poly(args.su2_poly) if args.su2_poly else None
-    if args.mode == "brieskorn":
-        return brieskorn_report(args.exponents, casson=args.casson, su2_poly=su2)
-    fibers = tuple(_parse_fiber(f) for f in args.fiber)
-    S = SeifertData(args.b, fibers)
-    echo: dict = {"mode": "seifert", "b": args.b, "fibers": [list(f) for f in fibers]}
-    if args.casson is not None:
-        echo["casson"] = args.casson
-    return seifert_report(S, echo, casson=args.casson, su2_poly=su2)
 
 
 def _verify_table(report: dict) -> str:
@@ -168,48 +165,6 @@ def _write_csv(path: str, reports: list[dict]) -> None:
                 writer.writerow([rep["epsilon"]] + list(f["point"]) + [f["value"], f["index"]])
 
 
-def _validated_scenario(name: str):
-    """The named perturbation scenario, once its declared structure checks out."""
-    # imported here so that exact-only calls never load numpy
-    from .perturb import scenario_by_name
-
-    scenario = scenario_by_name(name)
-    problems = scenario.validate()
-    if problems:
-        raise ConsistencyError("scenario failed validation: " + "; ".join(problems))
-    return scenario
-
-
-def _run_perturb(args) -> tuple[dict, bool]:
-    from .perturb import run_localisation
-
-    scenario = _validated_scenario(args.scenario)
-    try:
-        eps = [float(e) for e in args.eps.split(",") if e != ""]
-    except ValueError:
-        raise ValueError(f"bad --eps list {args.eps!r}") from None
-    if not eps:
-        raise ValueError("empty --eps list")
-    reports = run_localisation(
-        scenario,
-        eps,
-        basin_radius=args.basin_radius,
-        c_bound=args.c_bound,
-    )
-    dicts = [rep.as_dict() for rep in reports]
-    if args.csv:
-        _write_csv(args.csv, dicts)
-    payload = {
-        "input": {
-            "mode": "perturb",
-            "scenario": args.scenario,
-            "eps": eps,
-        },
-        "reports": dicts,
-    }
-    return payload, all(rep.ok for rep in reports)
-
-
 def _typed(obj: dict, key: str, kind: type, required: bool = True):
     """obj[key] checked to be a kind (a bool is no int); None when optional and absent."""
     value = obj[key] if required else obj.get(key)
@@ -228,39 +183,73 @@ def _ints(values, what: str) -> list:
     return values
 
 
-def _run_batch_line(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise TypeError(f"request must be a JSON object, got {type(obj).__name__}")
-    mode = obj.get("mode")
-    su2_text = _typed(obj, "su2_poly", str, required=False)
+def _finite(value, what: str) -> float:
+    """value as a float, checked to be a number (a bool is none) of finite float size."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not abs(value) <= sys.float_info.max  # also false for nan
+    ):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def run_request(req: dict) -> tuple[dict, bool]:
+    """Run one request, a CLI call or a batch line: (report, every check passed).
+
+    ``req`` holds the fields of a batch line, which are the CLI's options:
+    ``mode``; ``exponents``, or ``b`` and ``fibers`` as [alpha, gamma] pairs,
+    with optional ``casson`` and ``su2_poly``; ``max``; or ``scenario``,
+    ``eps`` as a list and optional ``basin_radius`` and ``c_bound``.  Bad
+    input raises ValueError, KeyError or TypeError; a failed internal
+    cross-check raises ConsistencyError.
+    """
+    if not isinstance(req, dict):
+        raise TypeError(f"request must be a JSON object, got {type(req).__name__}")
+    mode = req.get("mode")
+    su2_text = _typed(req, "su2_poly", str, required=False)
     su2 = parse_poly(su2_text) if su2_text else None
-    casson = _typed(obj, "casson", int, required=False)
+    casson = _typed(req, "casson", int, required=False)
     if mode == "brieskorn":
-        return brieskorn_report(_ints(obj["exponents"], "exponents"), casson=casson, su2_poly=su2)
+        report = brieskorn_report(_ints(req["exponents"], "exponents"), casson=casson, su2_poly=su2)
+        return report, all(report["checks"].values())
     if mode == "seifert":
-        pairs = [_ints(f, "each fiber") for f in _typed(obj, "fibers", list)]
+        pairs = [_ints(f, "each fiber") for f in _typed(req, "fibers", list)]
         fibers = tuple((a, g) for a, g in pairs)  # unpacking rejects a non-pair
-        S = SeifertData(_typed(obj, "b", int), fibers)
+        S = SeifertData(_typed(req, "b", int), fibers)
         echo = {"mode": "seifert", "b": S.b, "fibers": [list(f) for f in fibers]}
         if casson is not None:
             echo["casson"] = casson
-        return seifert_report(S, echo, casson=casson, su2_poly=su2)
+        report = seifert_report(S, echo, casson=casson, su2_poly=su2)
+        return report, all(report["checks"].values())
     if mode == "verify":
-        return verify_sweep_report(_typed(obj, "max", int))
+        report = verify_sweep_report(_typed(req, "max", int))
+        return report, report["all_ok"]
     if mode == "perturb":
-        from .perturb import run_localisation
+        name = _typed(req, "scenario", str)
+        eps = _typed(req, "eps", list)
+        if not eps:
+            raise ValueError("field 'eps' must be a non-empty list")
+        eps = [_finite(e, "each entry of field 'eps'") for e in eps]
+        # absent limits take run_localisation's defaults
+        limits = {
+            key: _finite(req[key], f"field {key!r}")
+            for key in ("basin_radius", "c_bound")
+            if key in req
+        }
+        # imported here so that exact-only calls never load numpy
+        from .perturb import run_localisation, scenario_by_name
 
-        scenario = _validated_scenario(obj["scenario"])
-        reports = run_localisation(
-            scenario,
-            [float(e) for e in obj["eps"]],
-            basin_radius=float(obj.get("basin_radius", 0.5)),
-            c_bound=float(obj.get("c_bound", 1e3)),
-        )
-        return {
-            "input": {"mode": "perturb", "scenario": obj["scenario"], "eps": obj["eps"]},
+        scenario = scenario_by_name(name)
+        problems = scenario.validate()
+        if problems:
+            raise ConsistencyError("scenario failed validation: " + "; ".join(problems))
+        reports = run_localisation(scenario, eps, **limits)
+        payload = {
+            "input": {"mode": "perturb", "scenario": name, "eps": eps},
             "reports": [rep.as_dict() for rep in reports],
         }
+        return payload, all(rep.ok for rep in reports)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -268,10 +257,11 @@ def _run_batch(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        _emit(_dump_line(_error_obj(str(exc), "validation")), args.out)
-        return 2
-    had_error = False
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        error, code = _error(exc)
+        _emit(_dump_line(error), args.out)
+        return code
+    failed = False
     # each line is written as soon as it is done, so a later line never loses it
     with (
         open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
@@ -280,48 +270,50 @@ def _run_batch(args) -> int:
             if not line.strip():
                 continue
             try:
-                text = _dump_line(_run_batch_line(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                had_error = True
-                text = _dump_line(_error_obj(f"line {i}: {exc}", "validation"))
-            except ConsistencyError as exc:
-                had_error = True
-                text = _dump_line(_error_obj(f"line {i}: {exc}", "consistency"))
-            print(text, file=sink)
-    return 1 if had_error else 0
+                req = json.loads(line)
+                report, ok = run_request(req)
+            except (ValueError, KeyError, TypeError, ConsistencyError) as exc:
+                report, ok = _error(exc, f"line {i}: ")[0], False
+            else:
+                # perturb has no --assert here, so its checks never fail the run
+                ok = ok or req["mode"] == "perturb"
+            failed = failed or not ok
+            print(_dump_line(report), file=sink)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    as_json = bool(args.json)
-
+    args = build_parser().parse_args(argv)
+    if args.mode == "batch":
+        return _run_batch(args)
+    req = vars(args)
     try:
-        if args.mode in ("brieskorn", "seifert"):
-            report = _fibration_report(args)
-            checks_ok = all(v for v in report["checks"].values())
-            _emit(_dump(report) if as_json else report_table(report), args.out)
-            return 0 if checks_ok else 1
-        if args.mode == "verify":
-            report = verify_sweep_report(args.max)
-            _emit(_dump(report) if as_json else _verify_table(report), args.out)
-            return 0 if report["all_ok"] else 1
-        if args.mode == "perturb":
-            payload, ok = _run_perturb(args)
-            _emit(
-                _dump(payload) if as_json else _perturb_table(payload["reports"]),
-                args.out,
-            )
-            return 0 if (ok or not args.assert_checks) else 1
-        if args.mode == "batch":
-            return _run_batch(args)
-        raise ValueError(f"unknown mode {args.mode!r}")
-    except ValueError as exc:
-        _emit(_dump(_error_obj(str(exc), "validation")), getattr(args, "out", None))
-        return 2
-    except ConsistencyError as exc:
-        _emit(_dump(_error_obj(str(exc), "consistency")), getattr(args, "out", None))
-        return 1
+        if args.mode == "seifert":
+            req["fibers"] = [list(_parse_fiber(f)) for f in args.fiber]
+        elif args.mode == "perturb":
+            try:
+                req["eps"] = [float(e) for e in args.eps.split(",") if e != ""]
+            except ValueError:
+                raise ValueError(f"bad --eps list {args.eps!r}") from None
+        report, ok = run_request(req)
+    except (ValueError, KeyError, TypeError, ConsistencyError) as exc:
+        error, code = _error(exc)
+        _emit(_dump(error), args.out)
+        return code
+    if args.mode == "perturb":
+        if args.csv:
+            _write_csv(args.csv, report["reports"])
+        ok = ok or not args.assert_checks
+    if args.json:
+        text = _dump(report)
+    elif args.mode == "verify":
+        text = _verify_table(report)
+    elif args.mode == "perturb":
+        text = _perturb_table(report["reports"])
+    else:
+        text = report_table(report)
+    _emit(text, args.out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .seifert import (
     _bundle_log,
     bundle_log,
     n_bundle,
-    validate_homology_sphere,
+    require_homology_sphere,
 )
 
 __all__ = [
@@ -207,7 +207,7 @@ class _Bundles:
         if S is not None:
             self.m_K = bundle_log(self.K, S)  # rejects a non-homology sphere first
             self.N = n_bundle(S)
-            self.a_e = validate_homology_sphere(S).a_times_e
+            self.a_e = require_homology_sphere(S)
 
     def exponent(self, v: EVector) -> tuple[LineBundleData, int]:
         """(L, h^0(L^(-1) K^2)) for the divisor bundle L of a checked vector v."""
@@ -276,17 +276,9 @@ def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
     return m0, k
 
 
-def _require_homology_sphere(S: SeifertData) -> None:
-    check = validate_homology_sphere(S)
-    if not check.ok:
-        raise ValueError(
-            f"not an integral homology sphere: A*e(Y) = {check.a_times_e}"
-        )
-
-
 def _vectors(S: SeifertData) -> list[EVector]:
     """The request's one enumeration: lattice vectors of a homology sphere's base."""
-    _require_homology_sphere(S)
+    require_homology_sphere(S)
     return enumerate_e_vectors(S.orbifold)
 
 

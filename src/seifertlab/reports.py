@@ -14,7 +14,7 @@ from fractions import Fraction
 from .exact import LaurentPoly, euler_eval
 from .moduli import moduli_report
 from .orbifold import canonical_bundle, orbifold_euler_char
-from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, validate_homology_sphere
+from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
 from .singularity import (
     geometric_genus_divisors,
     geometric_genus_pd,
@@ -107,11 +107,7 @@ def seifert_report(
     su2_poly: LaurentPoly | None = None,
 ) -> dict:
     """Full report for one fibration; raises ValueError on invalid input."""
-    check = validate_homology_sphere(S)
-    if not check.ok:
-        raise ValueError(
-            f"not an integral homology sphere: A*e(Y) = {check.a_times_e}"
-        )
+    a_times_e = require_homology_sphere(S)
     C = S.orbifold
     chi = orbifold_euler_char(C)
     triple = _as_brieskorn_triple(S)
@@ -135,7 +131,7 @@ def seifert_report(
             "n_bundle": n_bundle(S).as_dict(),
             "n_degree": fraction_str(S.euler_number),
         },
-        "homology_sphere": {"ok": True, "a_times_e": check.a_times_e},
+        "homology_sphere": {"ok": True, "a_times_e": a_times_e},
         "z_components": [zc.as_dict() for zc in mod.z_components],
     }
 

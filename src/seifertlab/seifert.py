@@ -27,6 +27,7 @@ __all__ = [
     "pairwise_coprime",
     "brieskorn_seifert_data",
     "validate_homology_sphere",
+    "require_homology_sphere",
     "n_bundle",
     "bundle_log",
 ]
@@ -131,6 +132,14 @@ def validate_homology_sphere(S: SeifertData) -> HomologySphereCheck:
     e = S.euler_number
     a_e = e.numerator * (S.multiplicity // e.denominator)
     return HomologySphereCheck(ok=abs(a_e) == 1, a_times_e=a_e)
+
+
+def require_homology_sphere(S: SeifertData) -> int:
+    """A*e(Y) = +-1 of an integral homology sphere; ValueError naming A*e(Y) otherwise."""
+    check = validate_homology_sphere(S)
+    if not check.ok:
+        raise ValueError(f"not an integral homology sphere: A*e(Y) = {check.a_times_e}")
+    return check.a_times_e
 
 
 def n_bundle(S: SeifertData) -> LineBundleData:

@@ -34,7 +34,7 @@ from .seifert import (
     brieskorn_seifert_data,
     n_bundle,
     pairwise_coprime,
-    validate_homology_sphere,
+    require_homology_sphere,
 )
 
 __all__ = [
@@ -68,9 +68,7 @@ def milnor_number(p: int, q: int, r: int) -> int:
 
 
 def _require_link_orientation(S: SeifertData) -> None:
-    check = validate_homology_sphere(S)
-    if not check.ok:
-        raise ValueError(f"not an integral homology sphere: A*e(Y) = {check.a_times_e}")
+    require_homology_sphere(S)
     if S.euler_number > 0:
         raise ValueError(
             "wrong orientation: deg N > 0, but a singularity link has deg N < 0"

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seifertlab
 import seifertlab.cli as cli
+from helpers import coprime_triples
 from seifertlab.cli import main
 from seifertlab.errors import ConsistencyError
 from seifertlab.reports import parse_poly
 from seifertlab.exact import LaurentPoly
+from seifertlab.seifert import brieskorn_seifert_data
 
 
 def run(capsys, *argv):
@@ -329,6 +336,13 @@ def test_batch_perturb_reports_invalid_scenario(capsys, tmp_path, monkeypatch):
     assert "declared Z1 point is not critical" in outputs[0]["error"]["message"]
 
 
+def test_perturb_rejects_non_finite_numbers(capsys):
+    for options in (["--eps=nan"], ["--eps=0.1", "--basin-radius=nan"]):
+        code, out = run(capsys, "perturb", "--scenario", "circle", *options)
+        assert code == 2
+        assert "must be a finite number, got nan" in json.loads(out)["error"]["message"]
+
+
 def test_casson_override_contradiction_fails(capsys):
     code, out = run(capsys, "brieskorn", "2", "3", "7", "--casson", "5", "--json")
     assert code == 1
@@ -361,6 +375,13 @@ def _batch(capsys, tmp_path, *lines):
         '{"mode": "seifert", "b": -1, "fibers": [[2.9, 1], [3, 1], [7, 1]]}',
         '{"mode": "seifert", "b": -1, "fibers": [[2, 1, 1], [3, 1], [7, 1]]}',
         '{"mode": "verify", "max": null}',
+        '{"mode": "perturb", "scenario": "circle", "eps": []}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [true]}',
+        '{"mode": "perturb", "scenario": "circle", "eps": ["0.1"]}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [NaN]}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1, -Infinity]}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "basin_radius": NaN}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "c_bound": Infinity}',
     ],
 )
 def test_batch_wrong_shape_gives_error_object(capsys, tmp_path, bad_line):
@@ -390,3 +411,125 @@ def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatc
     assert outputs[1]["error"] == {"kind": "consistency", "message": "line 2: routes disagree"}
     assert outputs[2]["invariants"]["pg"] == 0
 
+
+def test_batch_exit_status_follows_cli(capsys, tmp_path):
+    code, outputs = _batch(
+        capsys, tmp_path, '{"mode": "brieskorn", "exponents": [2, 3, 7], "casson": 5}'
+    )
+    assert code == 1
+    assert outputs[0]["checks"]["casson_override"] is False
+    # as on the CLI without --assert, a failing perturb check does not fail the run
+    code, outputs = _batch(
+        capsys,
+        tmp_path,
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "basin_radius": 1e-9}',
+    )
+    assert code == 0
+    assert outputs[0]["reports"][0]["checks"]["bijection"] is False
+
+
+def _call(*argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+_TRIPLES = coprime_triples(13)
+
+
+@st.composite
+def _request(draw):
+    """A batch request whose every field the CLI can express; its values may be bad."""
+    mode = draw(st.sampled_from(["brieskorn", "seifert", "verify", "perturb"]))
+    if mode == "verify":
+        return {"mode": mode, "max": draw(st.integers(-1, 7))}
+    if mode == "perturb":
+        req = {
+            "mode": mode,
+            "scenario": draw(st.sampled_from(["circle", "sphere", "linear", "nosuch"])),
+            "eps": draw(
+                st.lists(st.sampled_from([0.1, -0.05, 1, 1e-5]), max_size=3)
+                | st.lists(st.sampled_from([0.1, 0.0, math.nan]), min_size=1, max_size=2)
+            ),
+        }
+        if draw(st.booleans()):
+            req["basin_radius"] = draw(st.sampled_from([0.3, 1e-9, math.inf]))
+        return req
+    exponents = draw(
+        st.sampled_from(_TRIPLES).flatmap(st.permutations)
+        | st.lists(st.integers(0, 13), min_size=2, max_size=3)
+    )
+    if mode == "brieskorn":
+        req = {"mode": mode, "exponents": exponents}
+    else:
+        try:
+            S = brieskorn_seifert_data(exponents)
+            b, fibers = S.b, [[a, g] for a, g in S.fibers]
+            if draw(st.booleans()):  # the reversed orientation
+                b, fibers = -b - len(fibers), [[a, a - g] for a, g in fibers]
+        except ValueError:
+            b, fibers = draw(st.integers(-3, 1)), [[a, 1] for a in exponents]
+        req = {"mode": mode, "b": b, "fibers": fibers}
+    if draw(st.booleans()):
+        req["casson"] = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        req["su2_poly"] = draw(st.sampled_from(["2", "1 + T^2", "T^^2"]))
+    return req
+
+
+def _cli_argv(req: dict) -> list[str]:
+    """The CLI call, with --json, that stands for the batch request req."""
+    mode = req["mode"]
+    if mode == "brieskorn":
+        argv = [mode] + [str(a) for a in req["exponents"]]
+    elif mode == "seifert":
+        argv = [mode, f"--b={req['b']}"] + [f"--fiber={a}/{g}" for a, g in req["fibers"]]
+    elif mode == "verify":
+        argv = [mode, f"--max={req['max']}"]
+    else:
+        argv = [mode, "--scenario", req["scenario"], "--eps=" + ",".join(map(repr, req["eps"]))]
+        if "basin_radius" in req:
+            argv.append(f"--basin-radius={req['basin_radius']!r}")
+    for key in ("casson", "su2_poly"):
+        if key in req:
+            argv.append(f"--{key.replace('_', '-')}={req[key]}")
+    return argv + ["--json"]
+
+
+_JUNK_LINES = ["", "   ", "not json", "[1,2]", '"brieskorn"', "{}", '{"mode": "verify"}']
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(_request(), st.sampled_from(_JUNK_LINES)), min_size=1, max_size=4))
+def test_batch_lines_match_cli_calls(items):
+    lines = [json.dumps(x) if isinstance(x, dict) else x for x in items]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "requests.ndjson")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        code, out = _call("batch", path)
+    numbered = [(i, x) for i, (x, line) in enumerate(zip(items, lines), 1) if line.strip()]
+    outputs = out.splitlines()
+    assert len(outputs) == len(numbered)
+    failed = False
+    for (i, x), text in zip(numbered, outputs):
+        got = json.loads(text)
+        if "error" in got:
+            assert set(got["error"]) == {"kind", "message"}
+            assert got["error"]["kind"] in ("validation", "consistency")
+            assert got["error"]["message"].startswith(f"line {i}: ")
+        else:
+            assert "input" in got
+        if isinstance(x, str):
+            assert "error" in got
+            failed = True
+            continue
+        cli_code, cli_out = _call(*_cli_argv(x))
+        want = json.loads(cli_out)
+        if "error" in want:
+            want["error"]["message"] = f"line {i}: " + want["error"]["message"]
+        assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
+        failed = failed or cli_code != 0
+    assert code == (1 if failed else 0)
