@@ -3,7 +3,7 @@
 Every request, a CLI call or a batch line, goes through :func:`run_request`.
 Exit codes: 0 on success, 1 when a cross-check fails (a perturb check only
 under --assert; in a batch, also any error line), 2 on input-validation
-failure.
+failure or an --out or --csv path that cannot be written.
 """
 
 from __future__ import annotations
@@ -284,8 +284,15 @@ def _run_batch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.mode == "batch":
-        return _run_batch(args)
+    try:
+        return _run_batch(args) if args.mode == "batch" else _run_single(args)
+    except OSError as exc:  # --out or --csv cannot be written
+        error, code = _error(exc)
+        print((_dump_line if args.mode == "batch" else _dump)(error))
+        return code
+
+
+def _run_single(args) -> int:
     req = vars(args)
     try:
         if args.mode == "seifert":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .exact import LaurentPoly, euler_eval
 from .moduli import moduli_report
@@ -199,8 +200,6 @@ def verify_sweep_report(max_exponent: int) -> dict:
     """Identity-chain sweep over all pairwise-coprime triples p < q < r <= max."""
     if max_exponent > 30:
         raise ValueError("sweep limit is 30 (desk scale)")
-    from math import gcd
-
     rows = []
     all_ok = True
     for p in range(2, max_exponent + 1):

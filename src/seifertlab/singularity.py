@@ -22,13 +22,12 @@ and sigma are out of scope; only the Seifert-side quantities exist here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .moduli import excess_poincare
 from .exact import euler_eval
-from .orbifold import h0, orbifold_euler_char, power
+from .orbifold import power
 from .seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -67,12 +66,19 @@ def milnor_number(p: int, q: int, r: int) -> int:
     return (p - 1) * (q - 1) * (r - 1)
 
 
-def _require_link_orientation(S: SeifertData) -> None:
-    require_homology_sphere(S)
-    if S.euler_number > 0:
+def _link_bound(S: SeifertData) -> int:
+    """A * deg K, which is deg K / (-deg N) on a link-oriented homology sphere.
+
+    ValueError unless A*e(Y) = -1: then deg N = -1/A, so the ratio is the
+    integer A*(n - 2) - sum_i A/alpha_i and both p_g routes bound l by it
+    without a Fraction.
+    """
+    if require_homology_sphere(S) > 0:
         raise ValueError(
             "wrong orientation: deg N > 0, but a singularity link has deg N < 0"
         )
+    A = S.multiplicity
+    return A * (len(S.fibers) - 2) - sum(A // a for a, _ in S.fibers)
 
 
 def geometric_genus_pd(S: SeifertData) -> int:
@@ -81,37 +87,63 @@ def geometric_genus_pd(S: SeifertData) -> int:
     p_g = sum_{l >= 0} max(0, -N(l) - 1) with
     N(l) = -l*b - sum_i ceil(l*gamma_i / alpha_i).  Terms vanish once the
     orbifold degree of K tensor N^l drops below zero, i.e. beyond
-    l = floor(deg K / (-deg N)), so the sum is finite.
+    l = deg K / (-deg N) = A * deg K, so the sum is finite.
+
+    The ceilings are carried from one l to the next: each fiber keeps the
+    remainder ceil(l*gamma_i/alpha_i)*alpha_i - l*gamma_i in [0, alpha_i),
+    and when subtracting gamma_i takes it below zero, alpha_i is added back
+    and the ceiling grows by one.  Only the Seifert invariants enter, never a
+    line bundle, so this route stays independent of
+    :func:`geometric_genus_divisors`.
     """
-    _require_link_orientation(S)
-    deg_k = -orbifold_euler_char(S.orbifold)
-    deg_n = S.euler_number
-    if deg_k < 0:
-        return 0
-    l_max = int(deg_k / -deg_n)
+    l_max = _link_bound(S)
+    b, alphas, gammas = S.b, S.alphas, S.gammas
+    fibers = range(len(alphas))
+    rems = [0] * len(alphas)
+    term = -1  # -N(l) - 1 = l*b + sum_i ceil(l*gamma_i/alpha_i) - 1, at l = 0
     total = 0
-    for l in range(l_max + 1):
-        ceil_sum = sum(-((-l * g) // a) for a, g in S.fibers)
-        n_l = -l * S.b - ceil_sum
-        total += max(0, -n_l - 1)
+    for _ in range(l_max):
+        term += b
+        for i in fibers:
+            rem = rems[i] - gammas[i]
+            if rem < 0:
+                rem += alphas[i]
+                term += 1
+            rems[i] = rem
+        if term > 0:
+            total += term
     return total
 
 
 def geometric_genus_divisors(S: SeifertData) -> int:
     """Geometric genus as a count of effective divisors.
 
-    Sums h^0 over the bundles N^(-l), l >= 0, of orbifold degree in
-    [0, deg K).  Independent of :func:`geometric_genus_pd`, which it must
-    equal on every singularity link.
+    Sums h^0 = max(0, e + 1) over the bundles N^(-l), l >= 0, of orbifold
+    degree l/A in [0, deg K), i.e. l < A * deg K.  D = N^(-1) is built once;
+    the normalized data (e; beta_i) of N^(-l) is then carried to N^(-l-1) by
+    adding D's data, and a residue that reaches alpha_i gives alpha_i back
+    and adds 1 to e, the normalization of :func:`orbifold.normalize`.  It
+    counts sections of bundles, not the ceilings of
+    :func:`geometric_genus_pd`, which it must equal on every singularity link.
     """
-    _require_link_orientation(S)
-    N = n_bundle(S)
-    deg_k = -orbifold_euler_char(S.orbifold)
-    bound = deg_k / -S.euler_number  # deg N^(-l) = l * (-deg N) must stay < deg K
-    if bound <= 0:
-        return 0
-    l_max = math.ceil(bound) - 1
-    return sum(h0(power(N, -l)) for l in range(l_max + 1))
+    bound = _link_bound(S)
+    D = power(n_bundle(S), -1)
+    step_e, steps, alphas = D.e, D.betas, D.orbifold.alphas
+    fibers = range(len(alphas))
+    betas = [0] * len(alphas)
+    e = 0  # N^0 is trivial
+    total = 0
+    for _ in range(bound):
+        if e >= 0:
+            total += e + 1
+        e += step_e
+        for i in fibers:
+            beta = betas[i] + steps[i]
+            if beta >= alphas[i]:
+                beta -= alphas[i]
+                e += 1
+            betas[i] = beta
+    return total
 
 
 def signature_durfee(pg: int, milnor: int) -> int:

@@ -243,6 +243,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(out_path.read_text())["invariants"]["milnor"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("brieskorn", "2", "3", "5", "--out", "{missing}"),
+        ("brieskorn", "2", "4", "5", "--out", "{missing}"),  # the error object too
+        ("perturb", "--scenario", "circle", "--eps", "0.1", "--csv", "{missing}"),
+        ("batch", "{batch}", "--out", "{missing}"),
+    ],
+)
+def test_unwritable_output_path_gives_error_object(capsys, tmp_path, argv):
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text('{"mode": "brieskorn", "exponents": [2, 3, 7]}\n')
+    missing = tmp_path / "missing" / "out"
+    argv = [a.format(missing=missing, batch=batch) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert str(missing) in error["message"]
+    assert not missing.parent.exists()
+
+
 def test_parse_poly_roundtrip():
     for text, expected in [
         ("2", LaurentPoly({0: 2})),
@@ -273,6 +295,11 @@ def test_default_output_matches_recorded_bytes(capsys):
         (
             ("brieskorn", "2", "3", "5", "7", "11", "--json"),
             "ef93ccb7da7b05ed666a5275d76f0b967fc632a98f18fe9110b6e978b0e1c0fb",
+        ),
+        # before the two p_g routes carried their per-l data from one l to the next
+        (
+            ("verify", "--max", "16", "--json"),
+            "20fe69436a20e42f00d4732cd06bce6243cc719f3169bb48201318502c2d16ae",
         ),
     ]:
         _, out = run(capsys, *argv)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from math import ceil, floor, gcd, prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import coprime_triples, coprime_tuples
 from seifertlab.errors import ConsistencyError
-from seifertlab.seifert import SeifertData, brieskorn_seifert_data
+from seifertlab.orbifold import h0, orbifold_euler_char, power
+from seifertlab.seifert import SeifertData, brieskorn_seifert_data, n_bundle
 from seifertlab.singularity import (
     brieskorn_invariants,
     casson_invariant,
@@ -49,6 +53,67 @@ def test_geometric_genus_rejects_wrong_inputs():
         geometric_genus_pd(reversed_237)
     with pytest.raises(ValueError):
         geometric_genus_divisors(reversed_237)
+
+
+# bound on A*(n - 2), about the number of l both routes step through; it keeps
+# the per-l references below ~0.1 s an example
+_STEPS_LIMIT = 15_000
+
+
+def _link_bases(n: int, top: int = 40) -> list[tuple[int, ...]]:
+    """Increasing pairwise-coprime n-tuples in [2, top] with A*(n - 2) <= _STEPS_LIMIT."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for a in range(prefix[-1] + 1 if prefix else 2, top + 1):
+            if prod(prefix) * a * (n - 2) > _STEPS_LIMIT:
+                break
+            if all(gcd(a, b) == 1 for b in prefix):
+                extend(prefix + (a,))
+
+    extend(())
+    return out
+
+
+# one strategy per fiber count, so that 4 and 5 fibers come up as often as 3
+_LINK_BASES = st.one_of(*(st.sampled_from(_link_bases(n)) for n in (3, 4, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINK_BASES.flatmap(st.permutations))
+def test_pg_routes_equal_their_per_l_definitions(alphas):
+    S = brieskorn_seifert_data(alphas)
+    ratio = -orbifold_euler_char(S.orbifold) / -S.euler_number  # deg K / (-deg N)
+    # divisor route: one bundle N^(-l) built from scratch per l of degree < deg K
+    N = n_bundle(S)
+    l_max = ceil(ratio) - 1
+    assert geometric_genus_divisors(S) == sum(h0(power(N, -l)) for l in range(l_max + 1))
+    # Pinkham-Dolgachev route: each ceiling by a floor division
+    l_max = floor(ratio)
+    want = sum(
+        max(0, l * S.b + sum(-(-l * g // a) for a, g in S.fibers) - 1)
+        for l in range(l_max + 1)
+    )
+    assert geometric_genus_pd(S) == want
+    # (b; gamma_i) -> (-b - n; alpha_i - gamma_i) reverses the orientation
+    reversed_S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    for route in (geometric_genus_pd, geometric_genus_divisors):
+        with pytest.raises(ValueError, match="wrong orientation"):
+            route(reversed_S)
+
+
+def test_divisor_route_builds_one_bundle_power(monkeypatch):
+    import seifertlab.singularity as singularity
+
+    exponents = []
+    original = singularity.power
+    monkeypatch.setattr(singularity, "power", lambda L, m: exponents.append(m) or original(L, m))
+    S = brieskorn_seifert_data((7, 11, 13))
+    assert geometric_genus_divisors(S) == geometric_genus_pd(S) == 100
+    assert exponents == [-1]
 
 
 def test_signature_durfee_examples():
