@@ -11,7 +11,6 @@ so equal polynomials always print identically.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -19,18 +18,11 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
-    "frac_part",
     "LaurentPoly",
     "cp_poincare",
     "hat_normalize",
     "euler_eval",
 ]
-
-
-def frac_part(q: Fraction | int) -> Fraction:
-    """Fractional part {q} in [0, 1), so that floor(q) + frac_part(q) == q."""
-    q = Fraction(q)
-    return q - math.floor(q)
 
 
 class LaurentPoly:

@@ -18,6 +18,14 @@ Each such component carries:
   * a label (l0_power, k) with k in {0,1} expressing the divisor bundle as
     L0^(-2) N^k K for L0 = N^l0_power.
 
+Two routes find the vectors.  The scan (:func:`enumerate_e_vectors`) runs
+over residues and carries the closed-form m.  On a homology sphere every
+bundle is a power of N, so the vectors are also the effective powers G^l,
+0 <= l < A*deg K, of the degree-1/A bundle G = N^(A*e(Y)); one integer walk
+over those powers (``orbifold._walk``, shared with the divisor route of
+the geometric genus) must find the same set, gives each vector's
+h^0(L^(-1) K^2) and, from l, its label.
+
 Summing T^(2m) * P_T(CP^e) over the vectors gives the excess of the SL(2,C)
 Poincare polynomial over the SU(2) one; the hat-normalized variant shifts
 each CP^e summand by T^(-2e) instead.  The SU(2) summand itself is an opaque
@@ -36,6 +44,7 @@ from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
 from .orbifold import (
     LineBundleData,
     Orbifold,
+    _walk,
     canonical_bundle,
     dual,
     h0,
@@ -43,13 +52,7 @@ from .orbifold import (
     power,
     tensor,
 )
-from .seifert import (
-    SeifertData,
-    _bundle_log,
-    bundle_log,
-    n_bundle,
-    require_homology_sphere,
-)
+from .seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 __all__ = [
     "EVector",
@@ -190,53 +193,6 @@ def _check_enumerated(C: Orbifold, v: EVector, scale: tuple[int, list[int], int]
         raise ValueError(f"vector {v.as_tuple()} violates the degree bound")
 
 
-class _Bundles:
-    """Bundle data that every vector of one request shares.
-
-    Built from an orbifold C it holds :func:`_scale` of C, K and K^2, which
-    the exponent route needs.  Built from a fibration S it also holds N,
-    A*e(Y) and m_K = log K, which the label route needs.  Building it once
-    per request keeps the per-vector work to the vector's own bundles.
-    """
-
-    def __init__(self, C: Orbifold, S: SeifertData | None = None):
-        self.C = C
-        self.scale = _scale(C)
-        self.K = canonical_bundle(C)
-        self.KK = tensor(self.K, self.K)
-        if S is not None:
-            self.m_K = bundle_log(self.K, S)  # rejects a non-homology sphere first
-            self.N = n_bundle(S)
-            self.a_e = require_homology_sphere(S)
-
-    def exponent(self, v: EVector) -> tuple[LineBundleData, int]:
-        """(L, h^0(L^(-1) K^2)) for the divisor bundle L of a checked vector v."""
-        _check_enumerated(self.C, v, self.scale)
-        L = normalize(v.e, v.betas, self.C)
-        return L, h0(tensor(dual(L), self.KK))
-
-    def label(self, L: LineBundleData) -> tuple[int, int, int]:
-        """(m0, k, d): L = L0^(-2) N^k K with L0 = N^m0, confirmed on bundle data.
-
-        d = 2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1) re-derives the
-        ambient dimension from the label, reusing its bundles.
-        """
-        A, cofactors, _ = self.scale
-        N, K, m_K = self.N, self.K, self.m_K
-        m_L = _bundle_log(L, N, A, cofactors, self.a_e)
-        k = (m_L - m_K) % 2
-        m0 = (k + m_K - m_L) // 2
-        l0_inv2 = power(power(N, m0), -2)
-        n_k = power(N, k)
-        rebuilt = tensor(tensor(l0_inv2, n_k), K)
-        if rebuilt != L:
-            raise ConsistencyError(
-                f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}"
-            )
-        d = 2 * (h0(rebuilt) + h0(tensor(tensor(dual(l0_inv2), dual(n_k)), K)) - 1)
-        return m0, k, d
-
-
 def exponent_closed_form(C: Orbifold, v: EVector) -> int:
     """Morse-Bott half-index from the closed formula, in integers scaled by A.
 
@@ -260,7 +216,9 @@ def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
     Pure bundle arithmetic on the divisor bundle L of the vector; independent
     of :func:`exponent_closed_form`, which it must equal.
     """
-    return _Bundles(C).exponent(v)[1]
+    _check_enumerated(C, v, _scale(C))
+    K = canonical_bundle(C)
+    return h0(tensor(dual(normalize(v.e, v.betas, C)), tensor(K, K)))
 
 
 def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
@@ -270,9 +228,14 @@ def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
     -2*m0 + k + m_K = m_L forces k = (m_L - m_K) mod 2 and
     m0 = (k + m_K - m_L) // 2.  The postcondition is re-checked on bundle data.
     """
-    if L.orbifold != S.orbifold:
-        raise ValueError("bundle lives on a different orbifold than the fibration")
-    m0, k, _ = _Bundles(S.orbifold, S).label(L)
+    m_L = bundle_log(L, S)  # rejects a foreign bundle or a non-homology sphere
+    K = canonical_bundle(S.orbifold)
+    m_K = bundle_log(K, S)
+    k = (m_L - m_K) % 2
+    m0 = (k + m_K - m_L) // 2
+    N = n_bundle(S)
+    if tensor(tensor(power(power(N, m0), -2), power(N, k)), K) != L:
+        raise ConsistencyError(f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}")
     return m0, k
 
 
@@ -285,38 +248,61 @@ def _vectors(S: SeifertData) -> list[EVector]:
 def z_decomposition(S: SeifertData) -> list[ZComponent]:
     """The critical locus: one SU(2) piece plus one CP^e piece per vector.
 
-    Every CP^e piece carries the Morse-Bott index computed by both exponent
-    routes (which must agree) and the ambient complex dimension 2*(e + m),
-    re-derived independently as 2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1).
+    The scan finds the vectors and their closed-form exponents; the walk over
+    the powers of N must find the same vectors and the same exponents (see
+    :func:`_components`).  Every CP^e piece also carries the ambient complex
+    dimension 2*(e + m), re-derived as
+    2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1).  That check follows
+    from the first two: L0^(-2) N^k K = L and L0^2 N^(-k) K = K^2 L^(-1), so
+    its h^0 values are e + 1 and the walk's exponent.
     """
     return _components(S, _vectors(S))
 
 
 def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
-    bundles = _Bundles(S.orbifold, S)
+    """The scanned vectors checked against, and labelled by, one walk over G^l.
+
+    G = N^(A*e(Y)) has degree 1/A, so every bundle of degree d is G^(A*d):
+    the vectors are the effective G^l with 0 <= l < A*deg K, K = G^(A*deg K)
+    and L^(-1) K^2 = G^(2*A*deg K - l).  With L = N^(A*e(Y)*l) the label
+    follows from the parity rule of :func:`solve_L0_k`, in integers.
+    """
+    C = S.orbifold
+    a_e = require_homology_sphere(S)
+    top = _scale(C)[2]  # A * deg K
+    degrees, residues = _walk(power(n_bundle(S), a_e), 2 * top + 1, keep=top)
+    powers = {(degrees[l], betas): l for l, betas in residues.items()}
+    scanned = [(v.e, v.betas) for v in vectors]
+    if len(scanned) != len(powers) or set(scanned) != powers.keys():
+        raise ConsistencyError(
+            f"walk and scan disagree: {len(powers)} effective powers of N, "
+            f"{len(scanned)} vectors"
+        )
     components = [ZComponent(kind="su2", morse_index=0)]
-    for v in vectors:
-        m_closed = v.exponent
-        L, m_bundle = bundles.exponent(v)
-        if m_closed != m_bundle:
+    for v, key in zip(vectors, scanned):
+        l = powers[key]
+        m = v.exponent
+        m_walk = max(0, degrees[2 * top - l] + 1)
+        if m != m_walk:
             raise ConsistencyError(
                 f"exponent routes disagree on {v.as_tuple()}: "
-                f"closed form {m_closed}, bundle route {m_bundle}"
+                f"closed form {m}, bundle route {m_walk}"
             )
-        m0, k, via_dims = bundles.label(L)
-        ambient = 2 * (v.e + m_closed)
+        ambient = 2 * (v.e + m)
+        via_dims = 2 * (max(0, degrees[l] + 1) + m_walk - 1)
         if ambient != via_dims:
             raise ConsistencyError(
                 f"ambient dimension mismatch on {v.as_tuple()}: {ambient} vs {via_dims}"
             )
+        k = (top - l) % 2
         components.append(
             ZComponent(
                 kind="cpe",
                 vector=v,
-                morse_index=2 * m_closed,
+                morse_index=2 * m,
                 ambient_dim_c=ambient,
-                divisor_bundle=L,
-                l0_power=m0,
+                divisor_bundle=normalize(v.e, v.betas, C),
+                l0_power=(k + a_e * (top - l)) // 2,
                 parity_k=k,
             )
         )

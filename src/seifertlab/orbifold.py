@@ -118,39 +118,22 @@ def normalize(e: int, raw_betas: Sequence[int], C: Orbifold) -> LineBundleData:
     return LineBundleData(carried, tuple(betas), C)
 
 
-def _reduced(e: int, raw_betas, C: Orbifold) -> LineBundleData:
-    """:func:`normalize` for raw data derived from valid bundles of C.
-
-    The residues are reduced with ``divmod``, so the result is normalized by
-    construction and skips :class:`LineBundleData` validation.
-    """
-    carried = e
-    betas = []
-    for raw, a in zip(raw_betas, C.alphas):
-        q, r = divmod(raw, a)
-        carried += q
-        betas.append(r)
-    out = object.__new__(LineBundleData)
-    fields = out.__dict__
-    fields["e"] = carried
-    fields["betas"] = tuple(betas)
-    fields["orbifold"] = C
-    return out
-
-
 def tensor(L1: LineBundleData, L2: LineBundleData) -> LineBundleData:
     """Tensor product; degrees add."""
-    C = L1.orbifold
-    if C is not L2.orbifold and C != L2.orbifold:
+    if L1.orbifold != L2.orbifold:
         raise ValueError("cannot tensor bundles over different orbifolds")
-    return _reduced(L1.e + L2.e, [b1 + b2 for b1, b2 in zip(L1.betas, L2.betas)], C)
+    return normalize(
+        L1.e + L2.e,
+        [b1 + b2 for b1, b2 in zip(L1.betas, L2.betas)],
+        L1.orbifold,
+    )
 
 
 def power(L: LineBundleData, m: int) -> LineBundleData:
     """m-fold tensor power; negative m gives powers of the dual."""
     if not isinstance(m, int):
         raise ValueError(f"power exponent must be an integer, got {m!r}")
-    return _reduced(m * L.e, [m * b for b in L.betas], L.orbifold)
+    return normalize(m * L.e, [m * b for b in L.betas], L.orbifold)
 
 
 def dual(L: LineBundleData) -> LineBundleData:
@@ -165,3 +148,33 @@ def h0(L: LineBundleData) -> int:
     non-negative and 0 otherwise.
     """
     return max(0, L.e + 1)
+
+
+def _walk(
+    G: LineBundleData, count: int, keep: int = 0
+) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Normalized data of the powers G^0, G^1, ..., G^(count - 1), in integers.
+
+    Returns the desingularised degree e of every G^l, and the residues of
+    each effective G^l (e >= 0) with l < keep.  G^(l+1) = G^l tensor G is
+    reached by adding G's data: a residue that reaches alpha_i gives alpha_i
+    back and adds 1 to e, the carry of :func:`normalize`.
+    """
+    step_e, steps, alphas = G.e, G.betas, G.orbifold.alphas
+    fibers = range(len(alphas))
+    betas = [0] * len(alphas)
+    e = 0  # G^0 is trivial
+    degrees: list[int] = []
+    residues: dict[int, tuple[int, ...]] = {}
+    for l in range(count):
+        degrees.append(e)
+        if e >= 0 and l < keep:
+            residues[l] = tuple(betas)
+        e += step_e
+        for i in fibers:
+            beta = betas[i] + steps[i]
+            if beta >= alphas[i]:
+                beta -= alphas[i]
+                e += 1
+            betas[i] = beta
+    return degrees, residues

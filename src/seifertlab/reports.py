@@ -17,6 +17,7 @@ from .moduli import moduli_report
 from .orbifold import canonical_bundle, orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
 from .singularity import (
+    _check_lattice_limit,
     geometric_genus_divisors,
     geometric_genus_pd,
     verify_identity_chain,
@@ -113,6 +114,8 @@ def seifert_report(
     chi = orbifold_euler_char(C)
     triple = _as_brieskorn_triple(S)
     link_oriented = S.euler_number < 0
+    if triple is not None:
+        _check_lattice_limit(*triple)  # before the moduli side does any work
 
     mod = moduli_report(S, casson=casson)
     chain = None
@@ -171,6 +174,9 @@ def seifert_report(
         notes.append("euler_sl2c omitted: no casson invariant supplied or derivable")
     else:
         checks["hp_euler"] = -2 * lam + euler_eval(mod.hp_excess) == euler_sl2c
+        if su2_poly is not None:
+            # the SU(2) summand's Euler characteristic is -2*lambda
+            checks["su2_euler"] = euler_eval(su2_poly) == -2 * lam
     invariants["notes"] = notes
     report["invariants"] = invariants
     report["checks"] = checks

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError
 from .moduli import excess_poincare
 from .exact import euler_eval
-from .orbifold import power
+from .orbifold import _walk, power
 from .seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -58,6 +58,17 @@ def _check_triple(p: int, q: int, r: int) -> None:
             raise ValueError(f"exponents must be integers >= 2, got {x!r}")
     if not pairwise_coprime((p, q, r)):
         raise ValueError(f"exponents ({p},{q},{r}) are not pairwise coprime")
+
+
+def _check_lattice_limit(p: int, q: int, r: int) -> None:
+    """ValueError when the lattice oracle's p*q*r points exceed _LATTICE_LIMIT.
+
+    The identity chain and report assembly call it before any other work on
+    a Brieskorn triple.
+    """
+    m = p * q * r
+    if m > _LATTICE_LIMIT:
+        raise ValueError(f"p*q*r = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
 
 
 def milnor_number(p: int, q: int, r: int) -> int:
@@ -119,31 +130,14 @@ def geometric_genus_divisors(S: SeifertData) -> int:
     """Geometric genus as a count of effective divisors.
 
     Sums h^0 = max(0, e + 1) over the bundles N^(-l), l >= 0, of orbifold
-    degree l/A in [0, deg K), i.e. l < A * deg K.  D = N^(-1) is built once;
-    the normalized data (e; beta_i) of N^(-l) is then carried to N^(-l-1) by
-    adding D's data, and a residue that reaches alpha_i gives alpha_i back
-    and adds 1 to e, the normalization of :func:`orbifold.normalize`.  It
-    counts sections of bundles, not the ceilings of
-    :func:`geometric_genus_pd`, which it must equal on every singularity link.
+    degree l/A in [0, deg K), i.e. l < A * deg K.  Their normalized data
+    comes from one integer walk over the powers of D = N^(-1), the walk that
+    also labels the lattice vectors on the moduli side.  It counts sections
+    of bundles, not the ceilings of :func:`geometric_genus_pd`, which it must
+    equal on every singularity link.
     """
-    bound = _link_bound(S)
-    D = power(n_bundle(S), -1)
-    step_e, steps, alphas = D.e, D.betas, D.orbifold.alphas
-    fibers = range(len(alphas))
-    betas = [0] * len(alphas)
-    e = 0  # N^0 is trivial
-    total = 0
-    for _ in range(bound):
-        if e >= 0:
-            total += e + 1
-        e += step_e
-        for i in fibers:
-            beta = betas[i] + steps[i]
-            if beta >= alphas[i]:
-                beta -= alphas[i]
-                e += 1
-            betas[i] = beta
-    return total
+    degrees, _ = _walk(power(n_bundle(S), -1), _link_bound(S))
+    return sum(e + 1 for e in degrees if e >= 0)
 
 
 def signature_durfee(pg: int, milnor: int) -> int:
@@ -166,9 +160,8 @@ def signature_lattice_oracle(p: int, q: int, r: int) -> int:
     route has a genuine cross-check.
     """
     _check_triple(p, q, r)
+    _check_lattice_limit(p, q, r)
     m = p * q * r
-    if m > _LATTICE_LIMIT:
-        raise ValueError(f"p*q*r = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
     qr, pr, pq = q * r, p * r, p * q
     plus = minus = 0
     for i in range(1, p):
@@ -266,6 +259,7 @@ def verify_identity_chain(
     exponents; otherwise it is computed here.
     """
     _check_triple(p, q, r)
+    _check_lattice_limit(p, q, r)
     S = brieskorn_seifert_data((p, q, r))
     mu = milnor_number(p, q, r)
     pg_pd = geometric_genus_pd(S)

@@ -23,6 +23,7 @@ from seifertlab.errors import ConsistencyError
 from seifertlab.reports import parse_poly
 from seifertlab.exact import LaurentPoly
 from seifertlab.seifert import brieskorn_seifert_data
+from seifertlab.singularity import verify_identity_chain
 
 
 def run(capsys, *argv):
@@ -126,6 +127,42 @@ def test_su2_poly_assembles_sl2c(capsys):
     report = json.loads(out)
     assert report["polynomials"]["sl2c"] == "2"
     assert report["polynomials"]["sl2c_partial"] is False
+    assert report["checks"]["su2_euler"] is True
+
+
+def test_su2_poly_contradiction_fails(capsys):
+    # lambda(Sigma(2,3,7)) = -1, so the SU(2) summand must have Euler characteristic 2
+    code, out = run(capsys, "brieskorn", "2", "3", "7", "--su2-poly", "5", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"]["su2_euler"] is False
+    assert report["polynomials"]["sl2c"] == "6"
+    # no lambda known, nothing to hold the summand to
+    code, out = run(
+        capsys,
+        "seifert", "--b", "-2",
+        "--fiber", "2/1", "--fiber", "3/2", "--fiber", "5/2", "--fiber", "7/3",
+        "--su2-poly", "5", "--json",
+    )
+    assert code == 0
+    assert "su2_euler" not in json.loads(out)["checks"]
+
+
+def test_lattice_limit_checked_before_moduli_work(capsys, monkeypatch):
+    import seifertlab.moduli as moduli
+
+    calls = []
+    monkeypatch.setattr(moduli, "enumerate_e_vectors", lambda C: calls.append(C))
+    S = brieskorn_seifert_data((97, 101, 103))
+    fibers = [arg for a, g in S.fibers for arg in ("--fiber", f"{a}/{g}")]
+    for argv in (["brieskorn", "103", "97", "101"], ["seifert", "--b", str(S.b), *fibers]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message == "p*q*r = 1009091 exceeds the desk-scale limit 1000000"
+    with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
+        verify_identity_chain(101, 97, 103)
+    assert calls == []
 
 
 def test_bad_fiber_syntax(capsys):

@@ -1,15 +1,13 @@
-"""Laurent-polynomial ring, rendering, and rational helpers."""
+"""Laurent-polynomial ring and rendering."""
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from helpers import random_poly
-from seifertlab.exact import LaurentPoly, cp_poincare, euler_eval, frac_part, hat_normalize
+from seifertlab.exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
 
 
 def test_cp_poincare_small_cases():
@@ -100,12 +98,3 @@ def test_euler_eval_is_ring_homomorphism():
         a, b = random_poly(rng), random_poly(rng)
         assert euler_eval(a + b) == euler_eval(a) + euler_eval(b)
         assert euler_eval(a * b) == euler_eval(a) * euler_eval(b)
-
-
-def test_rational_floor_frac_roundtrip():
-    rng = random.Random(99)
-    for _ in range(2000):
-        q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
-        f = frac_part(q)
-        assert 0 <= f < 1
-        assert math.floor(q) + f == q

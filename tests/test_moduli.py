@@ -6,6 +6,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import coprime_tuples
 from seifertlab.errors import ConsistencyError
@@ -281,21 +282,51 @@ def test_components_check_every_vector(monkeypatch):
     S = brieskorn_seifert_data((2, 5, 13))
     vectors = enumerate_e_vectors(S.orbifold)
     assert len(vectors) > 3
-    # a wrong exponent on any one vector is caught by the bundle route
     for i, v in enumerate(vectors):
+        # a wrong exponent on any one vector is caught by the walk's h^0
         tampered = list(vectors)
         tampered[i] = dataclasses.replace(v, exponent=v.exponent + 1)
         with pytest.raises(ConsistencyError, match="exponent routes disagree"):
             moduli._components(S, tampered)
-    # the bundle context is built once per request, the log confirmed per vector
-    logs = []
-    original = moduli.bundle_log
-    monkeypatch.setattr(moduli, "bundle_log", lambda L, S: logs.append(L) or original(L, S))
-    confirmed = []
-    original_private = moduli._bundle_log
+        # so is a dropped vector, or one residue changed
+        with pytest.raises(ConsistencyError, match="walk and scan disagree"):
+            moduli._components(S, vectors[:i] + vectors[i + 1 :])
+        for j, a in enumerate(S.alphas):
+            betas = v.betas[:j] + ((v.betas[j] + 1) % a,) + v.betas[j + 1 :]
+            tampered[i] = dataclasses.replace(v, betas=betas)
+            with pytest.raises(ConsistencyError, match="walk and scan disagree"):
+                moduli._components(S, tampered)
+    # one walk per request, and no tensor or power per vector
+    walks, ops = [], []
+    original_walk, original_power, original_tensor = moduli._walk, moduli.power, moduli.tensor
     monkeypatch.setattr(
-        moduli, "_bundle_log", lambda *a: confirmed.append(a[0]) or original_private(*a)
+        moduli, "_walk", lambda G, count, keep: walks.append(G) or original_walk(G, count, keep)
     )
+    monkeypatch.setattr(moduli, "power", lambda L, m: ops.append(m) or original_power(L, m))
+    monkeypatch.setattr(moduli, "tensor", lambda *a: ops.append(a) or original_tensor(*a))
     components = moduli._components(S, vectors)
-    assert logs == [canonical_bundle(S.orbifold)]
-    assert confirmed == [c.divisor_bundle for c in components[1:]]
+    assert len(components) == len(vectors) + 1
+    assert walks == [dual(n_bundle(S))]
+    assert ops == [-1]  # G = N^(A*e(Y)) = N^(-1) on the link orientation
+
+
+# 3, 4 and 5 fibers come up equally often; (2,3,5,7,11) has 1039 vectors
+_BASES = st.one_of(
+    st.sampled_from(coprime_tuples(3, 13)),
+    st.sampled_from(coprime_tuples(4, 9)),
+    st.just((2, 3, 5, 7, 11)),
+)
+
+
+@settings(max_examples=24, deadline=None)
+@given(_BASES.flatmap(st.permutations), st.booleans())
+def test_components_equal_single_vector_bundle_routes(alphas, reverse):
+    S = brieskorn_seifert_data(alphas)
+    if reverse:  # (b; gamma_i) -> (-b - n; alpha_i - gamma_i) negates e(Y)
+        S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    C = S.orbifold
+    for z in z_decomposition(S)[1:]:
+        L = normalize(z.vector.e, z.vector.betas, C)
+        assert z.divisor_bundle == L
+        assert z.morse_index // 2 == exponent_via_bundles(C, z.vector)
+        assert (z.l0_power, z.parity_k) == solve_L0_k(L, S)

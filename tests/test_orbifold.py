@@ -12,6 +12,7 @@ from helpers import coprime_tuples, random_bundle, random_orbifold
 from seifertlab.orbifold import (
     LineBundleData,
     Orbifold,
+    _walk,
     canonical_bundle,
     dual,
     h0,
@@ -163,8 +164,18 @@ def test_bundle_ops_equal_normalize_of_raw_data(data):
         assert got.orbifold == C
         assert type(got.e) is int
         assert all(type(b) is int and 0 <= b < a for b, a in zip(got.betas, C.alphas))
-        # the result passes the validation it skipped
+        # the result passes the constructor's validation
         assert LineBundleData(got.e, got.betas, C) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle_data(), st.integers(0, 60), st.integers(0, 60))
+def test_walk_equals_powers(data, count, keep):
+    _, G, _, _ = data
+    degrees, residues = _walk(G, count, keep)
+    powers = [power(G, l) for l in range(count)]
+    assert degrees == [P.e for P in powers]
+    assert residues == {l: P.betas for l, P in enumerate(powers) if l < keep and P.e >= 0}
 
 
 _HOMOLOGY_SPHERE_BASES = coprime_tuples(3, 13) + coprime_tuples(4, 11)
