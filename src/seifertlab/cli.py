@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 
 from .errors import ConsistencyError
@@ -231,6 +232,11 @@ def run_request(req: dict) -> tuple[dict, bool]:
         if not eps:
             raise ValueError("field 'eps' must be a non-empty list")
         eps = [_finite(e, "each entry of field 'eps'") for e in eps]
+        for e in eps:
+            if math.isinf(e * e):  # S_eps has an eps^2 term, which must stay a float
+                raise ValueError(
+                    f"each entry of field 'eps' must square to a finite float, got {e!r}"
+                )
         # absent limits take run_localisation's defaults
         limits = {
             key: _finite(req[key], f"field {key!r}")

@@ -95,15 +95,16 @@ class ZComponent:
     """One connected piece of the critical locus.
 
     Either the SU(2) locus (kind "su2", index 0) or a CP^e divisor component
-    (kind "cpe") carrying its Morse-Bott index, the complex dimension of the
-    ambient moduli component, the divisor bundle, and the (l0_power, k) label.
+    (kind "cpe") carrying its Morse-Bott index 2*m, the complex dimension
+    2*(e + m) of the ambient moduli component, and the (l0_power, k) label
+    of its divisor bundle L = L0^(-2) N^k K; the bundle itself is
+    ``normalize(e, betas, C)`` of the vector.
     """
 
     kind: str
     vector: EVector | None = None
     morse_index: int = 0
     ambient_dim_c: int | None = None
-    divisor_bundle: LineBundleData | None = None
     l0_power: int | None = None
     parity_k: int | None = None
 
@@ -251,10 +252,7 @@ def z_decomposition(S: SeifertData) -> list[ZComponent]:
     The scan finds the vectors and their closed-form exponents; the walk over
     the powers of N must find the same vectors and the same exponents (see
     :func:`_components`).  Every CP^e piece also carries the ambient complex
-    dimension 2*(e + m), re-derived as
-    2*(h^0(L0^(-2) N^k K) + h^0(L0^2 N^(-k) K) - 1).  That check follows
-    from the first two: L0^(-2) N^k K = L and L0^2 N^(-k) K = K^2 L^(-1), so
-    its h^0 values are e + 1 and the walk's exponent.
+    dimension 2*(e + m) and the (l0_power, k) label of its divisor bundle.
     """
     return _components(S, _vectors(S))
 
@@ -266,10 +264,14 @@ def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
     the vectors are the effective G^l with 0 <= l < A*deg K, K = G^(A*deg K)
     and L^(-1) K^2 = G^(2*A*deg K - l).  With L = N^(A*e(Y)*l) the label
     follows from the parity rule of :func:`solve_L0_k`, in integers.
+
+    The ambient dimension 2*(h^0(L) + h^0(L^(-1) K^2) - 1) is set to
+    2*(e + m) without a further check: once the walk's set equals the scan's,
+    h^0(L) = e + 1, and once its exponent equals the scan's, h^0(L^(-1) K^2)
+    = m, so a re-derivation could not fail.
     """
-    C = S.orbifold
     a_e = require_homology_sphere(S)
-    top = _scale(C)[2]  # A * deg K
+    top = _scale(S.orbifold)[2]  # A * deg K
     degrees, residues = _walk(power(n_bundle(S), a_e), 2 * top + 1, keep=top)
     powers = {(degrees[l], betas): l for l, betas in residues.items()}
     scanned = [(v.e, v.betas) for v in vectors]
@@ -288,20 +290,13 @@ def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
                 f"exponent routes disagree on {v.as_tuple()}: "
                 f"closed form {m}, bundle route {m_walk}"
             )
-        ambient = 2 * (v.e + m)
-        via_dims = 2 * (max(0, degrees[l] + 1) + m_walk - 1)
-        if ambient != via_dims:
-            raise ConsistencyError(
-                f"ambient dimension mismatch on {v.as_tuple()}: {ambient} vs {via_dims}"
-            )
         k = (top - l) % 2
         components.append(
             ZComponent(
                 kind="cpe",
                 vector=v,
                 morse_index=2 * m,
-                ambient_dim_c=ambient,
-                divisor_bundle=normalize(v.e, v.betas, C),
+                ambient_dim_c=2 * (v.e + m),
                 l0_power=(k + a_e * (top - l)) // 2,
                 parity_k=k,
             )
@@ -380,21 +375,20 @@ class ModuliReport:
     excess_poincare: LaurentPoly
     pg: int
     hp_excess: LaurentPoly
-    euler_sl2c: int | None
 
 
-def moduli_report(S: SeifertData, casson: int | None = None) -> ModuliReport:
-    """Bundle the decomposition, polynomials, and (if casson is known) chi.
+def moduli_report(S: SeifertData) -> ModuliReport:
+    """Bundle the decomposition, the two excess polynomials and p_g.
 
-    Everything comes from one enumeration of the lattice vectors.
+    Everything comes from one enumeration of the lattice vectors.  With a
+    Casson invariant lambda, chi of the character variety is -2*lambda + pg;
+    ``reports.seifert_report`` forms it once, whatever the source of lambda.
     """
     vectors = _vectors(S)
     excess = _excess(vectors)
-    pg = euler_eval(excess)
     return ModuliReport(
         z_components=tuple(_components(S, vectors)),
         excess_poincare=excess,
-        pg=pg,
+        pg=euler_eval(excess),
         hp_excess=_hp_excess(vectors),
-        euler_sl2c=None if casson is None else -2 * casson + pg,
     )

@@ -15,6 +15,7 @@ count is h^0 = max(0, e + 1) in terms of the normalized data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -74,11 +75,10 @@ class LineBundleData:
 
     @property
     def degree(self) -> Fraction:
-        """Orbifold degree e + sum beta_i/alpha_i (exact)."""
-        return self.e + sum(
-            (Fraction(b, a) for b, a in zip(self.betas, self.orbifold.alphas)),
-            Fraction(0),
-        )
+        """Orbifold degree e + sum beta_i/alpha_i, exact: one Fraction over prod alpha_i."""
+        alphas = self.orbifold.alphas
+        A = math.prod(alphas)
+        return Fraction(self.e * A + sum(b * (A // a) for b, a in zip(self.betas, alphas)), A)
 
     def as_dict(self) -> dict:
         return {"e": self.e, "betas": list(self.betas)}

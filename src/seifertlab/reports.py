@@ -72,20 +72,6 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _as_brieskorn_triple(S: SeifertData) -> tuple[int, int, int] | None:
-    """The sorted exponent triple when S is exactly a Brieskorn triple datum."""
-    if len(S.fibers) != 3:
-        return None
-    alphas = tuple(sorted(S.alphas))
-    try:
-        reference = brieskorn_seifert_data(alphas)
-    except ValueError:
-        return None
-    if reference.b == S.b and sorted(reference.fibers) == sorted(S.fibers):
-        return alphas
-    return None
-
-
 def singularity_block(chain) -> dict:
     """The wire format for triple invariants: values plus named checks."""
     return {
@@ -108,22 +94,24 @@ def seifert_report(
     casson: int | None = None,
     su2_poly: LaurentPoly | None = None,
 ) -> dict:
-    """Full report for one fibration; raises ValueError on invalid input."""
+    """Full report for one fibration; raises ValueError on invalid input.
+
+    A*e(Y) = -1 fixes each gamma_i by gamma_i*A/alpha_i = -1 (mod alpha_i),
+    and then b, so a link-oriented fibration with three fibers is the link
+    Sigma(alpha_1, alpha_2, alpha_3), in any fiber order.
+    """
     a_times_e = require_homology_sphere(S)
     C = S.orbifold
     chi = orbifold_euler_char(C)
-    triple = _as_brieskorn_triple(S)
-    link_oriented = S.euler_number < 0
-    if triple is not None:
-        _check_lattice_limit(*triple)  # before the moduli side does any work
+    link_oriented = a_times_e < 0
+    triple = tuple(sorted(S.alphas)) if len(S.fibers) == 3 and link_oriented else None
+    if len(S.fibers) == 3:
+        _check_lattice_limit(*S.alphas)  # before the moduli side does any work
 
-    mod = moduli_report(S, casson=casson)
-    chain = None
-    lam, euler_sl2c = casson, mod.euler_sl2c
-    if triple is not None:
-        chain = verify_identity_chain(*triple, excess_euler=mod.pg)
-        if casson is None:
-            lam, euler_sl2c = chain.casson, chain.euler_sl2c
+    mod = moduli_report(S)
+    chain = None if triple is None else verify_identity_chain(*triple, excess_euler=mod.pg)
+    lam = casson if casson is not None or chain is None else chain.casson
+    euler_sl2c = None if lam is None else -2 * lam + mod.pg
 
     report: dict = {
         "input": input_echo,

@@ -159,16 +159,12 @@ def bundle_log(L: LineBundleData, S: SeifertData) -> int:
     on normalized data: a mismatch after powering means the bundle lives on a
     different orbifold than N (or the data is corrupt).
     """
-    check = validate_homology_sphere(S)
-    if not check.ok:
-        raise ValueError(
-            f"bundle_log needs an integral homology sphere; A*e(Y) = {check.a_times_e}"
-        )
+    a_e = require_homology_sphere(S)
     N = n_bundle(S)
     if L.orbifold != N.orbifold:
         raise ValueError("bundle lives on a different orbifold than the fibration")
     A = S.multiplicity
-    m = (L.e * A + sum(b * (A // a) for b, a in zip(L.betas, S.alphas))) * check.a_times_e
+    m = (L.e * A + sum(b * (A // a) for b, a in zip(L.betas, S.alphas))) * a_e
     if power(N, m) != L:
         raise ConsistencyError(f"N^{m} does not reproduce the bundle data {L.as_dict()}")
     return m

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .moduli import excess_poincare
+from .moduli import _scale, excess_poincare
 from .exact import euler_eval
 from .orbifold import _walk, power
 from .seifert import (
@@ -63,8 +63,9 @@ def _check_triple(p: int, q: int, r: int) -> None:
 def _check_lattice_limit(p: int, q: int, r: int) -> None:
     """ValueError when the lattice oracle's p*q*r points exceed _LATTICE_LIMIT.
 
-    The identity chain and report assembly call it before any other work on
-    a Brieskorn triple.
+    The identity chain calls it before any other work on a triple, and
+    report assembly on the alphas of every three-fiber fibration, in either
+    orientation.
     """
     m = p * q * r
     if m > _LATTICE_LIMIT:
@@ -81,15 +82,14 @@ def _link_bound(S: SeifertData) -> int:
     """A * deg K, which is deg K / (-deg N) on a link-oriented homology sphere.
 
     ValueError unless A*e(Y) = -1: then deg N = -1/A, so the ratio is the
-    integer A*(n - 2) - sum_i A/alpha_i and both p_g routes bound l by it
-    without a Fraction.
+    integer -chi(C)*A of :func:`moduli._scale` and both p_g routes bound l
+    by it without a Fraction.
     """
     if require_homology_sphere(S) > 0:
         raise ValueError(
             "wrong orientation: deg N > 0, but a singularity link has deg N < 0"
         )
-    A = S.multiplicity
-    return A * (len(S.fibers) - 2) - sum(A // a for a, _ in S.fibers)
+    return _scale(S.orbifold)[2]
 
 
 def geometric_genus_pd(S: SeifertData) -> int:

@@ -155,7 +155,13 @@ def test_lattice_limit_checked_before_moduli_work(capsys, monkeypatch):
     monkeypatch.setattr(moduli, "enumerate_e_vectors", lambda C: calls.append(C))
     S = brieskorn_seifert_data((97, 101, 103))
     fibers = [arg for a, g in S.fibers for arg in ("--fiber", f"{a}/{g}")]
-    for argv in (["brieskorn", "103", "97", "101"], ["seifert", "--b", str(S.b), *fibers]):
+    # the reversed orientation (b; gamma_i) -> (-b - 3; alpha_i - gamma_i) has the same alphas
+    reversed_fibers = [arg for a, g in S.fibers for arg in ("--fiber", f"{a}/{a - g}")]
+    for argv in (
+        ["brieskorn", "103", "97", "101"],
+        ["seifert", "--b", str(S.b), *fibers],
+        ["seifert", "--b", str(-S.b - 3), *reversed_fibers, "--json"],
+    ):
         code, out = run(capsys, *argv)
         assert code == 2
         message = json.loads(out)["error"]["message"]
@@ -324,22 +330,52 @@ def test_parse_poly_roundtrip():
 
 def test_default_output_matches_recorded_bytes(capsys):
     # sha256 of the output before the moduli kernel kept its exponents in integers
-    for argv, digest in [
+    for argv, exit_code, digest in [
         (
             ("verify", "--max", "12", "--json"),
+            0,
             "883526ce6db15bf9c71bca1c719d41aea5e52fccf947c720b6d793302c94111a",
         ),
         (
             ("brieskorn", "2", "3", "5", "7", "11", "--json"),
+            0,
             "ef93ccb7da7b05ed666a5275d76f0b967fc632a98f18fe9110b6e978b0e1c0fb",
         ),
         # before the two p_g routes carried their per-l data from one l to the next
         (
             ("verify", "--max", "16", "--json"),
+            0,
             "20fe69436a20e42f00d4732cd06bce6243cc719f3169bb48201318502c2d16ae",
         ),
+        # before the report recognised a link from A*e(Y) < 0 and its three alphas:
+        # Sigma(3,5,7) with its fibers shuffled, its reversal, four fibers with a
+        # supplied Casson invariant, and an override its own chain contradicts
+        (
+            ("seifert", "--b", "-2", "--fiber", "7/6", "--fiber", "3/1", "--fiber", "5/4",
+             "--json"),
+            0,
+            "eb2c83e7686057e3e9ab631bcac3f317124103e5d362b1e87bb5c4732d7bf051",
+        ),
+        (
+            ("seifert", "--b", "-1", "--fiber", "7/1", "--fiber", "3/2", "--fiber", "5/1",
+             "--json"),
+            0,
+            "bc997c99a3a8f725d87f76dc7e220fd74be58486c04b4c0fd1b09221f1b7cb10",
+        ),
+        (
+            ("seifert", "--b", "-2", "--fiber", "2/1", "--fiber", "3/2", "--fiber", "5/2",
+             "--fiber", "7/3", "--casson", "-9", "--json"),
+            0,
+            "739d0f62390f8dce0f439d39f1df77fe6c413cb31f562b787216725db48519bc",
+        ),
+        (
+            ("brieskorn", "2", "3", "7", "--casson", "5", "--json"),
+            1,
+            "2ecd4022bbc58c16eb5649fec441c438b6a148c0c3cbaa0ff17b054581ff1b2b",
+        ),
     ]:
-        _, out = run(capsys, *argv)
+        code, out = run(capsys, *argv)
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -405,6 +441,27 @@ def test_perturb_rejects_non_finite_numbers(capsys):
         code, out = run(capsys, "perturb", "--scenario", "circle", *options)
         assert code == 2
         assert "must be a finite number, got nan" in json.loads(out)["error"]["message"]
+
+
+def test_eps_whose_square_overflows_is_a_validation_error(capsys, tmp_path):
+    # S_eps carries eps^2: 1e200 is a finite float, its square is not
+    message = "field 'eps' must square to a finite float, got 1e+200"
+    code, out = run(capsys, "perturb", "--scenario", "circle", "--eps=1e200")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and message in error["message"]
+    code, outputs = _batch(
+        capsys, tmp_path,
+        '{"mode": "brieskorn", "exponents": [2, 3, 7]}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1, 1e200]}',
+        '{"mode": "verify", "max": 5}',
+    )
+    assert code == 1
+    assert len(outputs) == 3
+    assert outputs[0]["invariants"]["casson"] == -1
+    assert outputs[1]["error"]["kind"] == "validation"
+    assert outputs[1]["error"]["message"] == "line 2: each entry of " + message
+    assert outputs[2]["all_ok"] is True
 
 
 def test_casson_override_contradiction_fails(capsys):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
+from math import gcd
 
 import pytest
 
@@ -145,3 +146,27 @@ def test_brieskorn_sweep_is_homology_sphere_with_negative_degree():
         ratio = K.degree / S.euler_number
         assert ratio.denominator == 1
         assert bundle_log(K, S) == ratio
+
+
+def test_link_orientation_recognises_the_brieskorn_triple():
+    # every three-fiber homology sphere with alpha_i <= 13, in every fiber order
+    # and both orientations: A*e(Y) < 0 exactly when it is Sigma(alphas)
+    count = 0
+    for alphas in combinations_with_replacement(range(2, 14), 3):
+        A = alphas[0] * alphas[1] * alphas[2]
+        for gammas in product(*[range(1, a) for a in alphas]):
+            if any(gcd(a, g) != 1 for a, g in zip(alphas, gammas)):
+                continue
+            weighted = sum(g * (A // a) for g, a in zip(gammas, alphas))
+            for a_e in (-1, 1):
+                if (a_e - weighted) % A:
+                    continue
+                b = (a_e - weighted) // A
+                for fibers in permutations(zip(alphas, gammas)):
+                    S = SeifertData(b, fibers)
+                    assert validate_homology_sphere(S).a_times_e == a_e
+                    reference = brieskorn_seifert_data(S.alphas)
+                    is_link = reference.b == b and sorted(reference.fibers) == sorted(fibers)
+                    assert (a_e < 0) == is_link
+                    count += 1
+    assert count == 948  # 79 sets of alphas, 6 fiber orders, 2 orientations
