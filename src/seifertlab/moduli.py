@@ -74,7 +74,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EVector:
-    """Lattice vector (e; beta_1..beta_n) with its exact orbifold degree.
+    """Lattice vector (e; beta_1..beta_n) of degree e + sum beta_i/alpha_i.
 
     ``exponent`` is the Morse-Bott half-index m, which
     :func:`enumerate_e_vectors` computes in the same pass as the vector; it
@@ -83,7 +83,6 @@ class EVector:
 
     e: int
     betas: tuple[int, ...]
-    degree: Fraction
     exponent: int | None = None
 
     def as_tuple(self) -> tuple[int, ...]:
@@ -173,13 +172,8 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
         e += 1
     rows.sort()
     return [
-        EVector(
-            e=vector[0],
-            betas=vector[1:],
-            degree=Fraction(acc, A),
-            exponent=_exponent(scaled, A, vector),
-        )
-        for acc, vector, scaled in rows
+        EVector(e=vector[0], betas=vector[1:], exponent=_exponent(scaled, A, vector))
+        for _, vector, scaled in rows
     ]
 
 

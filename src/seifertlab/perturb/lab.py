@@ -56,6 +56,9 @@ class NewtonResult:
     message: str = ""
 
 
+# a non-finite trial is no progress and a huge iterate divergence, so overflow
+# on the way there is expected, not an error
+@np.errstate(over="ignore", invalid="ignore")
 def newton_critical_point(
     S: ScalarField,
     seed,
@@ -122,6 +125,16 @@ def _polish(S: ScalarField, x, g, gnorm, rounds: int = 2):
     return x, g, gnorm
 
 
+def _index(evals: np.ndarray, gap: float) -> int:
+    """Negative count of a spectrum; raises if an eigenvalue lies within gap."""
+    neg, null, _ = inertia_counts(evals, gap)
+    if null:
+        raise DegenerateCriticalPointError(
+            f"Hessian eigenvalue within gap {gap:g}: spectrum {evals.tolist()}"
+        )
+    return neg
+
+
 def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     """Number of Hessian eigenvalues below -gap at a nondegenerate point.
 
@@ -129,13 +142,7 @@ def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     precondition here, and a value inside the band means the point is
     degenerate at this resolution.
     """
-    evals = np.linalg.eigvalsh(S.hessian(x))
-    neg, null, _ = inertia_counts(evals, gap)
-    if null:
-        raise DegenerateCriticalPointError(
-            f"Hessian eigenvalue within gap {gap:g}: spectrum {evals.tolist()}"
-        )
-    return neg
+    return _index(np.linalg.eigvalsh(S.hessian(x)), gap)
 
 
 def morse_bott_index(S: ScalarField, x, gap: float = 1e-8) -> int:
@@ -198,12 +205,16 @@ def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
 
 @dataclass
 class PredictedPoint:
-    """A critical point of the leading term, tagged with its Z1 site."""
+    """A critical point of the leading term, tagged with its Z1 site.
+
+    ``indices`` maps the sign of eps to the predicted Morse index
+    ind(S0) + ind(+-S1|Z0) + ind(f) of the critical point of S_eps that
+    continues this one.
+    """
 
     point: np.ndarray
     site: Z1Site
-    chart_params: np.ndarray
-    f_index: int
+    indices: dict[int, int]
 
 
 def _f_chart_field(family: PerturbationFamily, site: Z1Site) -> ScalarField:
@@ -220,69 +231,47 @@ def predicted_critical_points(
     gap: float = RESTRICTED_GAP,
     dedupe_radius: float = 1e-6,
 ) -> list[PredictedPoint]:
-    """Critical points of the leading term over Z1.
+    """Critical points of the leading term over Z1, with their predicted indices.
 
     Isolated Z1 points are critical outright (a function on a finite set),
     with index 0.  On a flat, the leading term is minimized in chart
     coordinates by Newton from the declared seeds and the index read from
-    the chartwise Hessian inertia.
+    the chartwise Hessian inertia.  One Hessian of S1|Z0 per point gives the
+    S1 term for both signs of eps: ind(-S1|Z0) is its positive count.
     """
     out: list[PredictedPoint] = []
     for site in scenario.z1_sites:
-        if not site.flat:
+        if site.flat:
+            f_chart = _f_chart_field(scenario.family, site)
+            found_params: list[np.ndarray] = []
+            for seed in site.flat_seeds:
+                res = newton_critical_point(f_chart, np.asarray(seed, dtype=float), tol=newton_tol)
+                if not res.converged:
+                    continue
+                if all(np.linalg.norm(res.point - p) > dedupe_radius for p in found_params):
+                    found_params.append(res.point)
+            charted = [(site.z0_chart(p), p, morse_index(f_chart, p, gap)) for p in found_params]
+        else:
+            charted = [(site.point, np.zeros(site.z0_dim), 0)]
+        restricted = scenario.family.s1.restrict(site.z0_chart, site.z0_dim)
+        for point, params, f_index in charted:
+            s1_neg = s1_pos = 0
+            if site.z0_dim:
+                s1_neg, _, s1_pos = inertia_counts(
+                    np.linalg.eigvalsh(restricted.fd_hessian(params)), gap
+                )
+            base = site.component.morse_bott_index + f_index
             out.append(
                 PredictedPoint(
-                    point=site.point.copy(),
+                    point=np.array(point, dtype=float),
                     site=site,
-                    chart_params=np.zeros(site.z0_dim),
-                    f_index=0,
-                )
-            )
-            continue
-        f_chart = _f_chart_field(scenario.family, site)
-        found_params: list[np.ndarray] = []
-        for seed in site.flat_seeds:
-            res = newton_critical_point(f_chart, np.asarray(seed, dtype=float), tol=newton_tol)
-            if not res.converged:
-                continue
-            if all(np.linalg.norm(res.point - p) > dedupe_radius for p in found_params):
-                found_params.append(res.point)
-        for params in found_params:
-            evals = np.linalg.eigvalsh(f_chart.fd_hessian(params))
-            neg, null, _ = inertia_counts(evals, gap)
-            if null:
-                raise DegenerateCriticalPointError(
-                    f"leading term degenerate along flat at params {params.tolist()}"
-                )
-            out.append(
-                PredictedPoint(
-                    point=np.asarray(site.z0_chart(params), dtype=float),
-                    site=site,
-                    chart_params=params,
-                    f_index=neg,
+                    indices={1: base + s1_neg, -1: base + s1_pos},
                 )
             )
     return out
 
 
-def _restricted_s1_index(
-    family: PerturbationFamily, site: Z1Site, params: np.ndarray, sign: int, gap: float
-) -> int:
-    """Morse-Bott index of sign*S1 restricted to Z0, at chart coordinates params."""
-    if site.z0_dim == 0:
-        return 0
-    restricted = family.s1.restrict(site.z0_chart, site.z0_dim)
-    H = sign * restricted.fd_hessian(np.asarray(params, dtype=float))
-    neg, _, _ = inertia_counts(np.linalg.eigvalsh(H), gap)
-    return neg
-
-
-def predicted_spectrum(
-    scenario: Scenario,
-    predicted: PredictedPoint,
-    eps_sign: int,
-    gap: float = RESTRICTED_GAP,
-) -> int:
+def predicted_spectrum(scenario: Scenario, predicted: PredictedPoint, eps_sign: int) -> int:
     """Index prediction ind(S0) + ind(+-S1|Z0) + ind(f) at a leading-term point.
 
     The S1 term uses +S1 for eps > 0 and -S1 for eps < 0; the S0 term comes
@@ -292,11 +281,7 @@ def predicted_spectrum(
         raise ValueError("point carries no component metadata")
     if eps_sign not in (1, -1):
         raise ValueError("eps_sign must be +1 or -1")
-    site = predicted.site
-    s1_index = _restricted_s1_index(
-        scenario.family, site, predicted.chart_params, eps_sign, gap
-    )
-    return site.component.morse_bott_index + s1_index + predicted.f_index
+    return predicted.indices[eps_sign]
 
 
 @dataclass
@@ -384,7 +369,7 @@ def spectral_gap(scenario: Scenario, eps: float, hessian_norm: float) -> float:
     the expected small eigenvalue.
     """
     order = 2 if any(site.flat for site in scenario.z1_sites) else 1
-    return hessian_norm * max(GAP_SHARE * abs(eps) ** order, EIGEN_RESOLUTION)
+    return hessian_norm * max(GAP_SHARE * min(abs(eps), 1.0) ** order, EIGEN_RESOLUTION)
 
 
 def run_localisation(
@@ -459,28 +444,21 @@ def run_localisation(
                 used.add(matched)
             evals = np.linalg.eigvalsh(S_eps.hessian(x))
             abs_evals = np.abs(evals)
-            min_abs = float(np.min(abs_evals))
-            gap = spectral_gap(scenario, eps, float(np.max(abs_evals)))
             index: int | None
             try:
-                index = morse_index(S_eps, x, gap=gap)
+                index = _index(evals, spectral_gap(scenario, eps, float(np.max(abs_evals))))
             except DegenerateCriticalPointError as exc:
                 index = None
                 report.messages.append(str(exc))
-            predicted_index = (
-                predicted_spectrum(scenario, preds[matched], sign)
-                if matched is not None
-                else None
-            )
             report.found.append(
                 FoundPoint(
                     point=x,
                     value=S_eps.value(x),
                     grad_residual=float(np.linalg.norm(S_eps.gradient(x))),
                     index=index,
-                    predicted_index=predicted_index,
+                    predicted_index=None if matched is None else preds[matched].indices[sign],
                     matched_prediction=matched,
-                    min_abs_hessian_eig=min_abs,
+                    min_abs_hessian_eig=float(np.min(abs_evals)),
                     outside_basin=outside,
                 )
             )

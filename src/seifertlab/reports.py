@@ -105,8 +105,7 @@ def seifert_report(
     chi = orbifold_euler_char(C)
     link_oriented = a_times_e < 0
     triple = tuple(sorted(S.alphas)) if len(S.fibers) == 3 and link_oriented else None
-    if len(S.fibers) == 3:
-        _check_lattice_limit(*S.alphas)  # before the moduli side does any work
+    _check_lattice_limit(*S.alphas)  # before the moduli side does any work
 
     mod = moduli_report(S)
     chain = None if triple is None else verify_identity_chain(*triple, excess_euler=mod.pg)

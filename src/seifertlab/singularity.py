@@ -22,6 +22,7 @@ and sigma are out of scope; only the Seifert-side quantities exist here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
@@ -60,16 +61,19 @@ def _check_triple(p: int, q: int, r: int) -> None:
         raise ValueError(f"exponents ({p},{q},{r}) are not pairwise coprime")
 
 
-def _check_lattice_limit(p: int, q: int, r: int) -> None:
-    """ValueError when the lattice oracle's p*q*r points exceed _LATTICE_LIMIT.
+def _check_lattice_limit(*alphas: int) -> None:
+    """ValueError when A*(n-2), A = prod alpha_i, exceeds _LATTICE_LIMIT.
 
-    The identity chain calls it before any other work on a triple, and
-    report assembly on the alphas of every three-fiber fibration, in either
-    orientation.
+    On three fibers A*(n-2) = p*q*r, the lattice oracle's point count; on
+    n >= 4 it bounds the moduli side's vector count, which is below
+    A*deg K < A*(n-2).  The identity chain calls it before any other work on
+    a triple, and report assembly on the alphas of every fibration, in
+    either orientation.
     """
-    m = p * q * r
+    m = math.prod(alphas) * (len(alphas) - 2)
     if m > _LATTICE_LIMIT:
-        raise ValueError(f"p*q*r = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
+        name = "p*q*r" if len(alphas) == 3 else "A*(n-2)"
+        raise ValueError(f"{name} = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
 
 
 def milnor_number(p: int, q: int, r: int) -> int:

@@ -23,7 +23,7 @@ from seifertlab.errors import ConsistencyError
 from seifertlab.reports import parse_poly
 from seifertlab.exact import LaurentPoly
 from seifertlab.seifert import brieskorn_seifert_data
-from seifertlab.singularity import verify_identity_chain
+from seifertlab.singularity import _check_lattice_limit, verify_identity_chain
 
 
 def run(capsys, *argv):
@@ -157,18 +157,24 @@ def test_lattice_limit_checked_before_moduli_work(capsys, monkeypatch):
     fibers = [arg for a, g in S.fibers for arg in ("--fiber", f"{a}/{g}")]
     # the reversed orientation (b; gamma_i) -> (-b - 3; alpha_i - gamma_i) has the same alphas
     reversed_fibers = [arg for a, g in S.fibers for arg in ("--fiber", f"{a}/{a - g}")]
-    for argv in (
-        ["brieskorn", "103", "97", "101"],
-        ["seifert", "--b", str(S.b), *fibers],
-        ["seifert", "--b", str(-S.b - 3), *reversed_fibers, "--json"],
+    six = brieskorn_seifert_data((3, 5, 7, 11, 13, 17))
+    six_fibers = [arg for a, g in six.fibers for arg in ("--fiber", f"{a}/{g}")]
+    for argv, name, size in (
+        (["brieskorn", "103", "97", "101"], "p*q*r", 1009091),
+        (["seifert", "--b", str(S.b), *fibers], "p*q*r", 1009091),
+        (["seifert", "--b", str(-S.b - 3), *reversed_fibers, "--json"], "p*q*r", 1009091),
+        # n >= 4: the vector count is below A*deg K < A*(n-2)
+        (["brieskorn", "3", "5", "7", "11", "13", "17", "--json"], "A*(n-2)", 1021020),
+        (["seifert", "--b", str(six.b), *six_fibers], "A*(n-2)", 1021020),
     ):
         code, out = run(capsys, *argv)
         assert code == 2
         message = json.loads(out)["error"]["message"]
-        assert message == "p*q*r = 1009091 exceeds the desk-scale limit 1000000"
+        assert message == f"{name} = {size} exceeds the desk-scale limit 1000000"
     with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
         verify_identity_chain(101, 97, 103)
     assert calls == []
+    _check_lattice_limit(3, 5, 7, 11, 13, 16)  # A*(n-2) = 960960 still fits
 
 
 def test_bad_fiber_syntax(capsys):
@@ -462,6 +468,18 @@ def test_eps_whose_square_overflows_is_a_validation_error(capsys, tmp_path):
     assert outputs[1]["error"]["kind"] == "validation"
     assert outputs[1]["error"]["message"] == "line 2: each entry of " + message
     assert outputs[2]["all_ok"] is True
+
+
+def test_large_eps_runs_quietly_with_finite_gaps(capsys):
+    # Newton overflows on the way to divergence; that is no progress, not a warning
+    for scenario in ("circle", "sphere", "linear"):
+        code, out = run(capsys, "perturb", "--scenario", scenario, "--eps=1e100,1e150", "--json")
+        assert code == 0
+        for rep in json.loads(out)["reports"]:
+            for message in rep["messages"]:
+                if "within gap" in message:
+                    gap = float(message.split("within gap ")[1].split(":")[0])
+                    assert math.isfinite(gap), message
 
 
 def test_casson_override_contradiction_fails(capsys):

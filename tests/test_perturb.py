@@ -216,6 +216,32 @@ def test_predicted_spectrum_circle():
     assert predicted_spectrum(sc, west, -1) == 1
 
 
+def reference_predicted_index(sc, pred, sign, gap=1e-6):
+    """ind(S0) + ind(sign*S1|Z0) + ind(f), each term read from its own chart Hessian."""
+    site = pred.site
+    params = np.zeros(site.z0_dim)
+    f_index = 0
+    if site.flat:
+        f_chart = ScalarField(site.z0_dim, lambda t: leading_term(sc.family, site.z0_chart(t)))
+        params = newton_critical_point(f_chart, site.flat_seeds[0], tol=1e-8).point
+        assert np.allclose(site.z0_chart(params), pred.point)
+        f_index = int(np.sum(np.linalg.eigvalsh(f_chart.fd_hessian(params)) < -gap))
+    s1_index = 0
+    if site.z0_dim:
+        restricted = sc.family.s1.restrict(site.z0_chart, site.z0_dim)
+        s1_index = int(np.sum(np.linalg.eigvalsh(sign * restricted.fd_hessian(params)) < -gap))
+    return site.component.morse_bott_index + s1_index + f_index
+
+
+def test_predicted_indices_cover_both_signs():
+    for build in (circle_scenario, sphere_scenario, linear_scenario):
+        sc = build()
+        for pred in predicted_critical_points(sc):
+            for sign in (1, -1):
+                expected = reference_predicted_index(sc, pred, sign)
+                assert pred.indices[sign] == predicted_spectrum(sc, pred, sign) == expected
+
+
 def test_predicted_spectrum_requires_metadata():
     sc = circle_scenario()
     with pytest.raises(ValueError):
@@ -292,12 +318,49 @@ def test_linear_localisation_at_small_eps():
     assert neg.signed_count == 1 and neg.signed_count_ok is None
 
 
+def test_found_points_match_per_point_definitions():
+    for build, epsilons in (
+        (circle_scenario, [0.1, -0.1, 0.01, -0.01]),
+        (sphere_scenario, [0.1, -0.1, 0.01, -0.01]),
+        (linear_scenario, [0.1, -0.1, 1e-5, -1e-5]),
+    ):
+        sc = build()
+        preds = predicted_critical_points(sc)
+        for rep in run_localisation(sc, epsilons):
+            S_eps = sc.family.at(rep.epsilon)
+            sign = 1 if rep.epsilon > 0 else -1
+            assert rep.found
+            for f in rep.found:
+                evals = np.linalg.eigvalsh(S_eps.hessian(f.point))
+                gap = spectral_gap(sc, rep.epsilon, float(np.max(np.abs(evals))))
+                assert f.index == morse_index(S_eps, f.point, gap)
+                assert f.min_abs_hessian_eig == float(np.min(np.abs(evals)))
+                expected = reference_predicted_index(sc, preds[f.matched_prediction], sign)
+                assert f.predicted_index == expected
+
+
+def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
+    calls = []
+    fd_hessian = ScalarField.fd_hessian
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(self.name)
+        return fd_hessian(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "fd_hessian", counted)
+    reports = run_localisation(circle_scenario(), [0.1, -0.1, 0.01, -0.01])
+    assert all(rep.ok for rep in reports)
+    assert len(calls) == 2  # one S1|Z0 Hessian per prediction, for every eps and sign
+
+
 def test_spectral_gap_follows_predicted_eigenvalue_order():
     eps, norm = 1e-5, 4.0
     flat = spectral_gap(linear_scenario(), eps, norm)  # O(eps^2) along the flat Z1
     isolated = spectral_gap(circle_scenario(), eps, norm)  # O(eps) inside Z0
     assert 0 < flat < 1.25 * eps**2 < isolated < eps
     assert spectral_gap(circle_scenario(), -eps, norm) == isolated
+    # a relative eigenvalue scale is at most 1, so |eps| > 1 does not widen the gap
+    assert spectral_gap(linear_scenario(), 1e150, norm) == spectral_gap(linear_scenario(), 1.0, norm)
     # an O(eps^2) eigenvalue where O(eps) is predicted reads as degenerate
     def quadratic(a, b):
         return ScalarField(
