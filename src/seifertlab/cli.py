@@ -243,6 +243,9 @@ def run_request(req: dict) -> tuple[dict, bool]:
             for key in ("basin_radius", "c_bound")
             if key in req
         }
+        for key, value in limits.items():
+            if value <= 0:
+                raise ValueError(f"field {key!r} must be positive, got {value!r}")
         # imported here so that exact-only calls never load numpy
         from .perturb import run_localisation, scenario_by_name
 

@@ -55,11 +55,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "LaurentPoly":
-        """The monomial coeff * T^exp."""
-        return cls({exp: coeff})
-
     def coefficient(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
 

@@ -34,7 +34,6 @@ optional input, but its Euler characteristic is always -2 * casson.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,13 +120,6 @@ class ZComponent:
         }
 
 
-def _scale(C: Orbifold) -> tuple[int, list[int], int]:
-    """(A, [A/alpha_i], -chi(C)*A) with A = prod alpha_i: degrees times A are integers."""
-    A = math.prod(C.alphas)
-    cofactors = [A // a for a in C.alphas]
-    return A, cofactors, (C.n - 2) * A - sum(cofactors)
-
-
 def _exponent(scaled: int, A: int, vector: tuple[int, ...]) -> int:
     """m from m*A, which must be a non-negative multiple of A."""
     m, rem = divmod(scaled, A)
@@ -147,8 +139,7 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     half-index in the same pass (see :func:`exponent_closed_form`).  Output
     is sorted by degree, then lexicographically by (e, beta_1, ..., beta_n).
     """
-    alphas = C.alphas
-    A, cofactors, limit = _scale(C)
+    alphas, A, cofactors, limit = C.alphas, C.scale, C.cofactors, C.scaled_deg_k
     if limit <= 0:
         return []
     # rows of (deg*A, (e, beta...), m*A); sorting them sorts by (degree, as_tuple())
@@ -177,14 +168,13 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     ]
 
 
-def _check_enumerated(C: Orbifold, v: EVector, scale: tuple[int, list[int], int]) -> None:
-    """Validate v as a vector of C, whose :func:`_scale` is scale."""
+def _check_enumerated(C: Orbifold, v: EVector) -> None:
+    """Validate v as a vector of C."""
     if v.e < 0 or len(v.betas) != C.n:
         raise ValueError(f"vector {v.as_tuple()} malformed for this orbifold")
     if any(not 0 <= b < a for b, a in zip(v.betas, C.alphas)):
         raise ValueError(f"vector {v.as_tuple()} has residues out of range")
-    A, cofactors, limit = scale
-    if v.e * A + sum(b * c for b, c in zip(v.betas, cofactors)) >= limit:
+    if v.e * C.scale + sum(b * c for b, c in zip(v.betas, C.cofactors)) >= C.scaled_deg_k:
         raise ValueError(f"vector {v.as_tuple()} violates the degree bound")
 
 
@@ -197,9 +187,8 @@ def exponent_closed_form(C: Orbifold, v: EVector) -> int:
     that m is a non-negative integer; failure of integrality would mean
     corrupted input or a bug, never a property of valid data.
     """
-    scale = _scale(C)
-    _check_enumerated(C, v, scale)
-    A, cofactors, limit = scale
+    _check_enumerated(C, v)
+    A, cofactors, limit = C.scale, C.cofactors, C.scaled_deg_k
     deg_scaled = v.e * A + sum(b * c for b, c in zip(v.betas, cofactors))
     frac_scaled = sum((b + 1) % a * c for b, a, c in zip(v.betas, C.alphas, cofactors))
     return _exponent(limit - deg_scaled - A + frac_scaled, A, v.as_tuple())
@@ -211,7 +200,7 @@ def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
     Pure bundle arithmetic on the divisor bundle L of the vector; independent
     of :func:`exponent_closed_form`, which it must equal.
     """
-    _check_enumerated(C, v, _scale(C))
+    _check_enumerated(C, v)
     K = canonical_bundle(C)
     return h0(tensor(dual(normalize(v.e, v.betas, C)), tensor(K, K)))
 
@@ -265,7 +254,7 @@ def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
     = m, so a re-derivation could not fail.
     """
     a_e = require_homology_sphere(S)
-    top = _scale(S.orbifold)[2]  # A * deg K
+    top = S.orbifold.scaled_deg_k
     degrees, residues = _walk(power(n_bundle(S), a_e), 2 * top + 1, keep=top)
     powers = {(degrees[l], betas): l for l, betas in residues.items()}
     scanned = [(v.e, v.betas) for v in vectors]
@@ -330,10 +319,6 @@ class AssembledPoly:
 
     poly: LaurentPoly
     partial: bool
-
-    @property
-    def note(self) -> str | None:
-        return "partial - SU(2) summand external" if self.partial else None
 
 
 def sl2c_poincare(S: SeifertData, su2_poly: LaurentPoly | None = None) -> AssembledPoly:

@@ -36,9 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Orbifold:
-    """Genus-zero 2-orbifold with cone points of orders alphas (each >= 2)."""
+    """Genus-zero 2-orbifold with cone points of orders alphas (each >= 2).
+
+    Every orbifold degree lies in (1/A)Z with A = prod alpha_i, so degrees
+    are handled as integers scaled by A.  The orbifold carries that scale:
+    ``scale`` is A, ``cofactors`` are the A/alpha_i and ``scaled_deg_k`` is
+    A*deg K = -chi(C)*A = (n - 2)*A - sum_i A/alpha_i.  They are derived from
+    the alphas, so equality, hashing and repr ignore them.
+    """
 
     alphas: tuple[int, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    cofactors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scaled_deg_k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
@@ -47,6 +57,11 @@ class Orbifold:
         for a in self.alphas:
             if not isinstance(a, int) or a < 2:
                 raise ValueError(f"isotropy orders must be integers >= 2, got {a!r}")
+        A = math.prod(self.alphas)
+        cofactors = tuple(A // a for a in self.alphas)
+        object.__setattr__(self, "scale", A)
+        object.__setattr__(self, "cofactors", cofactors)
+        object.__setattr__(self, "scaled_deg_k", (self.n - 2) * A - sum(cofactors))
 
     @property
     def n(self) -> int:
@@ -76,9 +91,10 @@ class LineBundleData:
     @property
     def degree(self) -> Fraction:
         """Orbifold degree e + sum beta_i/alpha_i, exact: one Fraction over prod alpha_i."""
-        alphas = self.orbifold.alphas
-        A = math.prod(alphas)
-        return Fraction(self.e * A + sum(b * (A // a) for b, a in zip(self.betas, alphas)), A)
+        C = self.orbifold
+        return Fraction(
+            self.e * C.scale + sum(b * c for b, c in zip(self.betas, C.cofactors)), C.scale
+        )
 
     def as_dict(self) -> dict:
         return {"e": self.e, "betas": list(self.betas)}

@@ -417,7 +417,7 @@ def run_localisation(
             degenerate_abstained=False,
             predicted_count=len(preds),
         )
-        points: list[np.ndarray] = []
+        results: list[NewtonResult] = []
         for i, pred in enumerate(preds):
             res = newton_critical_point(S_eps, pred.point, tol=tol)
             if not res.converged:
@@ -425,13 +425,14 @@ def run_localisation(
                     f"newton failed from prediction {i}: {res.message}"
                 )
                 continue
-            if all(np.linalg.norm(res.point - p) >= 10 * tol for p in points):
-                points.append(res.point)
+            if all(np.linalg.norm(res.point - r.point) >= 10 * tol for r in results):
+                results.append(res)
 
         # nearest-prediction assignment; a basin miss or a collision breaks it
         used: set[int] = set()
         bijection = True
-        for x in points:
+        for res in results:
+            x = res.point
             outside = scenario.psi(x) > c_bound
             dists = [float(np.linalg.norm(x - p.point)) for p in preds]
             j = int(np.argmin(dists)) if dists else None
@@ -453,8 +454,8 @@ def run_localisation(
             report.found.append(
                 FoundPoint(
                     point=x,
-                    value=S_eps.value(x),
-                    grad_residual=float(np.linalg.norm(S_eps.gradient(x))),
+                    value=res.value,
+                    grad_residual=res.grad_norm,
                     index=index,
                     predicted_index=None if matched is None else preds[matched].indices[sign],
                     matched_prediction=matched,

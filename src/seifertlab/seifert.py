@@ -13,7 +13,7 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -43,10 +43,17 @@ def pairwise_coprime(values: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Seifert invariants (b; (alpha_i, gamma_i)) of an oriented fibration over S^2."""
+    """Seifert invariants (b; (alpha_i, gamma_i)) of an oriented fibration over S^2.
+
+    The base ``orbifold`` is built once, with the fibration, and
+    ``a_times_e`` is the integer A*e(Y) = b*A + sum gamma_i*A/alpha_i.  Both
+    are derived from (b, fibers), so equality, hashing and repr ignore them.
+    """
 
     b: int
     fibers: tuple[tuple[int, int], ...]
+    orbifold: Orbifold = field(init=False, repr=False, compare=False)
+    a_times_e: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fibers", tuple((int(a), int(g)) for a, g in self.fibers))
@@ -59,7 +66,11 @@ class SeifertData:
                 raise ValueError(f"fiber pair ({a},{g}) violates 0 < gamma < alpha")
             if gcd(a, g) != 1:
                 raise ValueError(f"fiber pair ({a},{g}) is not coprime")
-        if self.euler_number == 0:
+        C = Orbifold(self.alphas)
+        a_e = self.b * C.scale + sum(g * c for g, c in zip(self.gammas, C.cofactors))
+        object.__setattr__(self, "orbifold", C)
+        object.__setattr__(self, "a_times_e", a_e)
+        if a_e == 0:
             raise ValueError("Euler number e(Y) must be nonzero")
 
     @property
@@ -71,21 +82,9 @@ class SeifertData:
         return tuple(g for _, g in self.fibers)
 
     @property
-    def orbifold(self) -> Orbifold:
-        return Orbifold(self.alphas)
-
-    @property
-    def multiplicity(self) -> int:
-        """A = prod alpha_i."""
-        out = 1
-        for a, _ in self.fibers:
-            out *= a
-        return out
-
-    @property
     def euler_number(self) -> Fraction:
-        """e(Y) = b + sum gamma_i/alpha_i = deg N."""
-        return self.b + sum((Fraction(g, a) for a, g in self.fibers), Fraction(0))
+        """e(Y) = b + sum gamma_i/alpha_i = deg N, as A*e(Y) over A."""
+        return Fraction(self.a_times_e, self.orbifold.scale)
 
     def as_dict(self) -> dict:
         return {"b": self.b, "fibers": [[a, g] for a, g in self.fibers]}
@@ -113,14 +112,10 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
         raise ValueError("multiplicities must be >= 2")
     if not pairwise_coprime(alphas):
         raise ValueError(f"multiplicities {alphas} are not pairwise coprime")
-    A = 1
-    for a in alphas:
-        A *= a
-    gammas = []
-    for a in alphas:
-        cofactor = A // a
-        gammas.append((-pow(cofactor, -1, a)) % a)
-    weighted = sum(g * (A // a) for g, a in zip(gammas, alphas))
+    C = Orbifold(alphas)
+    A = C.scale
+    gammas = [(-pow(c, -1, a)) % a for a, c in zip(alphas, C.cofactors)]
+    weighted = sum(g * c for g, c in zip(gammas, C.cofactors))
     if (-1 - weighted) % A != 0:
         raise ConsistencyError("congruence solution failed to make A*e(Y) = -1")
     b = (-1 - weighted) // A
@@ -129,9 +124,7 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
 
 def validate_homology_sphere(S: SeifertData) -> HomologySphereCheck:
     """True iff |A * e(Y)| = 1; the diagnostic reports the integer A * e(Y)."""
-    e = S.euler_number
-    a_e = e.numerator * (S.multiplicity // e.denominator)
-    return HomologySphereCheck(ok=abs(a_e) == 1, a_times_e=a_e)
+    return HomologySphereCheck(ok=abs(S.a_times_e) == 1, a_times_e=S.a_times_e)
 
 
 def require_homology_sphere(S: SeifertData) -> int:
@@ -163,8 +156,8 @@ def bundle_log(L: LineBundleData, S: SeifertData) -> int:
     N = n_bundle(S)
     if L.orbifold != N.orbifold:
         raise ValueError("bundle lives on a different orbifold than the fibration")
-    A = S.multiplicity
-    m = (L.e * A + sum(b * (A // a) for b, a in zip(L.betas, S.alphas))) * a_e
+    C = S.orbifold
+    m = (L.e * C.scale + sum(b * c for b, c in zip(L.betas, C.cofactors))) * a_e
     if power(N, m) != L:
         raise ConsistencyError(f"N^{m} does not reproduce the bundle data {L.as_dict()}")
     return m

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .moduli import _scale, excess_poincare
+from .moduli import excess_poincare
 from .exact import euler_eval
 from .orbifold import _walk, power
 from .seifert import (
@@ -86,14 +86,14 @@ def _link_bound(S: SeifertData) -> int:
     """A * deg K, which is deg K / (-deg N) on a link-oriented homology sphere.
 
     ValueError unless A*e(Y) = -1: then deg N = -1/A, so the ratio is the
-    integer -chi(C)*A of :func:`moduli._scale` and both p_g routes bound l
-    by it without a Fraction.
+    integer ``Orbifold.scaled_deg_k`` and both p_g routes bound l by it
+    without a Fraction.
     """
     if require_homology_sphere(S) > 0:
         raise ValueError(
             "wrong orientation: deg N > 0, but a singularity link has deg N < 0"
         )
-    return _scale(S.orbifold)[2]
+    return S.orbifold.scaled_deg_k
 
 
 def geometric_genus_pd(S: SeifertData) -> int:

@@ -443,10 +443,18 @@ def test_batch_perturb_reports_invalid_scenario(capsys, tmp_path, monkeypatch):
 
 
 def test_perturb_rejects_non_finite_numbers(capsys):
-    for options in (["--eps=nan"], ["--eps=0.1", "--basin-radius=nan"]):
+    # and non-positive limits, which no point could meet
+    for options, message in (
+        (["--eps=nan"], "must be a finite number, got nan"),
+        (["--eps=0.1", "--basin-radius=nan"], "must be a finite number, got nan"),
+        (["--eps=0.1", "--basin-radius=-1"], "field 'basin_radius' must be positive, got -1.0"),
+        (["--eps=0.1", "--c-bound=-1"], "field 'c_bound' must be positive, got -1.0"),
+        (["--eps=0.1", "--basin-radius=0"], "field 'basin_radius' must be positive, got 0.0"),
+    ):
         code, out = run(capsys, "perturb", "--scenario", "circle", *options)
         assert code == 2
-        assert "must be a finite number, got nan" in json.loads(out)["error"]["message"]
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation" and message in error["message"]
 
 
 def test_eps_whose_square_overflows_is_a_validation_error(capsys, tmp_path):
@@ -521,6 +529,8 @@ def _batch(capsys, tmp_path, *lines):
         '{"mode": "perturb", "scenario": "circle", "eps": [0.1, -Infinity]}',
         '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "basin_radius": NaN}',
         '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "c_bound": Infinity}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "basin_radius": -1}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "c_bound": -1}',
     ],
 )
 def test_batch_wrong_shape_gives_error_object(capsys, tmp_path, bad_line):

@@ -161,7 +161,6 @@ def test_sl2c_poincare_assembly():
     assert sl2c_poincare(S7, su2_poly=two_points).poly == LaurentPoly({0: 3})
     partial = sl2c_poincare(S7)
     assert partial.partial and partial.poly == LaurentPoly.one()
-    assert partial.note is not None
 
 
 def test_hp_poincare_examples():

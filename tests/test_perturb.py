@@ -335,6 +335,8 @@ def test_found_points_match_per_point_definitions():
                 gap = spectral_gap(sc, rep.epsilon, float(np.max(np.abs(evals))))
                 assert f.index == morse_index(S_eps, f.point, gap)
                 assert f.min_abs_hessian_eig == float(np.min(np.abs(evals)))
+                assert f.value == S_eps.value(f.point)
+                assert f.grad_residual == float(np.linalg.norm(S_eps.gradient(f.point)))
                 expected = reference_predicted_index(sc, preds[f.matched_prediction], sign)
                 assert f.predicted_index == expected
 

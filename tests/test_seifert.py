@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import coprime_tuples
-from seifertlab.orbifold import Orbifold, canonical_bundle, power
+from seifertlab.orbifold import Orbifold, canonical_bundle, orbifold_euler_char, power
 from seifertlab.seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -54,7 +55,7 @@ def test_brieskorn_2357_matches_brute_force():
     S = brieskorn_seifert_data((2, 3, 5, 7))
     b, gammas = brute_force_brieskorn((2, 3, 5, 7))
     assert (S.b, S.gammas) == (b, gammas) == (-2, (1, 2, 2, 3))
-    assert S.multiplicity * S.euler_number == -1
+    assert S.orbifold.scale * S.euler_number == -1
 
 
 def test_brieskorn_against_brute_force_small_products():
@@ -170,3 +171,37 @@ def test_link_orientation_recognises_the_brieskorn_triple():
                     assert (a_e < 0) == is_link
                     count += 1
     assert count == 948  # 79 sets of alphas, 6 fiber orders, 2 orientations
+
+
+_FIBER = st.integers(2, 30).flatmap(
+    lambda a: st.tuples(st.just(a), st.sampled_from([g for g in range(1, a) if gcd(a, g) == 1]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(-8, 4), fibers=st.lists(_FIBER, min_size=1, max_size=5))
+@example(b=-1, fibers=[(2, 1), (4, 1)])  # A*e(Y) = -2
+@example(b=-1, fibers=[(2, 1), (2, 1)])  # e(Y) = 0
+def test_scale_matches_the_fraction_definitions(b, fibers):
+    # any fibration with alpha <= 30: repeated and non-coprime alphas, and
+    # non-homology spheres, are all in range
+    fibers = tuple(fibers)
+    alphas = tuple(a for a, _ in fibers)
+    A = prod(alphas)
+    e = b + sum((Fraction(g, a) for a, g in fibers), Fraction(0))
+    if e == 0:
+        with pytest.raises(ValueError, match="must be nonzero"):
+            SeifertData(b, fibers)
+        return
+    S = SeifertData(b, fibers)
+    assert S.a_times_e == e * A and S.euler_number == e
+    assert validate_homology_sphere(S).a_times_e == S.a_times_e
+    C = S.orbifold
+    assert C is S.orbifold
+    assert C.scale == A and C.cofactors == tuple(A // a for a in alphas)
+    assert C.scaled_deg_k == -orbifold_euler_char(C) * A
+    # the derived integers stay out of equality, hashing and repr
+    assert C == Orbifold(alphas) and hash(C) == hash((alphas,))
+    assert repr(C) == f"Orbifold(alphas={alphas!r})"
+    assert S == SeifertData(b, fibers) and hash(S) == hash((b, fibers))
+    assert repr(S) == f"SeifertData(b={b}, fibers={fibers!r})"
