@@ -209,7 +209,7 @@ def run_request(req: dict) -> tuple[dict, bool]:
         raise TypeError(f"request must be a JSON object, got {type(req).__name__}")
     mode = req.get("mode")
     su2_text = _typed(req, "su2_poly", str, required=False)
-    su2 = parse_poly(su2_text) if su2_text else None
+    su2 = parse_poly(su2_text) if su2_text is not None else None
     casson = _typed(req, "casson", int, required=False)
     if mode == "brieskorn":
         report = brieskorn_report(_ints(req["exponents"], "exponents"), casson=casson, su2_poly=su2)

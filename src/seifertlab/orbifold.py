@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress, cycle, islice, repeat
+from operator import add
 from typing import Sequence
 
 __all__ = [
@@ -175,22 +177,21 @@ def _walk(
     each effective G^l (e >= 0) with l < keep.  G^(l+1) = G^l tensor G is
     reached by adding G's data: a residue that reaches alpha_i gives alpha_i
     back and adds 1 to e, the carry of :func:`normalize`.
+
+    The residue of G^l at fiber i is l*beta_i mod alpha_i, periodic in l
+    with period alpha_i, and so is the carry (l*beta_i mod alpha_i +
+    beta_i) // alpha_i into e.  Both are tabled once per period; the per-l
+    sums run in C-level iterators.
     """
-    step_e, steps, alphas = G.e, G.betas, G.orbifold.alphas
-    fibers = range(len(alphas))
-    betas = [0] * len(alphas)
-    e = 0  # G^0 is trivial
-    degrees: list[int] = []
-    residues: dict[int, tuple[int, ...]] = {}
-    for l in range(count):
-        degrees.append(e)
-        if e >= 0 and l < keep:
-            residues[l] = tuple(betas)
-        e += step_e
-        for i in fibers:
-            beta = betas[i] + steps[i]
-            if beta >= alphas[i]:
-                beta -= alphas[i]
-                e += 1
-            betas[i] = beta
+    if count <= 0:
+        return [], {}
+    residue_tables = [
+        [j * b % a for j in range(a)] for a, b in zip(G.orbifold.alphas, G.betas)
+    ]
+    steps = repeat(G.e, count - 1)
+    for a, b, table in zip(G.orbifold.alphas, G.betas, residue_tables):
+        steps = map(add, steps, cycle([(r + b) // a for r in table]))
+    degrees = list(accumulate(steps, initial=0))  # G^0 is trivial
+    effective = map((0).__le__, islice(degrees, max(keep, 0)))
+    residues = dict(compress(enumerate(zip(*map(cycle, residue_tables))), effective))
     return degrees, residues

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, cycle, repeat
+from operator import add
 
 from .errors import ConsistencyError
 from .moduli import excess_poincare
@@ -104,30 +106,19 @@ def geometric_genus_pd(S: SeifertData) -> int:
     orbifold degree of K tensor N^l drops below zero, i.e. beyond
     l = deg K / (-deg N) = A * deg K, so the sum is finite.
 
-    The ceilings are carried from one l to the next: each fiber keeps the
-    remainder ceil(l*gamma_i/alpha_i)*alpha_i - l*gamma_i in [0, alpha_i),
-    and when subtracting gamma_i takes it below zero, alpha_i is added back
-    and the ceiling grows by one.  Only the Seifert invariants enter, never a
-    line bundle, so this route stays independent of
-    :func:`geometric_genus_divisors`.
+    Successive terms differ by b + sum_i (ceil((l+1)*gamma_i/alpha_i) -
+    ceil(l*gamma_i/alpha_i)), and each fiber's ceiling step is periodic in l
+    with period alpha_i.  The steps are tabled once per period and the terms
+    run as a stream of C-level iterators, never a list of length A*deg K.
+    Only the Seifert invariants enter, never a line bundle, so this route
+    stays independent of :func:`geometric_genus_divisors`.
     """
-    l_max = _link_bound(S)
-    b, alphas, gammas = S.b, S.alphas, S.gammas
-    fibers = range(len(alphas))
-    rems = [0] * len(alphas)
-    term = -1  # -N(l) - 1 = l*b + sum_i ceil(l*gamma_i/alpha_i) - 1, at l = 0
-    total = 0
-    for _ in range(l_max):
-        term += b
-        for i in fibers:
-            rem = rems[i] - gammas[i]
-            if rem < 0:
-                rem += alphas[i]
-                term += 1
-            rems[i] = rem
-        if term > 0:
-            total += term
-    return total
+    steps = repeat(S.b, _link_bound(S))
+    for a, g in S.fibers:
+        steps = map(add, steps, cycle([(-j * g) // a - (-(j + 1) * g) // a for j in range(a)]))
+    # -N(l) - 1 = l*b + sum_i ceil(l*gamma_i/alpha_i) - 1 for l = 0, 1, ..., A*deg K
+    terms = accumulate(steps, initial=-1)
+    return sum(filter((0).__lt__, terms))
 
 
 def geometric_genus_divisors(S: SeifertData) -> int:

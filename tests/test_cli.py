@@ -334,6 +334,15 @@ def test_parse_poly_roundtrip():
         parse_poly("2*")
 
 
+def test_empty_su2_poly_is_rejected(capsys):
+    for text in ("", " "):
+        code, out = run(capsys, "brieskorn", "2", "3", "7", "--su2-poly", text, "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "validation", "message": "empty polynomial text"
+        }
+
+
 def test_default_output_matches_recorded_bytes(capsys):
     # sha256 of the output before the moduli kernel kept its exponents in integers
     for argv, exit_code, digest in [
@@ -516,6 +525,7 @@ def _batch(capsys, tmp_path, *lines):
         "[1,2]",
         '"brieskorn"',
         '{"mode": "brieskorn", "exponents": [2, 3, 7], "su2_poly": 5}',
+        '{"mode": "brieskorn", "exponents": [2, 3, 7], "su2_poly": ""}',
         '{"mode": "brieskorn", "exponents": [2, 3, 7], "casson": "5"}',
         '{"mode": "brieskorn", "exponents": [2, 3.5, 7]}',
         '{"mode": "seifert", "b": "-1", "fibers": [[2, 1], [3, 1], [7, 1]]}',

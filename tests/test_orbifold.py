@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import coprime_tuples, random_bundle, random_orbifold
 from seifertlab.orbifold import (
@@ -168,8 +168,17 @@ def test_bundle_ops_equal_normalize_of_raw_data(data):
         assert LineBundleData(got.e, got.betas, C) == got
 
 
+# G = N^(-1) of Sigma(2,3,5), where A*deg K = -1 and every sweep walks with
+# count = keep = -1
+_D235 = (S235, dual(n_bundle(brieskorn_seifert_data((2, 3, 5)))), None, None)
+
+
+# count and keep run from negative through more than 12 periods of every alpha
 @settings(max_examples=300, deadline=None)
-@given(bundle_data(), st.integers(0, 60), st.integers(0, 60))
+@given(bundle_data(), st.integers(-3, 150), st.integers(-3, 150))
+@example(_D235, -1, -1)
+@example(_D235, 0, 5)
+@example(_D235, 7, 150)
 def test_walk_equals_powers(data, count, keep):
     _, G, _, _ = data
     degrees, residues = _walk(G, count, keep)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import ceil, floor, gcd, prod
 
 import pytest
@@ -82,27 +83,55 @@ def _link_bases(n: int, top: int = 40) -> list[tuple[int, ...]]:
 _LINK_BASES = st.one_of(*(st.sampled_from(_link_bases(n)) for n in (3, 4, 5)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_LINK_BASES.flatmap(st.permutations))
-def test_pg_routes_equal_their_per_l_definitions(alphas):
-    S = brieskorn_seifert_data(alphas)
+def _per_l_definitions(S: SeifertData) -> tuple[int, int]:
+    """Both p_g sums term by term: (divisor route, Pinkham-Dolgachev route)."""
     ratio = -orbifold_euler_char(S.orbifold) / -S.euler_number  # deg K / (-deg N)
     # divisor route: one bundle N^(-l) built from scratch per l of degree < deg K
     N = n_bundle(S)
     l_max = ceil(ratio) - 1
-    assert geometric_genus_divisors(S) == sum(h0(power(N, -l)) for l in range(l_max + 1))
+    divisors = sum(h0(power(N, -l)) for l in range(l_max + 1))
     # Pinkham-Dolgachev route: each ceiling by a floor division
     l_max = floor(ratio)
-    want = sum(
+    pd = sum(
         max(0, l * S.b + sum(-(-l * g // a) for a, g in S.fibers) - 1)
         for l in range(l_max + 1)
     )
-    assert geometric_genus_pd(S) == want
+    return divisors, pd
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINK_BASES.flatmap(st.permutations))
+def test_pg_routes_equal_their_per_l_definitions(alphas):
+    S = brieskorn_seifert_data(alphas)
+    assert (geometric_genus_divisors(S), geometric_genus_pd(S)) == _per_l_definitions(S)
     # (b; gamma_i) -> (-b - n; alpha_i - gamma_i) reverses the orientation
     reversed_S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
     for route in (geometric_genus_pd, geometric_genus_divisors):
         with pytest.raises(ValueError, match="wrong orientation"):
             route(reversed_S)
+
+
+@pytest.mark.parametrize(
+    "S, bound",
+    [(brieskorn_seifert_data((2, 3, 5)), -1), (SeifertData(-1, ((2, 1),)), -3)],
+)
+def test_pg_routes_on_non_positive_bounds(S, bound):
+    assert S.orbifold.scaled_deg_k == bound  # A*deg K, the bound on l of both routes
+    assert _per_l_definitions(S) == (0, 0)
+    assert geometric_genus_divisors(S) == geometric_genus_pd(S) == 0
+
+
+def test_pd_route_streams():
+    # A*deg K = 46256 terms; a list of them would take ~400 KB
+    S = brieskorn_seifert_data((29, 37, 47))
+    tracemalloc.start()
+    try:
+        pg = geometric_genus_pd(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pg == geometric_genus_divisors(S)
+    assert peak < 64 * 1024
 
 
 def test_divisor_route_builds_one_bundle_power(monkeypatch):
