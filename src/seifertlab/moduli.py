@@ -30,6 +30,13 @@ Summing T^(2m) * P_T(CP^e) over the vectors gives the excess of the SL(2,C)
 Poincare polynomial over the SU(2) one; the hat-normalized variant shifts
 each CP^e summand by T^(-2e) instead.  The SU(2) summand itself is an opaque
 optional input, but its Euler characteristic is always -2 * casson.
+
+The identity chain reads only the excess Euler characteristic, the sum of
+e + 1 over the vectors.  A count-only form of the scan
+(:func:`_excess_euler`) gives it without building a vector: it stops at
+the residues and sums each leaf's range of e in closed form, keeping the
+scan's pruning and its integrality check of m.  Reports, which print every
+vector, still enumerate them.
 """
 
 from __future__ import annotations
@@ -166,6 +173,45 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
         EVector(e=vector[0], betas=vector[1:], exponent=_exponent(scaled, A, vector))
         for _, vector, scaled in rows
     ]
+
+
+def _excess_euler(S: SeifertData) -> int:
+    """Sum of chi(CP^e) = e + 1 over the lattice vectors, without building them.
+
+    The scan of :func:`enumerate_e_vectors`, with its pruning, stops at the
+    residues: a leaf with scaled partial degree acc takes every e with
+    e*A + acc < A*deg K, that is t = (A*deg K - 1 - acc) // A + 1 vectors,
+    whose e + 1 sum to t(t + 1)/2.  Their m*A falls by exactly A per unit
+    of e, so checking the least one, at e = t - 1, with :func:`_exponent`
+    checks all of them.  This is the excess polynomial's Euler
+    characteristic, ``euler_eval(excess_poincare(S))``.
+    """
+    require_homology_sphere(S)
+    C = S.orbifold
+    alphas, A, cofactors, limit = C.alphas, C.scale, C.cofactors, C.scaled_deg_k
+    last = C.n - 1
+    total = 0
+
+    def scan(i: int, acc: int, frac: int, betas: tuple[int, ...]):
+        nonlocal total
+        a, step = alphas[i], cofactors[i]
+        for beta in range(a):
+            nxt = acc + beta * step
+            if nxt >= limit:
+                break
+            nxt_frac = frac + (beta + 1) % a * step
+            if i < last:
+                scan(i + 1, nxt, nxt_frac, betas + (beta,))
+                continue
+            t = (limit - 1 - nxt) // A + 1
+            least = limit - nxt - t * A + nxt_frac
+            if least % A or least < 0:  # _exponent names the failing vector
+                _exponent(least, A, (t - 1,) + betas + (beta,))
+            total += t * (t + 1) // 2
+
+    if limit > 0:
+        scan(0, 0, 0, ())
+    return total
 
 
 def _check_enumerated(C: Orbifold, v: EVector) -> None:
@@ -309,8 +355,12 @@ def excess_poincare(S: SeifertData) -> LaurentPoly:
 
 
 def sl2c_euler(S: SeifertData, casson: int) -> int:
-    """chi of the stable SL(2,C) character variety: -2*casson + excess Euler."""
-    return -2 * casson + euler_eval(excess_poincare(S))
+    """chi of the stable SL(2,C) character variety: -2*casson + excess Euler.
+
+    The excess Euler characteristic comes from the count-only scan
+    :func:`_excess_euler`; no vector is built.
+    """
+    return -2 * casson + _excess_euler(S)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def seifert_report(
     _check_lattice_limit(*S.alphas)  # before the moduli side does any work
 
     mod = moduli_report(S)
-    chain = None if triple is None else verify_identity_chain(*triple, excess_euler=mod.pg)
+    chain = None if triple is None else verify_identity_chain(*triple, excess_euler=mod.pg, S=S)
     lam = casson if casson is not None or chain is None else chain.casson
     euler_sl2c = None if lam is None else -2 * lam + mod.pg
 

@@ -13,7 +13,7 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -48,14 +48,17 @@ class SeifertData:
     The base ``orbifold`` is built once, with the fibration, and
     ``a_times_e`` is the integer A*e(Y) = b*A + sum gamma_i*A/alpha_i.  Both
     are derived from (b, fibers), so equality, hashing and repr ignore them.
+    ``_orbifold`` lets :func:`brieskorn_seifert_data` hand over the orbifold
+    it solved on instead of building a second one.
     """
 
     b: int
     fibers: tuple[tuple[int, int], ...]
     orbifold: Orbifold = field(init=False, repr=False, compare=False)
     a_times_e: int = field(init=False, repr=False, compare=False)
+    _orbifold: InitVar[Orbifold | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _orbifold: Orbifold | None):
         object.__setattr__(self, "fibers", tuple((int(a), int(g)) for a, g in self.fibers))
         if not self.fibers:
             raise ValueError("at least one exceptional fiber required")
@@ -66,7 +69,9 @@ class SeifertData:
                 raise ValueError(f"fiber pair ({a},{g}) violates 0 < gamma < alpha")
             if gcd(a, g) != 1:
                 raise ValueError(f"fiber pair ({a},{g}) is not coprime")
-        C = Orbifold(self.alphas)
+        C = Orbifold(self.alphas) if _orbifold is None else _orbifold
+        if C.alphas != self.alphas:
+            raise ValueError(f"orbifold {C.alphas} does not match the fibers {self.alphas}")
         a_e = self.b * C.scale + sum(g * c for g, c in zip(self.gammas, C.cofactors))
         object.__setattr__(self, "orbifold", C)
         object.__setattr__(self, "a_times_e", a_e)
@@ -119,7 +124,7 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
     if (-1 - weighted) % A != 0:
         raise ConsistencyError("congruence solution failed to make A*e(Y) = -1")
     b = (-1 - weighted) // A
-    return SeifertData(b, tuple(zip(alphas, gammas)))
+    return SeifertData(b, tuple(zip(alphas, gammas)), _orbifold=C)
 
 
 def validate_homology_sphere(S: SeifertData) -> HomologySphereCheck:

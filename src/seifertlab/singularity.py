@@ -28,8 +28,7 @@ from itertools import accumulate, cycle, repeat
 from operator import add
 
 from .errors import ConsistencyError
-from .moduli import excess_poincare
-from .exact import euler_eval
+from .moduli import _excess_euler
 from .orbifold import _walk, power
 from .seifert import (
     SeifertData,
@@ -66,11 +65,11 @@ def _check_triple(p: int, q: int, r: int) -> None:
 def _check_lattice_limit(*alphas: int) -> None:
     """ValueError when A*(n-2), A = prod alpha_i, exceeds _LATTICE_LIMIT.
 
-    On three fibers A*(n-2) = p*q*r, the lattice oracle's point count; on
-    n >= 4 it bounds the moduli side's vector count, which is below
-    A*deg K < A*(n-2).  The identity chain calls it before any other work on
-    a triple, and report assembly on the alphas of every fibration, in
-    either orientation.
+    On three fibers A*(n-2) = p*q*r.  On every fiber count it bounds the
+    moduli side's vector count, which is below A*deg K < A*(n-2), and the
+    A*deg K steps of each p_g route.  The identity chain calls it before
+    any other work on a triple, and report assembly on the alphas of every
+    fibration, in either orientation.
     """
     m = math.prod(alphas) * (len(alphas) - 2)
     if m > _LATTICE_LIMIT:
@@ -153,27 +152,44 @@ def signature_lattice_oracle(p: int, q: int, r: int) -> int:
     a boundary value s in {0,1,2} is impossible for coprime exponents and is
     treated as a hard error.  Deliberately independent of p_g so the Durfee
     route has a genuine cross-check.
+
+    For fixed (i, j), s*pqr = base + k*pq runs through an arithmetic
+    progression in k, so the k in each of (0,1), (1,2) and (2,3) are counted
+    by a floor division: O(pq) work, not one visit per point (see
+    :func:`_lattice_signature`).
     """
     _check_triple(p, q, r)
     _check_lattice_limit(p, q, r)
+    return _lattice_signature(p, q, r)
+
+
+def _lattice_signature(p: int, q: int, r: int) -> int:
+    """The oracle's region count, for any exponents >= 2.
+
+    With m = pqr and base = i*qr + j*pr, the k in [1, r-1] with
+    base + k*pq < t number min(max((t - base) // pq, 0), r - 1) for t = m
+    and t = 2m, unless base + k*pq = t for such a k: that is a boundary
+    value, a ConsistencyError.
+    """
     m = p * q * r
     qr, pr, pq = q * r, p * r, p * q
     plus = minus = 0
     for i in range(1, p):
-        base_i = i * qr
         for j in range(1, q):
-            base_ij = base_i + j * pr
-            for k in range(1, r):
-                num = base_ij + k * pq  # s = num / m, with 0 < s < 3
-                red = num % (2 * m)
-                if red == 0 or red == m:
-                    raise ConsistencyError(
-                        f"boundary lattice value s = {num}/{m} at (i,j,k)=({i},{j},{k})"
-                    )
-                if red < m:
-                    plus += 1
-                else:
-                    minus += 1
+            base = i * qr + j * pr
+            k1, rem1 = divmod(m - base, pq)
+            k2, rem2 = divmod(2 * m - base, pq)
+            if not (rem1 and rem2):  # base + k*pq may hit m or 2m
+                for k, rem, t in ((k1, rem1, m), (k2, rem2, 2 * m)):
+                    if rem == 0 and 0 < k < r:
+                        raise ConsistencyError(
+                            f"boundary lattice value s = {t}/{m} at (i,j,k)=({i},{j},{k})"
+                        )
+            below1 = min(max(k1, 0), r - 1)  # k with s < 1
+            below2 = min(max(k2, 0), r - 1)  # k with s < 2
+            # s in (0,1) and s in (2,3) count +1, s in (1,2) counts -1
+            plus += below1 + (r - 1 - below2)
+            minus += below2 - below1
     return plus - minus
 
 
@@ -238,7 +254,7 @@ class IdentityChainReport:
 
 
 def verify_identity_chain(
-    p: int, q: int, r: int, excess_euler: int | None = None
+    p: int, q: int, r: int, excess_euler: int | None = None, S: SeifertData | None = None
 ) -> IdentityChainReport:
     """Run the full cross-check chain for one pairwise-coprime triple.
 
@@ -251,16 +267,22 @@ def verify_identity_chain(
 
     ``excess_euler`` is the moduli side's value when the caller has already
     assembled the excess polynomial of Sigma(p,q,r), in any order of the
-    exponents; otherwise it is computed here.
+    exponents; otherwise the count-only scan ``moduli._excess_euler`` gives
+    it, the sum of e + 1 over the lattice vectors, without building one.
+    ``S`` is the caller's link-oriented Seifert data of Sigma(p,q,r), in any
+    fiber order; otherwise it is built here.
     """
     _check_triple(p, q, r)
     _check_lattice_limit(p, q, r)
-    S = brieskorn_seifert_data((p, q, r))
+    if S is None:
+        S = brieskorn_seifert_data((p, q, r))
+    elif sorted(S.alphas) != sorted((p, q, r)):
+        raise ValueError(f"Seifert data over {S.alphas} is not Sigma({p},{q},{r})")
     mu = milnor_number(p, q, r)
     pg_pd = geometric_genus_pd(S)
     pg_div = geometric_genus_divisors(S)
     if excess_euler is None:
-        excess_euler = euler_eval(excess_poincare(S))
+        excess_euler = _excess_euler(S)
     sigma_lat = signature_lattice_oracle(p, q, r)
     sigma_dur = signature_durfee(pg_pd, mu)
     lam = _casson_from_signature(sigma_lat)

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 from math import gcd
 
+from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly
 from seifertlab.orbifold import LineBundleData, Orbifold, normalize
 
@@ -43,3 +44,31 @@ def random_bundle(rng: random.Random, C: Orbifold) -> LineBundleData:
         [rng.randint(-15, 15) for _ in C.alphas],
         C,
     )
+
+
+def signature_per_point(p: int, q: int, r: int) -> int:
+    """The lattice signature by its definition: one visit per point (i, j, k).
+
+    Counts triples 0 < i < p, 0 < j < q, 0 < k < r by the residue of
+    s = i/p + j/q + k/r mod 2: s in (0,1) contributes +1, s in (1,2)
+    contributes -1, and a boundary value s in {0,1,2} is a ConsistencyError.
+    """
+    m = p * q * r
+    qr, pr, pq = q * r, p * r, p * q
+    plus = minus = 0
+    for i in range(1, p):
+        base_i = i * qr
+        for j in range(1, q):
+            base_ij = base_i + j * pr
+            for k in range(1, r):
+                num = base_ij + k * pq  # s = num / m, with 0 < s < 3
+                red = num % (2 * m)
+                if red == 0 or red == m:
+                    raise ConsistencyError(
+                        f"boundary lattice value s = {num}/{m} at (i,j,k)=({i},{j},{k})"
+                    )
+                if red < m:
+                    plus += 1
+                else:
+                    minus += 1
+    return plus - minus

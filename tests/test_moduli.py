@@ -13,6 +13,7 @@ from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly, euler_eval
 from seifertlab.moduli import (
     EVector,
+    _excess_euler,
     enumerate_e_vectors,
     excess_poincare,
     exponent_closed_form,
@@ -264,9 +265,8 @@ def test_one_enumeration_per_request(monkeypatch):
         return original(C)
 
     monkeypatch.setattr(moduli, "enumerate_e_vectors", counting)
-    verify_identity_chain(2, 3, 13)
-    assert calls == [(2, 3, 13)]
-    calls.clear()
+    verify_identity_chain(2, 3, 13)  # reads the count-only scan, builds no vector
+    assert calls == []
     brieskorn_report((13, 3, 2))
     assert calls == [(13, 3, 2)]
     calls.clear()
@@ -327,3 +327,35 @@ def test_components_equal_single_vector_bundle_routes(alphas, reverse):
         L = normalize(z.vector.e, z.vector.betas, C)
         assert z.morse_index // 2 == exponent_via_bundles(C, z.vector)
         assert (z.l0_power, z.parity_k) == solve_L0_k(L, S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES.flatmap(st.permutations), st.booleans())
+def test_count_only_scan_equals_the_excess_euler_characteristic(alphas, reverse):
+    S = brieskorn_seifert_data(alphas)
+    if reverse:
+        S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    vectors = enumerate_e_vectors(S.orbifold)
+    assert _excess_euler(S) == euler_eval(excess_poincare(S)) == sum(v.e + 1 for v in vectors)
+
+
+def _tampered(alphas, field, change):
+    S = brieskorn_seifert_data(alphas)
+    C = S.orbifold
+    object.__setattr__(C, field, change(getattr(C, field)))
+    return S
+
+
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        # m*A one off a multiple of A
+        (_tampered((2, 3, 7), "scaled_deg_k", lambda k: k + 1), r"exponent 1/42 "),
+        # a negated cofactor drives m below zero
+        (_tampered((2, 5, 7), "cofactors", lambda c: (-c[0],) + c[1:]), r"exponent -1 "),
+    ],
+)
+def test_count_only_scan_keeps_the_integrality_check(S, message):
+    for route in (lambda: enumerate_e_vectors(S.orbifold), lambda: _excess_euler(S)):
+        with pytest.raises(ConsistencyError, match=message + r".*not a non-negative integer"):
+            route()

@@ -205,3 +205,23 @@ def test_scale_matches_the_fraction_definitions(b, fibers):
     assert repr(C) == f"Orbifold(alphas={alphas!r})"
     assert S == SeifertData(b, fibers) and hash(S) == hash((b, fibers))
     assert repr(S) == f"SeifertData(b={b}, fibers={fibers!r})"
+
+
+def test_one_orbifold_per_fibration(monkeypatch):
+    from seifertlab.reports import brieskorn_report, verify_sweep_report
+
+    built = []
+    original = Orbifold.__post_init__
+    monkeypatch.setattr(Orbifold, "__post_init__", lambda C: built.append(C) or original(C))
+    S = brieskorn_seifert_data((2, 3, 7))
+    assert built == [S.orbifold]
+    # the orbifold handed over stays out of equality, hashing and repr
+    fibers = ((2, 1), (3, 1), (7, 1))
+    assert S == SeifertData(-1, fibers) and hash(S) == hash((-1, fibers))
+    assert repr(S) == f"SeifertData(b=-1, fibers={fibers!r})"
+    built.clear()
+    brieskorn_report((2, 3, 7))  # the identity chain reads the report's own data
+    assert len(built) == 1
+    built.clear()
+    sweep = verify_sweep_report(13)
+    assert len(built) == sweep["count"]

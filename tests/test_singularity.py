@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import product
 from math import ceil, floor, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coprime_triples, coprime_tuples
+from helpers import coprime_triples, coprime_tuples, signature_per_point
+import seifertlab.singularity as singularity
 from seifertlab.errors import ConsistencyError
 from seifertlab.orbifold import h0, orbifold_euler_char, power
 from seifertlab.seifert import SeifertData, brieskorn_seifert_data, n_bundle
@@ -166,6 +168,35 @@ def test_signature_lattice_oracle_guards():
         signature_lattice_oracle(101, 102, 103)  # product above desk scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(coprime_triples(25)).flatmap(st.permutations))
+def test_lattice_oracle_equals_the_per_point_count(triple):
+    assert signature_lattice_oracle(*triple) == signature_per_point(*triple)
+
+
+@pytest.mark.parametrize("triple", [(2, 4, 4), (2, 3, 6), (4, 6, 6), (3, 3, 3)])
+def test_lattice_counter_reports_the_first_boundary_point(triple):
+    # a non-coprime triple puts lattice points on s = 1 or s = 2; the counter
+    # names the same first point (in (i, j, k) order) as the per-point loop
+    with pytest.raises(ConsistencyError, match="boundary lattice value") as fast:
+        singularity._lattice_signature(*triple)
+    with pytest.raises(ConsistencyError) as slow:
+        signature_per_point(*triple)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_lattice_counter_equals_the_per_point_count_off_the_boundary():
+    # every exponent triple in [2, 7], coprime or not: both raise or both agree
+    for triple in product(range(2, 8), repeat=3):
+        try:
+            expected = signature_per_point(*triple)
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError, match="boundary lattice value"):
+                singularity._lattice_signature(*triple)
+        else:
+            assert singularity._lattice_signature(*triple) == expected
+
+
 def test_casson_invariant_examples():
     assert casson_invariant(2, 3, 5) == -1
     assert casson_invariant(2, 3, 7) == -1
@@ -189,6 +220,19 @@ def test_identity_chain_sweep_to_15():
         assert rep.pg_pd == rep.pg_divisors == rep.excess_euler
         assert rep.sigma_durfee == rep.sigma_lattice
         assert -2 * rep.casson + rep.pg_pd == rep.milnor // 4 == rep.euler_sl2c
+
+
+def test_identity_chain_takes_the_callers_seifert_data():
+    expected = verify_identity_chain(2, 5, 13).as_dict()
+    for alphas in ((2, 5, 13), (13, 2, 5)):
+        S = brieskorn_seifert_data(alphas)
+        assert verify_identity_chain(2, 5, 13, S=S).as_dict() == expected
+    with pytest.raises(ValueError, match="not Sigma"):
+        verify_identity_chain(2, 5, 13, S=brieskorn_seifert_data((2, 5, 11)))
+    S = brieskorn_seifert_data((2, 5, 13))
+    reversed_S = SeifertData(-S.b - 3, tuple((a, a - g) for a, g in S.fibers))
+    with pytest.raises(ValueError, match="wrong orientation"):
+        verify_identity_chain(2, 5, 13, S=reversed_S)
 
 
 def test_pg_two_routes_beyond_triples():
