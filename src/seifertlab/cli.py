@@ -3,16 +3,18 @@
 Every request, a CLI call or a batch line, goes through :func:`run_request`.
 Exit codes: 0 on success, 1 when a cross-check fails (a perturb check only
 under --assert; in a batch, also any error line), 2 on input-validation
-failure or an --out or --csv path that cannot be written.
+failure or an --out or --csv path that cannot be written.  When stdout itself
+cannot be written (a closed pipe, a full disk), the error object goes to
+stderr as one line and the exit code is 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
+import os
 import sys
 
 from .errors import ConsistencyError
@@ -157,6 +159,8 @@ def _perturb_table(reports: list[dict]) -> str:
 
 
 def _write_csv(path: str, reports: list[dict]) -> None:
+    import csv  # only perturb --csv writes CSV
+
     dims = max((len(f["point"]) for rep in reports for f in rep["found"]), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -294,11 +298,20 @@ def _run_batch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run_batch(args) if args.mode == "batch" else _run_single(args)
-    except OSError as exc:  # --out or --csv cannot be written
+        try:
+            code = _run_batch(args) if args.mode == "batch" else _run_single(args)
+        except OSError as exc:  # --out, --csv or stdout cannot be written
+            error, code = _error(exc)
+            print((_dump_line if args.mode == "batch" else _dump)(error))  # fails on stdout
+        sys.stdout.flush()  # a buffered stdout fails here, not at interpreter exit
+    except OSError as exc:  # stdout itself cannot be written
+        # what is left in its buffer would fail again at the exit-time flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         error, code = _error(exc)
-        print((_dump_line if args.mode == "batch" else _dump)(error))
-        return code
+        print(_dump_line(error), file=sys.stderr)
+    return code
 
 
 def _run_single(args) -> int:

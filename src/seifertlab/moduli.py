@@ -42,8 +42,8 @@ vector, still enumerate them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
@@ -78,8 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EVector:
+class EVector(NamedTuple):
     """Lattice vector (e; beta_1..beta_n) of degree e + sum beta_i/alpha_i.
 
     ``exponent`` is the Morse-Bott half-index m, which
@@ -95,8 +94,7 @@ class EVector:
         return (self.e,) + self.betas
 
 
-@dataclass(frozen=True)
-class ZComponent:
+class ZComponent(NamedTuple):
     """One connected piece of the critical locus.
 
     Either the SU(2) locus (kind "su2", index 0) or a CP^e divisor component
@@ -363,8 +361,7 @@ def sl2c_euler(S: SeifertData, casson: int) -> int:
     return -2 * casson + _excess_euler(S)
 
 
-@dataclass(frozen=True)
-class AssembledPoly:
+class AssembledPoly(NamedTuple):
     """A polynomial that may still be missing its external SU(2) summand."""
 
     poly: LaurentPoly
@@ -396,8 +393,7 @@ def hp_poincare(S: SeifertData, su2_hat_poly: LaurentPoly | None = None) -> Asse
     return AssembledPoly(poly=su2_hat_poly + total, partial=False)
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(NamedTuple):
     """Assembled moduli-side quantities for one fibration."""
 
     z_components: tuple[ZComponent, ...]

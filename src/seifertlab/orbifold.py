@@ -16,7 +16,6 @@ count is h^0 = max(0, e + 1) in terms of the normalized data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import add
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Orbifold:
     """Genus-zero 2-orbifold with cone points of orders alphas (each >= 2).
 
@@ -47,48 +45,69 @@ class Orbifold:
     the alphas, so equality, hashing and repr ignore them.
     """
 
-    alphas: tuple[int, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    cofactors: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scaled_deg_k: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphas", "scale", "cofactors", "scaled_deg_k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        if len(self.alphas) < 1:
+    def __init__(self, alphas: Sequence[int]):
+        alphas = tuple(alphas)
+        if len(alphas) < 1:
             raise ValueError("an orbifold needs at least one cone point here")
-        for a in self.alphas:
+        for a in alphas:
             if not isinstance(a, int) or a < 2:
                 raise ValueError(f"isotropy orders must be integers >= 2, got {a!r}")
-        A = math.prod(self.alphas)
-        cofactors = tuple(A // a for a in self.alphas)
-        object.__setattr__(self, "scale", A)
-        object.__setattr__(self, "cofactors", cofactors)
-        object.__setattr__(self, "scaled_deg_k", (self.n - 2) * A - sum(cofactors))
+        A = math.prod(alphas)
+        self.alphas = alphas
+        self.scale = A
+        self.cofactors = tuple(A // a for a in alphas)
+        self.scaled_deg_k = (len(alphas) - 2) * A - sum(self.cofactors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphas == other.alphas
+
+    def __hash__(self):
+        return hash((self.alphas,))
+
+    def __repr__(self):
+        return f"Orbifold(alphas={self.alphas!r})"
 
     @property
     def n(self) -> int:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
 class LineBundleData:
     """Normalized classification data (e; beta_1, ..., beta_n) of a line bundle.
 
     The constructor insists on normalized residues; use :func:`normalize` to
-    canonicalize raw data.  Values are immutable and safe to share.
+    canonicalize raw data.  Values are never mutated after construction and
+    are safe to share.  Equality and hashing include the orbifold; the repr
+    leaves it out.
     """
 
-    e: int
-    betas: tuple[int, ...]
-    orbifold: Orbifold = field(repr=False)
+    __slots__ = ("e", "betas", "orbifold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
-        if len(self.betas) != self.orbifold.n:
+    def __init__(self, e: int, betas: Sequence[int], orbifold: Orbifold):
+        betas = tuple(betas)
+        if len(betas) != orbifold.n:
             raise ValueError("one residue per cone point required")
-        for b, a in zip(self.betas, self.orbifold.alphas):
+        for b, a in zip(betas, orbifold.alphas):
             if not isinstance(b, int) or not 0 <= b < a:
                 raise ValueError(f"residue {b!r} not normalized for isotropy order {a}")
+        self.e = e
+        self.betas = betas
+        self.orbifold = orbifold
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e, self.betas, self.orbifold) == (other.e, other.betas, other.orbifold)
+
+    def __hash__(self):
+        return hash((self.e, self.betas, self.orbifold))
+
+    def __repr__(self):
+        return f"LineBundleData(e={self.e!r}, betas={self.betas!r})"
 
     @property
     def degree(self) -> Fraction:

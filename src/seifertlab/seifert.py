@@ -13,10 +13,9 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError
 from .orbifold import LineBundleData, Orbifold, normalize, power
@@ -41,7 +40,6 @@ def pairwise_coprime(values: Sequence[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class SeifertData:
     """Seifert invariants (b; (alpha_i, gamma_i)) of an oriented fibration over S^2.
 
@@ -52,14 +50,13 @@ class SeifertData:
     it solved on instead of building a second one.
     """
 
-    b: int
-    fibers: tuple[tuple[int, int], ...]
-    orbifold: Orbifold = field(init=False, repr=False, compare=False)
-    a_times_e: int = field(init=False, repr=False, compare=False)
-    _orbifold: InitVar[Orbifold | None] = None
+    __slots__ = ("b", "fibers", "orbifold", "a_times_e")
 
-    def __post_init__(self, _orbifold: Orbifold | None):
-        object.__setattr__(self, "fibers", tuple((int(a), int(g)) for a, g in self.fibers))
+    def __init__(
+        self, b: int, fibers: Sequence[tuple[int, int]], _orbifold: Orbifold | None = None
+    ):
+        self.b = b
+        self.fibers = tuple((int(a), int(g)) for a, g in fibers)
         if not self.fibers:
             raise ValueError("at least one exceptional fiber required")
         for a, g in self.fibers:
@@ -72,11 +69,21 @@ class SeifertData:
         C = Orbifold(self.alphas) if _orbifold is None else _orbifold
         if C.alphas != self.alphas:
             raise ValueError(f"orbifold {C.alphas} does not match the fibers {self.alphas}")
-        a_e = self.b * C.scale + sum(g * c for g, c in zip(self.gammas, C.cofactors))
-        object.__setattr__(self, "orbifold", C)
-        object.__setattr__(self, "a_times_e", a_e)
-        if a_e == 0:
+        self.orbifold = C
+        self.a_times_e = self.b * C.scale + sum(g * c for g, c in zip(self.gammas, C.cofactors))
+        if self.a_times_e == 0:
             raise ValueError("Euler number e(Y) must be nonzero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.b, self.fibers) == (other.b, other.fibers)
+
+    def __hash__(self):
+        return hash((self.b, self.fibers))
+
+    def __repr__(self):
+        return f"SeifertData(b={self.b!r}, fibers={self.fibers!r})"
 
     @property
     def alphas(self) -> tuple[int, ...]:
@@ -95,8 +102,7 @@ class SeifertData:
         return {"b": self.b, "fibers": [[a, g] for a, g in self.fibers]}
 
 
-@dataclass(frozen=True)
-class HomologySphereCheck:
+class HomologySphereCheck(NamedTuple):
     """Result of the integral-homology-sphere test, with the A*e(Y) diagnostic."""
 
     ok: bool

@@ -23,9 +23,9 @@ and sigma are out of scope; only the Seifert-side quantities exist here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, cycle, repeat
 from operator import add
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .moduli import _excess_euler
@@ -210,8 +210,7 @@ def _casson_from_signature(sigma: int) -> int:
     return sigma // 8
 
 
-@dataclass(frozen=True)
-class IdentityChainReport:
+class IdentityChainReport(NamedTuple):
     """Every intermediate value of the cross-check chain for one triple."""
 
     p: int
@@ -308,8 +307,7 @@ def verify_identity_chain(
     )
 
 
-@dataclass(frozen=True)
-class SingularityInvariants:
+class SingularityInvariants(NamedTuple):
     """The invariant pack for one Brieskorn triple."""
 
     milnor: int

@@ -401,7 +401,8 @@ def test_exact_only_calls_do_not_load_numpy():
         "import sys\n"
         "from seifertlab.cli import main\n"
         "main(sys.argv[1:])\n"
-        "sys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
+        "sys.stderr.write('loaded: %s' % [m for m in ('numpy', 'dataclasses', 'csv')"
+        " if m in sys.modules])\n"
     )
     for argv in (["brieskorn", "2", "3", "7", "--json"], ["verify", "--max", "5"]):
         proc = subprocess.run(
@@ -409,7 +410,74 @@ def test_exact_only_calls_do_not_load_numpy():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.endswith("numpy loaded: False"), proc.stderr
+        assert proc.stderr.endswith("loaded: []"), proc.stderr
+
+
+def _cli_env(unbuffered: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seifertlab.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _assert_stdout_failure(returncode: int, stderr: str, message: str) -> None:
+    """Exit 2 and one error object on stderr, no traceback."""
+    assert returncode == 2, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    line, = stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "validation" and message in error["message"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("brieskorn", "2", "3", "7"), ("batch", "{batch}")])
+def test_full_stdout_gives_error_object_on_stderr(tmp_path, argv, unbuffered):
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text('{"mode": "brieskorn", "exponents": [2, 3, 7]}\n')
+    argv = [a.format(batch=batch) for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifertlab.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(unbuffered), timeout=60,
+        )
+    _assert_stdout_failure(proc.returncode, proc.stderr, "No space left on device")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_gives_error_object_on_stderr(tmp_path, unbuffered):
+    # a pipe closed before the first write: a short report stays in the
+    # buffer until the final flush unless stdout is unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifertlab.cli", "brieskorn", "2", "3", "7"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    _assert_stdout_failure(proc.returncode, proc.stderr, "Broken pipe")
+    # a pipe closed after 10 bytes of an output far larger than its capacity
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text('{"mode": "brieskorn", "exponents": [2, 3, 7]}\n' * 1000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seifertlab.cli", "batch", str(batch)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_cli_env(unbuffered),
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    _assert_stdout_failure(returncode, stderr, "Broken pipe")
 
 
 def test_perturb_lines_validate_without_numpy_random(tmp_path):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,13 @@ def test_enumeration_examples():
     got = enumerate_e_vectors(C)
     assert [(v.e, v.betas) for v in got] == [(0, (0, 0, 0)), (0, (0, 0, 1))]
     assert [normalize(v.e, v.betas, C).degree for v in got] == [0, Fraction(1, 13)]
+
+
+def test_evector_built_by_hand():
+    v = EVector(0, (1,))
+    assert v.exponent is None
+    assert repr(v) == "EVector(e=0, betas=(1,), exponent=None)"
+    assert v.as_tuple() == (0, 1)
 
 
 def test_enumeration_sorted_by_degree_then_lex():
@@ -283,7 +289,7 @@ def test_components_check_every_vector(monkeypatch):
     for i, v in enumerate(vectors):
         # a wrong exponent on any one vector is caught by the walk's h^0
         tampered = list(vectors)
-        tampered[i] = dataclasses.replace(v, exponent=v.exponent + 1)
+        tampered[i] = v._replace(exponent=v.exponent + 1)
         with pytest.raises(ConsistencyError, match="exponent routes disagree"):
             moduli._components(S, tampered)
         # so is a dropped vector, or one residue changed
@@ -291,7 +297,7 @@ def test_components_check_every_vector(monkeypatch):
             moduli._components(S, vectors[:i] + vectors[i + 1 :])
         for j, a in enumerate(S.alphas):
             betas = v.betas[:j] + ((v.betas[j] + 1) % a,) + v.betas[j + 1 :]
-            tampered[i] = dataclasses.replace(v, betas=betas)
+            tampered[i] = v._replace(betas=betas)
             with pytest.raises(ConsistencyError, match="walk and scan disagree"):
                 moduli._components(S, tampered)
     # one walk per request, and no tensor or power per vector

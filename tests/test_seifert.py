@@ -211,8 +211,10 @@ def test_one_orbifold_per_fibration(monkeypatch):
     from seifertlab.reports import brieskorn_report, verify_sweep_report
 
     built = []
-    original = Orbifold.__post_init__
-    monkeypatch.setattr(Orbifold, "__post_init__", lambda C: built.append(C) or original(C))
+    original = Orbifold.__init__
+    monkeypatch.setattr(
+        Orbifold, "__init__", lambda C, alphas: built.append(C) or original(C, alphas)
+    )
     S = brieskorn_seifert_data((2, 3, 7))
     assert built == [S.orbifold]
     # the orbifold handed over stays out of equality, hashing and repr
