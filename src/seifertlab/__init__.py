@@ -11,52 +11,73 @@ invariant) with their cross-check chain.
 Numerical side: Newton continuation of perturbed critical points, Lagrange
 multipliers and the localisation leading term, Morse indices from Hessian
 inertia, and signed-count verification on built-in scenarios.
+
+The names below load on first use: ``from seifertlab import power`` imports
+``seifertlab.orbifold`` then, and importing the package alone imports none of
+its submodules, so a numerical run never loads the exact side.
 """
 
-from .exact import LaurentPoly, Rational, cp_poincare, euler_eval, hat_normalize
-from .orbifold import (
-    LineBundleData,
-    Orbifold,
-    canonical_bundle,
-    dual,
-    h0,
-    normalize,
-    orbifold_euler_char,
-    power,
-    tensor,
-    trivial_bundle,
-)
-from .seifert import (
-    SeifertData,
-    brieskorn_seifert_data,
-    bundle_log,
-    n_bundle,
-    validate_homology_sphere,
-)
-from .moduli import (
-    EVector,
-    ZComponent,
-    enumerate_e_vectors,
-    excess_poincare,
-    exponent_closed_form,
-    exponent_via_bundles,
-    hp_poincare,
-    moduli_report,
-    sl2c_euler,
-    sl2c_poincare,
-    solve_L0_k,
-    z_decomposition,
-)
-from .singularity import (
-    brieskorn_invariants,
-    casson_invariant,
-    geometric_genus_divisors,
-    geometric_genus_pd,
-    milnor_number,
-    signature_durfee,
-    signature_lattice_oracle,
-    verify_identity_chain,
-)
-from .errors import ConsistencyError
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULE_NAMES = {
+    "exact": ("LaurentPoly", "Rational", "cp_poincare", "euler_eval", "hat_normalize"),
+    "orbifold": (
+        "LineBundleData",
+        "Orbifold",
+        "canonical_bundle",
+        "dual",
+        "h0",
+        "normalize",
+        "orbifold_euler_char",
+        "power",
+        "tensor",
+        "trivial_bundle",
+    ),
+    "seifert": (
+        "SeifertData",
+        "brieskorn_seifert_data",
+        "bundle_log",
+        "n_bundle",
+        "validate_homology_sphere",
+    ),
+    "moduli": (
+        "EVector",
+        "ZComponent",
+        "enumerate_e_vectors",
+        "excess_poincare",
+        "exponent_closed_form",
+        "exponent_via_bundles",
+        "hp_poincare",
+        "moduli_report",
+        "sl2c_euler",
+        "sl2c_poincare",
+        "solve_L0_k",
+        "z_decomposition",
+    ),
+    "singularity": (
+        "brieskorn_invariants",
+        "casson_invariant",
+        "geometric_genus_divisors",
+        "geometric_genus_pd",
+        "milnor_number",
+        "signature_durfee",
+        "signature_lattice_oracle",
+        "verify_identity_chain",
+    ),
+    "errors": ("ConsistencyError",),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -6,6 +6,10 @@ under --assert; in a batch, also any error line), 2 on input-validation
 failure or an --out or --csv path that cannot be written.  When stdout itself
 cannot be written (a closed pipe, a full disk), the error object goes to
 stderr as one line and the exit code is 2.
+
+Each mode imports only its own side: the exact modes load the exact stack
+(reports, seifert, moduli, ...) and never numpy, and ``perturb`` loads
+``seifertlab.perturb`` and numpy and never the exact stack.
 """
 
 from __future__ import annotations
@@ -18,14 +22,6 @@ import os
 import sys
 
 from .errors import ConsistencyError
-from .reports import (
-    brieskorn_report,
-    parse_poly,
-    report_table,
-    seifert_report,
-    verify_sweep_report,
-)
-from .seifert import SeifertData
 
 __all__ = ["main", "build_parser", "run_request"]
 
@@ -213,12 +209,23 @@ def run_request(req: dict) -> tuple[dict, bool]:
         raise TypeError(f"request must be a JSON object, got {type(req).__name__}")
     mode = req.get("mode")
     su2_text = _typed(req, "su2_poly", str, required=False)
-    su2 = parse_poly(su2_text) if su2_text is not None else None
+    su2 = None
+    if su2_text is not None:  # checked in every mode, perturb included
+        from .reports import parse_poly
+
+        su2 = parse_poly(su2_text)
     casson = _typed(req, "casson", int, required=False)
+    # each branch imports its own side: exact calls never load numpy, and
+    # perturb calls never load the exact stack
     if mode == "brieskorn":
+        from .reports import brieskorn_report
+
         report = brieskorn_report(_ints(req["exponents"], "exponents"), casson=casson, su2_poly=su2)
         return report, all(report["checks"].values())
     if mode == "seifert":
+        from .reports import seifert_report
+        from .seifert import SeifertData
+
         pairs = [_ints(f, "each fiber") for f in _typed(req, "fibers", list)]
         fibers = tuple((a, g) for a, g in pairs)  # unpacking rejects a non-pair
         S = SeifertData(_typed(req, "b", int), fibers)
@@ -228,6 +235,8 @@ def run_request(req: dict) -> tuple[dict, bool]:
         report = seifert_report(S, echo, casson=casson, su2_poly=su2)
         return report, all(report["checks"].values())
     if mode == "verify":
+        from .reports import verify_sweep_report
+
         report = verify_sweep_report(_typed(req, "max", int))
         return report, report["all_ok"]
     if mode == "perturb":
@@ -250,7 +259,6 @@ def run_request(req: dict) -> tuple[dict, bool]:
         for key, value in limits.items():
             if value <= 0:
                 raise ValueError(f"field {key!r} must be positive, got {value!r}")
-        # imported here so that exact-only calls never load numpy
         from .perturb import run_localisation, scenario_by_name
 
         scenario = scenario_by_name(name)
@@ -264,6 +272,13 @@ def run_request(req: dict) -> tuple[dict, bool]:
         }
         return payload, all(rep.ok for rep in reports)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _parse_line(line: str):
+    try:
+        return json.loads(line)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("JSON nesting too deep to parse") from None
 
 
 def _run_batch(args) -> int:
@@ -283,7 +298,7 @@ def _run_batch(args) -> int:
             if not line.strip():
                 continue
             try:
-                req = json.loads(line)
+                req = _parse_line(line)
                 report, ok = run_request(req)
             except (ValueError, KeyError, TypeError, ConsistencyError) as exc:
                 report, ok = _error(exc, f"line {i}: ")[0], False
@@ -340,6 +355,8 @@ def _run_single(args) -> int:
     elif args.mode == "perturb":
         text = _perturb_table(report["reports"])
     else:
+        from .reports import report_table
+
         text = report_table(report)
     _emit(text, args.out)
     return 0 if ok else 1

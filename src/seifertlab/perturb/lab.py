@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .fields import PerturbationFamily, ScalarField
 from .linalg import inertia_counts, kernel_basis, pinv_solve
-from .scenarios import Scenario, Z1Site
+from .scenarios import Scenario, Z1Site, _Record
 
 __all__ = [
     "NewtonResult",
@@ -46,8 +46,7 @@ class MultiplierError(RuntimeError):
     """The Lagrange-multiplier system is inconsistent at the given point."""
 
 
-@dataclass
-class NewtonResult:
+class NewtonResult(NamedTuple):
     point: np.ndarray
     grad_norm: float
     value: float
@@ -203,8 +202,7 @@ def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
     return float(np.max(np.abs(0.5 * (basis.T @ g1))))
 
 
-@dataclass
-class PredictedPoint:
+class PredictedPoint(NamedTuple):
     """A critical point of the leading term, tagged with its Z1 site.
 
     ``indices`` maps the sign of eps to the predicted Morse index
@@ -284,8 +282,7 @@ def predicted_spectrum(scenario: Scenario, predicted: PredictedPoint, eps_sign: 
     return predicted.indices[eps_sign]
 
 
-@dataclass
-class FoundPoint:
+class FoundPoint(NamedTuple):
     point: np.ndarray
     value: float
     grad_residual: float
@@ -308,19 +305,51 @@ class FoundPoint:
         }
 
 
-@dataclass
-class ExperimentReport:
-    scenario: str
-    epsilon: float
-    degenerate_abstained: bool
-    found: list[FoundPoint] = field(default_factory=list)
-    predicted_count: int = 0
-    bijection_ok: bool | None = None
-    indices_ok: bool | None = None
-    signed_count: int | None = None
-    expected_signed_count: int | None = None
-    signed_count_ok: bool | None = None
-    messages: list[str] = field(default_factory=list)
+class ExperimentReport(_Record):
+    """The outcome of one eps in a localisation run; run_localisation fills it in.
+
+    ``found`` and ``messages`` default to new empty lists for every report.
+    """
+
+    __slots__ = (
+        "scenario",
+        "epsilon",
+        "degenerate_abstained",
+        "found",
+        "predicted_count",
+        "bijection_ok",
+        "indices_ok",
+        "signed_count",
+        "expected_signed_count",
+        "signed_count_ok",
+        "messages",
+    )
+
+    def __init__(
+        self,
+        scenario: str,
+        epsilon: float,
+        degenerate_abstained: bool,
+        found: list[FoundPoint] | None = None,
+        predicted_count: int = 0,
+        bijection_ok: bool | None = None,
+        indices_ok: bool | None = None,
+        signed_count: int | None = None,
+        expected_signed_count: int | None = None,
+        signed_count_ok: bool | None = None,
+        messages: list[str] | None = None,
+    ):
+        self.scenario = scenario
+        self.epsilon = epsilon
+        self.degenerate_abstained = degenerate_abstained
+        self.found = [] if found is None else found
+        self.predicted_count = predicted_count
+        self.bijection_ok = bijection_ok
+        self.indices_ok = indices_ok
+        self.signed_count = signed_count
+        self.expected_signed_count = expected_signed_count
+        self.signed_count_ok = signed_count_ok
+        self.messages = [] if messages is None else messages
 
     @property
     def ok(self) -> bool:
@@ -508,8 +537,7 @@ def _extrapolate_to_zero(seq) -> np.ndarray:
     return limit
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     classification: str  # "localises" | "escapes" | "inconclusive"
     limit_point: np.ndarray
     grad_s0_residual: float

@@ -29,8 +29,7 @@ Z0 for restricted-index computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Z0Component:
+class _Record:
+    """Base of the mutable records: a repr over the fields named in __slots__."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Z0Component(NamedTuple):
     """Declared metadata for one connected component of Crit(S0)."""
 
     name: str
@@ -60,38 +68,68 @@ class Z0Component:
     morse_bott_index: int
 
 
-@dataclass
-class Z1Site:
+class Z1Site(_Record):
     """One charted piece of Z1 = Crit(S1|Z0).
 
     ``z0_chart`` parametrizes Z0 near ``point`` (chart(0) = point) and is
     used to compute the index of S1 restricted to Z0.  When ``flat`` is set,
     S1|Z0 is constant along the chart, Z1 fills the whole chart, and the
     leading-term function is minimized over it starting from ``flat_seeds``.
+    ``point`` is stored as a float array.
     """
 
-    point: np.ndarray
-    component: Z0Component
-    z0_chart: Callable[[np.ndarray], np.ndarray]
-    z0_dim: int
-    flat: bool = False
-    flat_seeds: tuple = ()
+    __slots__ = ("point", "component", "z0_chart", "z0_dim", "flat", "flat_seeds")
 
-    def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
+    def __init__(
+        self,
+        point: np.ndarray,
+        component: Z0Component,
+        z0_chart: Callable[[np.ndarray], np.ndarray],
+        z0_dim: int,
+        flat: bool = False,
+        flat_seeds: tuple = (),
+    ):
+        self.point = np.asarray(point, dtype=float)
+        self.component = component
+        self.z0_chart = z0_chart
+        self.z0_dim = z0_dim
+        self.flat = flat
+        self.flat_seeds = flat_seeds
 
 
-@dataclass
-class Scenario:
-    name: str
-    family: PerturbationFamily
-    components: tuple[Z0Component, ...]
-    z1_sites: tuple[Z1Site, ...]
-    z0_sampler: Callable[[int], np.ndarray]  # n evenly spaced points of Z0
-    psi: Callable[[np.ndarray], float] = field(
-        default=lambda x: float(np.linalg.norm(x))
+def _norm(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x))
+
+
+class Scenario(_Record):
+    """A perturbation family with its declared critical structure.
+
+    ``z0_sampler(n)`` returns n evenly spaced points of Z0; ``psi`` bounds the
+    localisation neighborhood; ``chi_c_count_valid`` declares S1|Z0 proper and
+    bounded below, which the eps < 0 signed count needs.
+    """
+
+    __slots__ = (
+        "name", "family", "components", "z1_sites", "z0_sampler", "psi", "chi_c_count_valid"
     )
-    chi_c_count_valid: bool = True  # S1|Z0 proper and bounded below, author-declared
+
+    def __init__(
+        self,
+        name: str,
+        family: PerturbationFamily,
+        components: tuple[Z0Component, ...],
+        z1_sites: tuple[Z1Site, ...],
+        z0_sampler: Callable[[int], np.ndarray],
+        psi: Callable[[np.ndarray], float] = _norm,
+        chi_c_count_valid: bool = True,
+    ):
+        self.name = name
+        self.family = family
+        self.components = components
+        self.z1_sites = z1_sites
+        self.z0_sampler = z0_sampler
+        self.psi = psi
+        self.chi_c_count_valid = chi_c_count_valid
 
     @property
     def dim(self) -> int:

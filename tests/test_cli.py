@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seifertlab
-import seifertlab.cli as cli
 from helpers import coprime_triples
 from seifertlab.cli import main
 from seifertlab.errors import ConsistencyError
@@ -413,6 +412,41 @@ def test_exact_only_calls_do_not_load_numpy():
         assert proc.stderr.endswith("loaded: []"), proc.stderr
 
 
+EXACT_SIDE = (
+    "seifertlab.exact",
+    "seifertlab.orbifold",
+    "seifertlab.seifert",
+    "seifertlab.moduli",
+    "seifertlab.singularity",
+    "seifertlab.reports",
+    "fractions",
+    "dataclasses",
+)
+
+
+def test_perturb_calls_do_not_load_the_exact_side(tmp_path):
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text(
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1]}\n'
+        '{"mode": "perturb", "scenario": "linear", "eps": [0.05, -0.05]}\n'
+    )
+    report = f"sys.stderr.write('loaded: %s' % [m for m in {EXACT_SIDE!r} if m in sys.modules])\n"
+    run_cli = "import sys\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n" + report
+    for script, argv in (
+        (run_cli, ["perturb", "--scenario", "circle", "--eps", "0.1,-0.02"]),
+        (run_cli, ["batch", str(batch)]),
+        ("import sys\nimport seifertlab.perturb\n" + report, []),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("loaded: []"), proc.stderr
+
+
 def _cli_env(unbuffered: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seifertlab.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
@@ -626,7 +660,7 @@ def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatc
     def failing(max_exponent):
         raise ConsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "verify_sweep_report", failing)
+    monkeypatch.setattr("seifertlab.reports.verify_sweep_report", failing)
     code, outputs = _batch(
         capsys, tmp_path,
         '{"mode": "brieskorn", "exponents": [2, 3, 7]}',
@@ -636,6 +670,27 @@ def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatc
     assert code == 1
     assert len(outputs) == 3
     assert outputs[1]["error"] == {"kind": "consistency", "message": "line 2: routes disagree"}
+    assert outputs[2]["invariants"]["pg"] == 0
+
+
+def test_batch_deeply_nested_line_gives_error_object(tmp_path):
+    path = tmp_path / "requests.ndjson"
+    path.write_text(
+        '{"mode": "brieskorn", "exponents": [2, 3, 7]}\n'
+        + "[" * 100000 + "]" * 100000 + "\n"
+        + '{"mode": "brieskorn", "exponents": [2, 3, 5]}\n'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "seifertlab.cli", "batch", str(path)],
+        capture_output=True, text=True, env=_cli_env(False), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    outputs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(outputs) == 3
+    assert outputs[0]["invariants"]["casson"] == -1
+    assert outputs[1]["error"]["kind"] == "validation"
+    assert outputs[1]["error"]["message"].startswith("line 2: ")
     assert outputs[2]["invariants"]["pg"] == 0
 
 

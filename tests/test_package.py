@@ -1,0 +1,76 @@
+"""The package namespace: its public names and the README library example."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import seifertlab
+
+# the names `seifertlab` exports, by the submodule that defines them
+EXPORTS = {
+    "exact": ("LaurentPoly", "Rational", "cp_poincare", "euler_eval", "hat_normalize"),
+    "orbifold": (
+        "LineBundleData", "Orbifold", "canonical_bundle", "dual", "h0", "normalize",
+        "orbifold_euler_char", "power", "tensor", "trivial_bundle",
+    ),
+    "seifert": (
+        "SeifertData", "brieskorn_seifert_data", "bundle_log", "n_bundle",
+        "validate_homology_sphere",
+    ),
+    "moduli": (
+        "EVector", "ZComponent", "enumerate_e_vectors", "excess_poincare",
+        "exponent_closed_form", "exponent_via_bundles", "hp_poincare", "moduli_report",
+        "sl2c_euler", "sl2c_poincare", "solve_L0_k", "z_decomposition",
+    ),
+    "singularity": (
+        "brieskorn_invariants", "casson_invariant", "geometric_genus_divisors",
+        "geometric_genus_pd", "milnor_number", "signature_durfee",
+        "signature_lattice_oracle", "verify_identity_chain",
+    ),
+    "errors": ("ConsistencyError",),
+}
+SRC = os.path.dirname(os.path.dirname(seifertlab.__file__))
+README = os.path.join(os.path.dirname(SRC), "README.md")
+
+
+def test_public_names_are_the_exported_set():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == 41
+    assert sorted(seifertlab.__all__) == sorted(names)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_public_names_resolve_to_their_submodule_objects(module):
+    defining = importlib.import_module(f"seifertlab.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(seifertlab, name) is getattr(defining, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seifertlab.no_such_name
+    assert not hasattr(seifertlab, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from seifertlab import *", namespace)
+    assert set(seifertlab.__all__) <= set(namespace)
+
+
+def test_readme_library_example_prints_its_documented_values():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    example = re.search(r"## Library example\s+```python\n(.*?)```", text, re.S).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2", "-2 6", "6", "0"]

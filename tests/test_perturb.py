@@ -7,6 +7,10 @@ import pytest
 
 from seifertlab.perturb import (
     DegenerateCriticalPointError,
+    ExperimentReport,
+    NewtonResult,
+    Z0Component,
+    Z1Site,
     MultiplierError,
     PerturbationFamily,
     ScalarField,
@@ -388,6 +392,21 @@ def test_localisation_abstains_on_degenerate_family():
     )
     rep = run_localisation(degenerate, [0.1])[0]
     assert rep.degenerate_abstained and not rep.ok
+
+
+def test_record_construction_semantics():
+    comp = Z0Component("point", 1, 1, 0)
+    site = Z1Site([1, 0, 0], comp, lambda t: np.zeros(3), z0_dim=0)
+    assert isinstance(site.point, np.ndarray) and site.point.dtype == float
+    assert site.point.tolist() == [1.0, 0.0, 0.0]
+    assert not site.flat and site.flat_seeds == ()
+    first, second = ExperimentReport("a", 0.1, False), ExperimentReport("b", 0.2, False)
+    assert first.found is not second.found and first.messages is not second.messages
+    first.messages.append("note")
+    assert second.messages == [] and first.as_dict()["messages"] == ["note"]
+    result = NewtonResult(np.zeros(1), 0.0, 0.0, 0, True)
+    assert result.message == ""
+    assert result._fields == ("point", "grad_norm", "value", "iterations", "converged", "message")
 
 
 def test_localisation_rejects_zero_eps():
