@@ -8,8 +8,9 @@ cannot be written (a closed pipe, a full disk), the error object goes to
 stderr as one line and the exit code is 2.
 
 Each mode imports only its own side: the exact modes load the exact stack
-(reports, seifert, moduli, ...) and never numpy, and ``perturb`` loads
-``seifertlab.perturb`` and numpy and never the exact stack.
+(reports, seifert, moduli, ...), and ``perturb`` loads ``seifertlab.perturb``
+and never the exact stack.  Neither side needs anything beyond the standard
+library.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def run_request(req: dict) -> tuple[dict, bool]:
 
         su2 = parse_poly(su2_text)
     casson = _typed(req, "casson", int, required=False)
-    # each branch imports its own side: exact calls never load numpy, and
-    # perturb calls never load the exact stack
+    # each branch imports its own side: exact calls never load the perturb
+    # lab, and perturb calls never load the exact stack
     if mode == "brieskorn":
         from .reports import brieskorn_report
 

@@ -2,31 +2,54 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 __all__ = ["ScalarField", "PerturbationFamily"]
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
 
+Vector = tuple[float, ...]
+Matrix = tuple[Vector, ...]
+
+
+def _vec(x) -> Vector:
+    return tuple(map(float, x))
+
+
+def _mat(rows) -> Matrix:
+    return tuple([tuple(map(float, row)) for row in rows])
+
+
+def _combine(eps: float, v0, v1, v2) -> Vector:
+    """v0 + eps*v1 + eps^2*v2, entry by entry."""
+    e2 = eps**2
+    return tuple([a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)])
+
+
+def _shift(x: Vector, i: int, h: float) -> Vector:
+    """x with h added to its i-th coordinate."""
+    return x[:i] + (x[i] + h,) + x[i + 1:]
+
 
 class ScalarField:
     """A smooth function R^d -> R with optional analytic gradient/Hessian.
 
-    When an analytic evaluator is absent, central finite differences stand in
-    (step ``GRAD_STEP`` for gradients, ``HESS_STEP`` for Hessians).  Where
-    both exist they must agree within finite-difference accuracy; the test
-    suite checks this on every built-in scenario.
+    Points are handed to the callbacks as tuples of floats; the gradient and
+    Hessian callbacks may return any float sequences (rows, for a Hessian),
+    numpy arrays included, and come back as tuples.  When an analytic
+    evaluator is absent, central finite differences stand in (step
+    ``GRAD_STEP`` for gradients, ``HESS_STEP`` for Hessians).  Where both
+    exist they must agree within finite-difference accuracy; the test suite
+    checks this on every built-in scenario.
     """
 
     def __init__(
         self,
         dim: int,
-        f: Callable[[np.ndarray], float],
-        grad: Callable[[np.ndarray], np.ndarray] | None = None,
-        hess: Callable[[np.ndarray], np.ndarray] | None = None,
+        f: Callable[[Vector], float],
+        grad: Callable[[Vector], Sequence[float]] | None = None,
+        hess: Callable[[Vector], Sequence[Sequence[float]]] | None = None,
         name: str = "",
         is_zero: bool = False,
     ):
@@ -41,68 +64,66 @@ class ScalarField:
 
     @classmethod
     def zero(cls, dim: int) -> "ScalarField":
+        zeros = (0.0,) * dim
         return cls(
             dim,
             f=lambda x: 0.0,
-            grad=lambda x: np.zeros(dim),
-            hess=lambda x: np.zeros((dim, dim)),
+            grad=lambda x: zeros,
+            hess=lambda x: (zeros,) * dim,
             name="0",
             is_zero=True,
         )
 
     def value(self, x) -> float:
-        return float(self._f(np.asarray(x, dtype=float)))
+        return float(self._f(_vec(x)))
 
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def gradient(self, x) -> Vector:
         if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
+            return _vec(self._grad(_vec(x)))
         return self.fd_gradient(x)
 
-    def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def hessian(self, x) -> Matrix:
         if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
+            return _mat(self._hess(_vec(x)))
         return self.fd_hessian(x)
 
-    def fd_gradient(self, x, step: float = GRAD_STEP) -> np.ndarray:
+    def fd_gradient(self, x, step: float = GRAD_STEP) -> Vector:
         """Central-difference gradient, independent of any analytic evaluator."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = step
-            out[i] = (self._f(x + e) - self._f(x - e)) / (2 * step)
-        return out
+        x = _vec(x)
+        f = self._f
+        return _vec(
+            (f(_shift(x, i, step)) - f(_shift(x, i, -step))) / (2 * step)
+            for i in range(self.dim)
+        )
 
-    def fd_hessian(self, x, step: float = HESS_STEP) -> np.ndarray:
+    def fd_hessian(self, x, step: float = HESS_STEP) -> Matrix:
         """Central-difference Hessian, symmetrized."""
-        x = np.asarray(x, dtype=float)
+        x = _vec(x)
+        f = self._f
         n = self.dim
-        out = np.zeros((n, n))
-        f0 = self._f(x)
+        out = [[0.0] * n for _ in range(n)]
+        f0 = f(x)
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            out[i, i] = (self._f(x + ei) - 2 * f0 + self._f(x - ei)) / step**2
+            xp, xm = _shift(x, i, step), _shift(x, i, -step)
+            out[i][i] = (f(xp) - 2 * f0 + f(xm)) / step**2
             for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
                 mixed = (
-                    self._f(x + ei + ej)
-                    - self._f(x + ei - ej)
-                    - self._f(x - ei + ej)
-                    + self._f(x - ei - ej)
+                    f(_shift(xp, j, step))
+                    - f(_shift(xp, j, -step))
+                    - f(_shift(xm, j, step))
+                    + f(_shift(xm, j, -step))
                 ) / (4 * step**2)
-                out[i, j] = mixed
-                out[j, i] = mixed
-        return out
+                out[i][j] = mixed
+                out[j][i] = mixed
+        return _mat(out)
 
-    def restrict(self, chart: Callable[[np.ndarray], np.ndarray], dim: int, name: str = "") -> "ScalarField":
+    def restrict(
+        self, chart: Callable[[Vector], Sequence[float]], dim: int, name: str = ""
+    ) -> "ScalarField":
         """The composition with a chart t -> x(t); derivatives via differences."""
         return ScalarField(
             dim,
-            f=lambda t: self._f(np.asarray(chart(np.asarray(t, dtype=float)), dtype=float)),
+            f=lambda t: self._f(_vec(chart(_vec(t)))),
             name=name or f"{self.name}|chart",
             is_zero=self.is_zero,
         )
@@ -130,19 +151,12 @@ class PerturbationFamily:
     def value(self, x, eps: float) -> float:
         return self.s0.value(x) + eps * self.s1.value(x) + eps**2 * self.s2.value(x)
 
-    def gradient(self, x, eps: float) -> np.ndarray:
-        return (
-            self.s0.gradient(x)
-            + eps * self.s1.gradient(x)
-            + eps**2 * self.s2.gradient(x)
-        )
+    def gradient(self, x, eps: float) -> Vector:
+        return _combine(eps, self.s0.gradient(x), self.s1.gradient(x), self.s2.gradient(x))
 
-    def hessian(self, x, eps: float) -> np.ndarray:
-        return (
-            self.s0.hessian(x)
-            + eps * self.s1.hessian(x)
-            + eps**2 * self.s2.hessian(x)
-        )
+    def hessian(self, x, eps: float) -> Matrix:
+        h0, h1, h2 = self.s0.hessian(x), self.s1.hessian(x), self.s2.hessian(x)
+        return tuple([_combine(eps, r0, r1, r2) for r0, r1, r2 in zip(h0, h1, h2)])
 
     def at(self, eps: float) -> ScalarField:
         """S_eps as a single field; derivatives stay analytic if the parts are."""

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .fields import PerturbationFamily, ScalarField
-from .linalg import inertia_counts, kernel_basis, pinv_solve
+from .fields import PerturbationFamily, ScalarField, Vector
+from .linalg import (
+    LinAlgError,
+    _add,
+    _axpy,
+    _dot,
+    _matvec,
+    _neg,
+    _norm,
+    _sub,
+    eigh,
+    inertia_counts,
+    kernel_basis,
+    pinv_solve,
+    solve,
+)
 from .scenarios import Scenario, Z1Site, _Record
 
 __all__ = [
@@ -36,6 +49,8 @@ RANK_RTOL = 1e-8  # pseudo-inverse cutoff, relative to the largest |eigenvalue|
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
 GAP_SHARE = 1e-2  # share of the smallest predicted eigenvalue that the gap takes
 EIGEN_RESOLUTION = 1e-12  # relative eigenvalue size float64 Hessians resolve, with margin
+# what float ** and the math functions raise where array arithmetic gives inf or nan
+_NON_FINITE = (ArithmeticError, ValueError)
 
 
 class DegenerateCriticalPointError(RuntimeError):
@@ -47,7 +62,7 @@ class MultiplierError(RuntimeError):
 
 
 class NewtonResult(NamedTuple):
-    point: np.ndarray
+    point: Vector
     grad_norm: float
     value: float
     iterations: int
@@ -55,9 +70,19 @@ class NewtonResult(NamedTuple):
     message: str = ""
 
 
-# a non-finite trial is no progress and a huge iterate divergence, so overflow
-# on the way there is expected, not an error
-@np.errstate(over="ignore", invalid="ignore")
+def _or_nan(evaluate, x: Vector, nan):
+    """evaluate(x), or ``nan`` where a float overflow or a domain error stops it.
+
+    Array arithmetic gives inf or nan there, and Newton reads a non-finite
+    trial as no progress and a huge iterate as divergence, so an overflow on
+    the way there is expected, not an error.
+    """
+    try:
+        return evaluate(x)
+    except _NON_FINITE:
+        return nan
+
+
 def newton_critical_point(
     S: ScalarField,
     seed,
@@ -72,64 +97,69 @@ def newton_critical_point(
     until the gradient norm decreases.  Fails on divergence (iterate norm
     above 1e6), on a step that cannot make progress, or after max_iter.
     """
-    x = np.asarray(seed, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
+    x = tuple(map(float, seed))
+    if not all(map(math.isfinite, x)):
         raise ValueError("seed must be finite")
-    g = S.gradient(x)
-    gnorm = float(np.linalg.norm(g))
+    nan_vector = (math.nan,) * len(x)
+    nan_matrix = (nan_vector,) * len(x)
+    g = _or_nan(S.gradient, x, nan_vector)
+    gnorm = _norm(g)
     for it in range(max_iter):
         if gnorm <= tol:
             x, g, gnorm = _polish(S, x, g, gnorm)
-            return NewtonResult(x, gnorm, S.value(x), it, True)
-        if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            return NewtonResult(x, gnorm, S.value(x), it, False, "diverged")
-        H = S.hessian(x)
+            return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, True)
+        if _norm(x) > DIVERGENCE_NORM:
+            return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, False, "diverged")
+        H = _or_nan(S.hessian, x, nan_matrix)
         try:
-            step = np.linalg.solve(H, -g)
-            if not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = -pinv_solve(H, g, rtol=1e-12)
-        if float(np.linalg.norm(step)) == 0.0:
-            step = -g  # kernel-only gradient: descend directly
+            step = solve(H, _neg(g))
+            if not all(map(math.isfinite, step)):
+                raise LinAlgError
+        except LinAlgError:
+            step = _neg(pinv_solve(H, g, rtol=1e-12))
+        if _norm(step) == 0.0:
+            step = _neg(g)  # kernel-only gradient: descend directly
         t = 1.0
         moved = False
         while t >= 2.0**-30:
-            xn = x + t * step
-            gn = S.gradient(xn)
-            gn_norm = float(np.linalg.norm(gn))
-            if np.isfinite(gn_norm) and gn_norm < gnorm:
+            xn = _axpy(t, step, x)
+            gn = _or_nan(S.gradient, xn, nan_vector)
+            gn_norm = _norm(gn)
+            if math.isfinite(gn_norm) and gn_norm < gnorm:
                 x, g, gnorm = xn, gn, gn_norm
                 moved = True
                 break
             t *= 0.5
         if not moved:
-            return NewtonResult(x, gnorm, S.value(x), it + 1, False, "no progress")
-    return NewtonResult(x, gnorm, S.value(x), max_iter, gnorm <= tol, "max iterations")
+            value = _or_nan(S.value, x, math.nan)
+            return NewtonResult(x, gnorm, value, it + 1, False, "no progress")
+    value = _or_nan(S.value, x, math.nan)
+    return NewtonResult(x, gnorm, value, max_iter, gnorm <= tol, "max iterations")
 
 
 def _polish(S: ScalarField, x, g, gnorm, rounds: int = 2):
     """Extra full Newton steps once converged, keeping only strict improvements."""
+    nan_vector = (math.nan,) * len(x)
     for _ in range(rounds):
         try:
-            step = np.linalg.solve(S.hessian(x), -g)
-        except np.linalg.LinAlgError:
+            step = solve(_or_nan(S.hessian, x, (nan_vector,) * len(x)), _neg(g))
+        except LinAlgError:
             break
-        xn = x + step
-        gn = S.gradient(xn)
-        gn_norm = float(np.linalg.norm(gn))
-        if not np.isfinite(gn_norm) or gn_norm >= gnorm:
+        xn = _add(x, step)
+        gn = _or_nan(S.gradient, xn, nan_vector)
+        gn_norm = _norm(gn)
+        if not math.isfinite(gn_norm) or gn_norm >= gnorm:
             break
         x, g, gnorm = xn, gn, gn_norm
     return x, g, gnorm
 
 
-def _index(evals: np.ndarray, gap: float) -> int:
+def _index(evals, gap: float) -> int:
     """Negative count of a spectrum; raises if an eigenvalue lies within gap."""
     neg, null, _ = inertia_counts(evals, gap)
     if null:
         raise DegenerateCriticalPointError(
-            f"Hessian eigenvalue within gap {gap:g}: spectrum {evals.tolist()}"
+            f"Hessian eigenvalue within gap {gap:g}: spectrum {list(evals)}"
         )
     return neg
 
@@ -141,14 +171,13 @@ def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     precondition here, and a value inside the band means the point is
     degenerate at this resolution.
     """
-    return _index(np.linalg.eigvalsh(S.hessian(x)), gap)
+    return _index(eigh(S.hessian(x))[0], gap)
 
 
 def morse_bott_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     """Negative-eigenvalue count, tolerating the near-zero band as tangent
     directions of the critical manifold."""
-    evals = np.linalg.eigvalsh(S.hessian(x))
-    neg, _, _ = inertia_counts(evals, gap)
+    neg, _, _ = inertia_counts(eigh(S.hessian(x))[0], gap)
     return neg
 
 
@@ -158,7 +187,7 @@ def lagrange_multiplier(
     x,
     rank_rtol: float = RANK_RTOL,
     residual_tol: float = 1e-8,
-) -> np.ndarray:
+) -> Vector:
     """Minimal-norm solution lambda of Hess S0(x) * lambda = -grad S1(x).
 
     Solved through the spectral pseudo-inverse with rank cutoff
@@ -166,11 +195,10 @@ def lagrange_multiplier(
     part of grad S1 tangent to Crit(S0) vanishes, i.e. when x lies on Z1; a
     residual at or above residual_tol is reported as an error.
     """
-    x = np.asarray(x, dtype=float)
     H = s0.hessian(x)
     g = s1.gradient(x)
-    lam = -pinv_solve(H, g, rtol=rank_rtol)
-    residual = float(np.linalg.norm(H @ lam + g))
+    lam = _neg(pinv_solve(H, g, rtol=rank_rtol))
+    residual = _norm(_add(_matvec(H, lam), g))
     if residual >= residual_tol:
         raise MultiplierError(
             f"multiplier residual {residual:.3e} >= {residual_tol:g}; "
@@ -181,9 +209,8 @@ def lagrange_multiplier(
 
 def leading_term(family: PerturbationFamily, x) -> float:
     """The localisation leading term (1/2) <grad S1, lambda> + S2 at x on Z1."""
-    x = np.asarray(x, dtype=float)
     lam = lagrange_multiplier(family.s0, family.s1, x)
-    return 0.5 * float(family.s1.gradient(x) @ lam) + family.s2.value(x)
+    return 0.5 * _dot(family.s1.gradient(x), lam) + family.s2.value(x)
 
 
 def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
@@ -193,13 +220,10 @@ def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
     not see that ambiguity.  Returns max_k |(1/2) <grad S1, k>| over an
     orthonormal kernel basis.
     """
-    x = np.asarray(x, dtype=float)
     H = family.s0.hessian(x)
     g1 = family.s1.gradient(x)
     basis = kernel_basis(H, rtol=RANK_RTOL)
-    if basis.size == 0:
-        return 0.0
-    return float(np.max(np.abs(0.5 * (basis.T @ g1))))
+    return max((abs(0.5 * _dot(k, g1)) for k in basis), default=0.0)
 
 
 class PredictedPoint(NamedTuple):
@@ -210,7 +234,7 @@ class PredictedPoint(NamedTuple):
     continues this one.
     """
 
-    point: np.ndarray
+    point: Vector
     site: Z1Site
     indices: dict[int, int]
 
@@ -218,7 +242,7 @@ class PredictedPoint(NamedTuple):
 def _f_chart_field(family: PerturbationFamily, site: Z1Site) -> ScalarField:
     return ScalarField(
         site.z0_dim,
-        f=lambda t: leading_term(family, site.z0_chart(np.asarray(t, dtype=float))),
+        f=lambda t: leading_term(family, site.z0_chart(t)),
         name="f|chart",
     )
 
@@ -241,27 +265,25 @@ def predicted_critical_points(
     for site in scenario.z1_sites:
         if site.flat:
             f_chart = _f_chart_field(scenario.family, site)
-            found_params: list[np.ndarray] = []
+            found_params: list[Vector] = []
             for seed in site.flat_seeds:
-                res = newton_critical_point(f_chart, np.asarray(seed, dtype=float), tol=newton_tol)
+                res = newton_critical_point(f_chart, seed, tol=newton_tol)
                 if not res.converged:
                     continue
-                if all(np.linalg.norm(res.point - p) > dedupe_radius for p in found_params):
+                if all(_norm(_sub(res.point, p)) > dedupe_radius for p in found_params):
                     found_params.append(res.point)
             charted = [(site.z0_chart(p), p, morse_index(f_chart, p, gap)) for p in found_params]
         else:
-            charted = [(site.point, np.zeros(site.z0_dim), 0)]
+            charted = [(site.point, (0.0,) * site.z0_dim, 0)]
         restricted = scenario.family.s1.restrict(site.z0_chart, site.z0_dim)
         for point, params, f_index in charted:
             s1_neg = s1_pos = 0
             if site.z0_dim:
-                s1_neg, _, s1_pos = inertia_counts(
-                    np.linalg.eigvalsh(restricted.fd_hessian(params)), gap
-                )
+                s1_neg, _, s1_pos = inertia_counts(eigh(restricted.fd_hessian(params))[0], gap)
             base = site.component.morse_bott_index + f_index
             out.append(
                 PredictedPoint(
-                    point=np.array(point, dtype=float),
+                    point=tuple(map(float, point)),
                     site=site,
                     indices={1: base + s1_neg, -1: base + s1_pos},
                 )
@@ -283,7 +305,7 @@ def predicted_spectrum(scenario: Scenario, predicted: PredictedPoint, eps_sign: 
 
 
 class FoundPoint(NamedTuple):
-    point: np.ndarray
+    point: Vector
     value: float
     grad_residual: float
     index: int | None
@@ -454,7 +476,7 @@ def run_localisation(
                     f"newton failed from prediction {i}: {res.message}"
                 )
                 continue
-            if all(np.linalg.norm(res.point - r.point) >= 10 * tol for r in results):
+            if all(_norm(_sub(res.point, r.point)) >= 10 * tol for r in results):
                 results.append(res)
 
         # nearest-prediction assignment; a basin miss or a collision breaks it
@@ -463,8 +485,8 @@ def run_localisation(
         for res in results:
             x = res.point
             outside = scenario.psi(x) > c_bound
-            dists = [float(np.linalg.norm(x - p.point)) for p in preds]
-            j = int(np.argmin(dists)) if dists else None
+            dists = [_norm(_sub(x, p.point)) for p in preds]
+            j = min(range(len(dists)), key=dists.__getitem__) if dists else None
             matched = j if (j is not None and dists[j] <= basin_radius) else None
             if matched is None or matched in used:
                 if not outside:
@@ -472,11 +494,11 @@ def run_localisation(
                 matched = None
             else:
                 used.add(matched)
-            evals = np.linalg.eigvalsh(S_eps.hessian(x))
-            abs_evals = np.abs(evals)
+            evals = eigh(S_eps.hessian(x))[0]
+            abs_evals = [abs(v) for v in evals]
             index: int | None
             try:
-                index = _index(evals, spectral_gap(scenario, eps, float(np.max(abs_evals))))
+                index = _index(evals, spectral_gap(scenario, eps, max(abs_evals)))
             except DegenerateCriticalPointError as exc:
                 index = None
                 report.messages.append(str(exc))
@@ -488,7 +510,7 @@ def run_localisation(
                     index=index,
                     predicted_index=None if matched is None else preds[matched].indices[sign],
                     matched_prediction=matched,
-                    min_abs_hessian_eig=float(np.min(abs_evals)),
+                    min_abs_hessian_eig=min(abs_evals),
                     outside_basin=outside,
                 )
             )
@@ -514,7 +536,7 @@ def run_localisation(
     return reports
 
 
-def _extrapolate_to_zero(seq) -> np.ndarray:
+def _extrapolate_to_zero(seq) -> Vector:
     """Lagrange extrapolation of x(eps) to eps = 0 from the last <= 3 points.
 
     ``seq`` is sorted by decreasing |eps|; duplicate eps values collapse to
@@ -522,24 +544,24 @@ def _extrapolate_to_zero(seq) -> np.ndarray:
     distinct eps: polynomial extrapolation, which kills the O(eps) (and
     O(eps^2)) drift of a continued critical branch.
     """
-    tail: list[tuple[float, np.ndarray]] = []
+    tail: list[tuple[float, Vector]] = []
     for e, x in seq:
         tail = [(ee, xx) for ee, xx in tail if ee != e]
         tail.append((e, x))
     tail = tail[-3:]
-    limit = np.zeros_like(tail[0][1])
+    limit = (0.0,) * len(tail[0][1])
     for i, (ei, xi) in enumerate(tail):
         weight = 1.0
         for j, (ej, _) in enumerate(tail):
             if j != i:
                 weight *= (0.0 - ej) / (ei - ej)
-        limit = limit + weight * xi
+        limit = _axpy(weight, xi, limit)
     return limit
 
 
 class ConvergenceReport(NamedTuple):
     classification: str  # "localises" | "escapes" | "inconclusive"
-    limit_point: np.ndarray
+    limit_point: Vector
     grad_s0_residual: float
     tangential_s1_residual: float
     message: str = ""
@@ -575,13 +597,13 @@ def convergence_filter(
     if not pairs:
         raise ValueError("need at least one (eps, point) pair")
     family = scenario.family
-    seq = [(float(e), np.asarray(x, dtype=float)) for e, x in pairs]
+    seq = [(float(e), tuple(map(float, x))) for e, x in pairs]
     seq.sort(key=lambda p: -abs(p[0]))
     for e, x in seq:
-        gnorm = float(np.linalg.norm(family.gradient(x, e)))
+        gnorm = _norm(family.gradient(x, e))
         if gnorm > crit_tol:
             raise ValueError(
-                f"({e}, {x.tolist()}) is not a critical point: |grad S_eps| = {gnorm:.3e}"
+                f"({e}, {list(x)}) is not a critical point: |grad S_eps| = {gnorm:.3e}"
             )
     if scenario.psi(seq[-1][1]) > c_bound:
         return ConvergenceReport(
@@ -600,10 +622,10 @@ def convergence_filter(
             tangential_s1_residual=float("nan"),
             message="extrapolated limit leaves the bounded region",
         )
-    r0 = float(np.linalg.norm(family.s0.gradient(limit)))
+    r0 = _norm(family.s0.gradient(limit))
     basis = kernel_basis(family.s0.hessian(limit), rtol=RANK_RTOL)
     g1 = family.s1.gradient(limit)
-    r1 = float(np.linalg.norm(basis.T @ g1)) if basis.size else 0.0
+    r1 = _norm([_dot(k, g1) for k in basis])
     if r0 < residual_lo and r1 < residual_lo:
         return ConvergenceReport("localises", limit, r0, r1)
     if r0 > residual_hi or r1 > residual_hi:

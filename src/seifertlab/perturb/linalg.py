@@ -1,45 +1,189 @@
-"""Small helpers for symmetric eigen-analysis: inertia, kernels, pseudo-inverse."""
+"""Dense linear algebra for the lab's small symmetric problems, in plain floats.
+
+Vectors are tuples of floats and matrices are sequences of rows.  The lab's
+scenarios live in at most three dimensions, where a Python loop costs less
+than an array library's per-call overhead.
+
+``eigh`` is cyclic Jacobi with Rutishauser's rotation formulas.  An
+off-diagonal entry counts as negligible when
+|a_pq| <= eps_machine * sqrt(|a_pp| * |a_qq|), and the iteration stops after
+a sweep that finds every entry negligible.  This cutoff is the one under
+which Jacobi resolves tiny eigenvalues with high relative accuracy (Demmel &
+Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
+Appl. 13, 1992).  ``solve`` is LU with partial pivoting.  Like LAPACK's
+``gesv``, it fails only on an exactly zero pivot.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import sys
+from operator import add, mul, neg, sub
 
-__all__ = ["inertia_counts", "kernel_basis", "pinv_solve"]
+__all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "kernel_basis", "pinv_solve"]
+
+_EPS = sys.float_info.epsilon
+_MAX_SWEEPS = 64  # Jacobi converges quadratically; finite input needs a handful
 
 
-def inertia_counts(evals: np.ndarray, gap: float) -> tuple[int, int, int]:
+class LinAlgError(ArithmeticError):
+    """A singular system, or an eigenproblem that did not converge."""
+
+
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def _norm(x) -> float:
+    """Euclidean norm with unscaled squares, so a huge vector's norm overflows to inf."""
+    return math.sqrt(_dot(x, x))
+
+
+def _axpy(a: float, x, y) -> tuple:
+    """y + a*x."""
+    return tuple(yi + a * xi for xi, yi in zip(x, y))
+
+
+def _add(x, y) -> tuple:
+    return tuple(map(add, x, y))
+
+
+def _sub(x, y) -> tuple:
+    return tuple(map(sub, x, y))
+
+
+def _neg(x) -> tuple:
+    return tuple(map(neg, x))
+
+
+def _matvec(A, x) -> tuple:
+    return tuple(_dot(row, x) for row in A)
+
+
+def _rotation_pairs(n: int) -> list[tuple[int, int, list[int]]]:
+    """Jacobi's cyclic order: each (p, q) with p < q, and the other indices."""
+    return [
+        (p, q, [r for r in range(n) if r != p and r != q])
+        for p in range(n)
+        for q in range(p + 1, n)
+    ]
+
+
+def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Eigenvalues of symmetric A in ascending order, and unit eigenvectors.
+
+    Returns ``(evals, vecs)`` with ``vecs[k]`` the eigenvector of
+    ``evals[k]``; the vectors are orthonormal.  Only the lower triangle of A
+    is read.  A matrix with a non-finite entry gets nan eigenvalues.
+    """
+    n = len(A)
+    a = [list(map(float, row)) for row in A]
+    w = [[0.0] * n for _ in range(n)]  # rows: the eigenvectors
+    for i in range(n):
+        w[i][i] = 1.0
+        for j in range(i):
+            a[j][i] = a[i][j]
+    if not all(math.isfinite(v) for row in a for v in row):
+        return (math.nan,) * n, tuple(map(tuple, w))
+    sqrt = math.sqrt
+    pairs = _rotation_pairs(n)
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q, others in pairs:
+            ap, aq = a[p], a[q]
+            apq, app, aqq = ap[q], ap[p], aq[q]
+            if abs(apq) <= _EPS * sqrt(abs(app)) * sqrt(abs(aqq)):
+                ap[q] = aq[p] = 0.0
+                continue
+            rotated = True
+            theta = (aqq - app) / (2.0 * apq)
+            t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * apq
+            ap[p] = app - h
+            aq[q] = aqq + h
+            ap[q] = aq[p] = 0.0
+            for r in others:
+                ar = a[r]
+                g, k = ar[p], ar[q]
+                ar[p] = ap[r] = g - s * (k + g * tau)
+                ar[q] = aq[r] = k + s * (g - k * tau)
+            wp, wq = w[p], w[q]
+            for i in range(n):
+                g, k = wp[i], wq[i]
+                wp[i] = g - s * (k + g * tau)
+                wq[i] = k + s * (g - k * tau)
+        if not rotated:
+            d = [a[i][i] for i in range(n)]
+            order = sorted(range(n), key=d.__getitem__)
+            return tuple([d[i] for i in order]), tuple([tuple(w[i]) for i in order])
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def solve(A, b) -> tuple[float, ...]:
+    """x with A x = b, by LU with partial pivoting; raises on an exactly zero pivot."""
+    n = len(A)
+    a = [[*map(float, row), float(bi)] for row, bi in zip(A, b)]  # [A | b]
+    for k in range(n):
+        p, big = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > big:
+                p, big = i, abs(a[i][k])
+        if big == 0.0:
+            raise LinAlgError("Singular matrix")
+        a[k], a[p] = a[p], a[k]
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            m = row[k] / pivot
+            row[k + 1:] = [v - m * u for v, u in zip(row[k + 1:], tail)]
+    x = [row[n] for row in a]
+    for k in range(n - 1, -1, -1):  # back substitution, column by column
+        xk = x[k] = x[k] / a[k][k]
+        for i in range(k):
+            x[i] -= xk * a[i][k]
+    return tuple(x)
+
+
+def inertia_counts(evals, gap: float) -> tuple[int, int, int]:
     """(negative, near-zero, positive) eigenvalue counts with band |x| <= gap."""
-    neg = int(np.sum(evals < -gap))
-    null = int(np.sum(np.abs(evals) <= gap))
-    pos = int(np.sum(evals > gap))
+    neg = sum(1 for v in evals if v < -gap)
+    null = sum(1 for v in evals if abs(v) <= gap)
+    pos = sum(1 for v in evals if v > gap)
     return neg, null, pos
 
 
-def kernel_basis(H: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of symmetric H.
+def _cutoff(evals, rtol: float) -> float:
+    """rtol times the largest |eigenvalue|, floored at rtol * 1e-300."""
+    scale = max(map(abs, evals), default=0.0)
+    return rtol * max(scale, 1e-300)
+
+
+def kernel_basis(H, rtol: float = 1e-8) -> tuple[tuple[float, ...], ...]:
+    """Orthonormal basis of the numerical kernel of symmetric H, as k vectors.
 
     The cutoff is relative: eigenvalues of magnitude <= rtol * max|eig| count
-    as zero.  Returns a (d, k) array, possibly with k = 0.
+    as zero.  Returns a tuple of k vectors of length d, possibly with k = 0.
     """
-    evals, vecs = np.linalg.eigh(np.asarray(H, dtype=float))
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    cutoff = rtol * max(scale, 1e-300)
-    mask = np.abs(evals) <= cutoff
-    return vecs[:, mask]
+    evals, vecs = eigh(H)
+    cutoff = _cutoff(evals, rtol)
+    return tuple(v for lam, v in zip(evals, vecs) if abs(lam) <= cutoff)
 
 
-def pinv_solve(H: np.ndarray, b: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+def pinv_solve(H, b, rtol: float = 1e-8) -> tuple[float, ...]:
     """Minimal-norm least-squares solution of H x = b for symmetric H.
 
     Spectral pseudo-inverse with relative rank cutoff rtol * max|eig|; kernel
     directions receive no component, which is what makes the solution
     minimal-norm.
     """
-    H = np.asarray(H, dtype=float)
-    b = np.asarray(b, dtype=float)
-    evals, vecs = np.linalg.eigh(H)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    cutoff = rtol * max(scale, 1e-300)
-    coeffs = vecs.T @ b
-    inv = np.where(np.abs(evals) > cutoff, coeffs / np.where(evals == 0, 1.0, evals), 0.0)
-    return vecs @ inv
+    evals, vecs = eigh(H)
+    cutoff = _cutoff(evals, rtol)
+    x = (0.0,) * len(evals)
+    for lam, v in zip(evals, vecs):
+        if abs(lam) > cutoff:
+            x = _axpy(_dot(v, b) / lam, v, x)
+    return x

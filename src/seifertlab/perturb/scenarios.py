@@ -29,12 +29,11 @@ Z0 for restricted-index computations.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .fields import PerturbationFamily, ScalarField
-from .linalg import kernel_basis
+from .fields import PerturbationFamily, ScalarField, Vector
+from .linalg import _dot, _norm, kernel_basis
 
 __all__ = [
     "Z0Component",
@@ -47,6 +46,9 @@ __all__ = [
     "scenario_names",
     "scenario_by_name",
 ]
+
+
+_ZERO3 = ((0.0, 0.0, 0.0),) * 3
 
 
 class _Record:
@@ -75,30 +77,26 @@ class Z1Site(_Record):
     used to compute the index of S1 restricted to Z0.  When ``flat`` is set,
     S1|Z0 is constant along the chart, Z1 fills the whole chart, and the
     leading-term function is minimized over it starting from ``flat_seeds``.
-    ``point`` is stored as a float array.
+    ``point`` is stored as a tuple of floats.
     """
 
     __slots__ = ("point", "component", "z0_chart", "z0_dim", "flat", "flat_seeds")
 
     def __init__(
         self,
-        point: np.ndarray,
+        point,
         component: Z0Component,
-        z0_chart: Callable[[np.ndarray], np.ndarray],
+        z0_chart: Callable[[Vector], Vector],
         z0_dim: int,
         flat: bool = False,
         flat_seeds: tuple = (),
     ):
-        self.point = np.asarray(point, dtype=float)
+        self.point = tuple(map(float, point))
         self.component = component
         self.z0_chart = z0_chart
         self.z0_dim = z0_dim
         self.flat = flat
         self.flat_seeds = flat_seeds
-
-
-def _norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
 
 
 class Scenario(_Record):
@@ -119,8 +117,8 @@ class Scenario(_Record):
         family: PerturbationFamily,
         components: tuple[Z0Component, ...],
         z1_sites: tuple[Z1Site, ...],
-        z0_sampler: Callable[[int], np.ndarray],
-        psi: Callable[[np.ndarray], float] = _norm,
+        z0_sampler: Callable[[int], list[Vector]],
+        psi: Callable[[Vector], float] = _norm,
         chi_c_count_valid: bool = True,
     ):
         self.name = name
@@ -144,24 +142,20 @@ class Scenario(_Record):
         """
         problems = []
         for site in self.z1_sites:
-            g0 = self.family.s0.gradient(site.point)
-            if np.linalg.norm(g0) >= tol:
-                problems.append(
-                    f"site {site.point.tolist()}: |grad S0| = {np.linalg.norm(g0):.3e}"
-                )
-            H0 = self.family.s0.hessian(site.point)
-            tangent = kernel_basis(H0)
+            g0 = _norm(self.family.s0.gradient(site.point))
+            if g0 >= tol:
+                problems.append(f"site {list(site.point)}: |grad S0| = {g0:.3e}")
+            tangent = kernel_basis(self.family.s0.hessian(site.point))
             g1 = self.family.s1.gradient(site.point)
-            tang_part = tangent.T @ g1 if tangent.size else np.zeros(0)
-            if np.linalg.norm(tang_part) >= tol:
+            tang_part = _norm([_dot(v, g1) for v in tangent])
+            if tang_part >= tol:
                 problems.append(
-                    f"site {site.point.tolist()}: tangential |grad S1| = "
-                    f"{np.linalg.norm(tang_part):.3e}"
+                    f"site {list(site.point)}: tangential |grad S1| = {tang_part:.3e}"
                 )
         for x in self.z0_sampler(samples):
-            g0 = self.family.s0.gradient(x)
-            if np.linalg.norm(g0) >= tol:
-                problems.append(f"sampled {np.asarray(x).tolist()}: |grad S0| = {np.linalg.norm(g0):.3e}")
+            g0 = _norm(self.family.s0.gradient(x))
+            if g0 >= tol:
+                problems.append(f"sampled {list(x)}: |grad S0| = {g0:.3e}")
         return problems
 
 
@@ -172,63 +166,64 @@ def circle_scenario() -> Scenario:
 
     def s0_grad(x):
         u = x[0] ** 2 + x[1] ** 2 - 1.0
-        return np.array([4 * x[0] * u, 4 * x[1] * u, 2 * x[2]])
+        return (4 * x[0] * u, 4 * x[1] * u, 2 * x[2])
 
     def s0_hess(x):
         u = x[0] ** 2 + x[1] ** 2 - 1.0
-        return np.array(
-            [
-                [4 * u + 8 * x[0] ** 2, 8 * x[0] * x[1], 0.0],
-                [8 * x[0] * x[1], 4 * u + 8 * x[1] ** 2, 0.0],
-                [0.0, 0.0, 2.0],
-            ]
+        return (
+            (4 * u + 8 * x[0] ** 2, 8 * x[0] * x[1], 0.0),
+            (8 * x[0] * x[1], 4 * u + 8 * x[1] ** 2, 0.0),
+            (0.0, 0.0, 2.0),
         )
 
     s0 = ScalarField(3, s0_f, s0_grad, s0_hess, name="(x^2+y^2-1)^2 + z^2")
     s1 = ScalarField(
         3,
         lambda x: x[0],
-        lambda x: np.array([1.0, 0.0, 0.0]),
-        lambda x: np.zeros((3, 3)),
+        lambda x: (1.0, 0.0, 0.0),
+        lambda x: _ZERO3,
         name="x",
     )
     family = PerturbationFamily(s0, s1, ScalarField.zero(3), name="circle")
     comp = Z0Component(name="unit-circle", chi=0, chi_c=0, morse_bott_index=0)
 
     def chart_at(theta0):
-        return lambda t: np.array([np.cos(theta0 + t[0]), np.sin(theta0 + t[0]), 0.0])
+        return lambda t: (math.cos(theta0 + t[0]), math.sin(theta0 + t[0]), 0.0)
 
     sites = (
-        Z1Site(np.array([1.0, 0.0, 0.0]), comp, chart_at(0.0), z0_dim=1),
-        Z1Site(np.array([-1.0, 0.0, 0.0]), comp, chart_at(np.pi), z0_dim=1),
+        Z1Site((1.0, 0.0, 0.0), comp, chart_at(0.0), z0_dim=1),
+        Z1Site((-1.0, 0.0, 0.0), comp, chart_at(math.pi), z0_dim=1),
     )
 
     def sampler(n):
-        thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        return np.stack([np.cos(thetas), np.sin(thetas), np.zeros(n)], axis=1)
+        thetas = [i * (2 * math.pi / n) for i in range(n)]
+        return [(math.cos(th), math.sin(th), 0.0) for th in thetas]
 
     return Scenario("circle", family, (comp,), sites, sampler)
 
 
 def sphere_scenario() -> Scenario:
     def s0_f(x):
-        u = float(x @ x) - 1.0
+        u = _dot(x, x) - 1.0
         return u * u
 
     def s0_grad(x):
-        u = float(x @ x) - 1.0
-        return 4.0 * u * x
+        c = 4.0 * (_dot(x, x) - 1.0)
+        return (c * x[0], c * x[1], c * x[2])
 
     def s0_hess(x):
-        u = float(x @ x) - 1.0
-        return 4.0 * u * np.eye(3) + 8.0 * np.outer(x, x)
+        c = 4.0 * (_dot(x, x) - 1.0)
+        return tuple(
+            tuple([(c if i == j else 0.0) + 8.0 * (xi * xj) for j, xj in enumerate(x)])
+            for i, xi in enumerate(x)
+        )
 
     s0 = ScalarField(3, s0_f, s0_grad, s0_hess, name="(|x|^2-1)^2")
     s1 = ScalarField(
         3,
         lambda x: x[2],
-        lambda x: np.array([0.0, 0.0, 1.0]),
-        lambda x: np.zeros((3, 3)),
+        lambda x: (0.0, 0.0, 1.0),
+        lambda x: _ZERO3,
         name="z",
     )
     family = PerturbationFamily(s0, s1, ScalarField.zero(3), name="sphere")
@@ -236,22 +231,23 @@ def sphere_scenario() -> Scenario:
 
     def chart_pole(sign):
         # orthographic chart; fine for the small steps used in differencing
-        return lambda t: np.array(
-            [t[0], t[1], sign * np.sqrt(max(0.0, 1.0 - t[0] ** 2 - t[1] ** 2))]
-        )
+        return lambda t: (t[0], t[1], sign * math.sqrt(max(0.0, 1.0 - t[0] ** 2 - t[1] ** 2)))
 
     sites = (
-        Z1Site(np.array([0.0, 0.0, 1.0]), comp, chart_pole(1.0), z0_dim=2),
-        Z1Site(np.array([0.0, 0.0, -1.0]), comp, chart_pole(-1.0), z0_dim=2),
+        Z1Site((0.0, 0.0, 1.0), comp, chart_pole(1.0), z0_dim=2),
+        Z1Site((0.0, 0.0, -1.0), comp, chart_pole(-1.0), z0_dim=2),
     )
 
     def sampler(n):
         # Fibonacci lattice: equal-area bands in z, golden-angle steps in longitude
-        i = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * i / n
-        r = np.sqrt(1.0 - z * z)
-        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+        out = []
+        for k in range(n):
+            i = k + 0.5
+            z = 1.0 - 2.0 * i / n
+            r = math.sqrt(1.0 - z * z)
+            phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+            out.append((r * math.cos(phi), r * math.sin(phi), z))
+        return out
 
     return Scenario("sphere", family, (comp,), sites, sampler)
 
@@ -260,41 +256,41 @@ def linear_scenario() -> Scenario:
     s0 = ScalarField(
         3,
         lambda x: x[0] ** 2 + 2.0 * x[1] ** 2,
-        lambda x: np.array([2.0 * x[0], 4.0 * x[1], 0.0]),
-        lambda x: np.diag([2.0, 4.0, 0.0]),
+        lambda x: (2.0 * x[0], 4.0 * x[1], 0.0),
+        lambda x: ((2.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 0.0)),
         name="u1^2 + 2*u2^2",
     )
     s1 = ScalarField(
         3,
         lambda x: (1.0 + x[2]) * x[0] + x[2] * x[1],
-        lambda x: np.array([1.0 + x[2], x[2], x[0] + x[1]]),
-        lambda x: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+        lambda x: (1.0 + x[2], x[2], x[0] + x[1]),
+        lambda x: ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)),
         name="(1+w)u1 + w*u2",
     )
     s2 = ScalarField(
         3,
         lambda x: x[2] ** 2,
-        lambda x: np.array([0.0, 0.0, 2.0 * x[2]]),
-        lambda x: np.diag([0.0, 0.0, 2.0]),
+        lambda x: (0.0, 0.0, 2.0 * x[2]),
+        lambda x: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 2.0)),
         name="w^2",
     )
     family = PerturbationFamily(s0, s1, s2, name="linear")
     comp = Z0Component(name="w-axis", chi=1, chi_c=-1, morse_bott_index=0)
-    chart = lambda t: np.array([0.0, 0.0, t[0]])
+    chart = lambda t: (0.0, 0.0, t[0])
     sites = (
         Z1Site(
-            np.array([0.0, 0.0, 0.0]),
+            (0.0, 0.0, 0.0),
             comp,
             chart,
             z0_dim=1,
             flat=True,
-            flat_seeds=(np.zeros(1),),
+            flat_seeds=((0.0,),),
         ),
     )
 
     def sampler(n):
-        ws = np.linspace(-2.0, 2.0, n)
-        return np.stack([np.zeros(n), np.zeros(n), ws], axis=1)
+        step = 4.0 / max(n - 1, 1)
+        return [(0.0, 0.0, -2.0 + k * step) for k in range(n)]
 
     return Scenario(
         "linear",
@@ -309,26 +305,26 @@ def linear_scenario() -> Scenario:
 def escape_scenario() -> Scenario:
     s0 = ScalarField(
         1,
-        lambda x: -0.5 * np.log1p(x[0] ** 2),
-        lambda x: np.array([-x[0] / (1.0 + x[0] ** 2)]),
-        lambda x: np.array([[(x[0] ** 2 - 1.0) / (1.0 + x[0] ** 2) ** 2]]),
+        lambda x: -0.5 * math.log1p(x[0] ** 2),
+        lambda x: (-x[0] / (1.0 + x[0] ** 2),),
+        lambda x: (((x[0] ** 2 - 1.0) / (1.0 + x[0] ** 2) ** 2,),),
         name="-log(1+x^2)/2",
     )
     s1 = ScalarField(
         1,
         lambda x: x[0],
-        lambda x: np.array([1.0]),
-        lambda x: np.zeros((1, 1)),
+        lambda x: (1.0,),
+        lambda x: ((0.0,),),
         name="x",
     )
     family = PerturbationFamily(s0, s1, ScalarField.zero(1), name="escape")
     comp = Z0Component(name="origin", chi=1, chi_c=1, morse_bott_index=1)
     sites = (
-        Z1Site(np.zeros(1), comp, lambda t: np.zeros(1), z0_dim=0),
+        Z1Site((0.0,), comp, lambda t: (0.0,), z0_dim=0),
     )
 
     def sampler(n):
-        return np.zeros((n, 1))
+        return [(0.0,)] * n
 
     return Scenario("escape", family, (comp,), sites, sampler)
 

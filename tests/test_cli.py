@@ -421,6 +421,7 @@ EXACT_SIDE = (
     "seifertlab.reports",
     "fractions",
     "dataclasses",
+    "numpy",
 )
 
 
@@ -445,6 +446,63 @@ def test_perturb_calls_do_not_load_the_exact_side(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.endswith("loaded: []"), proc.stderr
+
+
+def test_perturb_calls_load_only_the_standard_library_and_seifertlab(tmp_path):
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text(
+        '{"mode": "perturb", "scenario": "sphere", "eps": [0.1, -0.02]}\n'
+        '{"mode": "perturb", "scenario": "linear", "eps": [1e-5]}\n'
+    )
+    # modules the interpreter loaded before the package (site hooks) do not count
+    report = (
+        "new = set(sys.modules) - before\n"
+        "foreign = sorted(m for m in new if m.split('.')[0] not in sys.stdlib_module_names"
+        " and m.split('.')[0] != 'seifertlab')\n"
+        "sys.stderr.write('foreign: %s' % foreign)\n"
+    )
+    run_cli = "import sys\nbefore = set(sys.modules)\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n"
+    for script, argv in (
+        (run_cli + report, ["perturb", "--scenario", "circle", "--eps", "0.1,-0.02", "--json"]),
+        (run_cli + report, ["perturb", "--scenario", "linear", "--eps=1e-5", "--csv", str(tmp_path / "x.csv")]),
+        (run_cli + report, ["batch", str(batch)]),
+        ("import sys\nbefore = set(sys.modules)\nimport seifertlab.perturb\n" + report, []),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("foreign: []"), proc.stderr
+
+
+def test_overflowing_eps_keeps_its_messages_and_checks():
+    # recorded with the numpy-backed lab: at these eps Newton fails with "no
+    # progress", and it must fail the same way, with no warning on stderr
+    # (an overflowing trial itself is covered in tests/test_perturb.py)
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    failed = {"bijection": False, "indices": True, "signed_count": False}
+    for argv, expected in (
+        (["circle", "--eps=3"], [(failed, ["newton failed from prediction 0: no progress"])]),
+        (
+            ["sphere", "--eps=5,-5"],
+            [
+                (failed, ["newton failed from prediction 0: no progress"]),
+                (failed, ["newton failed from prediction 1: no progress"]),
+            ],
+        ),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "seifertlab.cli", "perturb", "--scenario", *argv, "--json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        reports = json.loads(proc.stdout)["reports"]
+        assert [(rep["checks"], rep["messages"]) for rep in reports] == expected
+        assert [len(rep["found"]) for rep in reports] == [1] * len(expected)
 
 
 def _cli_env(unbuffered: bool) -> dict:
@@ -527,7 +585,7 @@ def test_perturb_lines_validate_without_numpy_random(tmp_path):
         "validate = scenarios.Scenario.validate\n"
         "scenarios.Scenario.validate = lambda self: calls.append(self.name) or validate(self)\n"
         "code = main(sys.argv[1:])\n"
-        "sys.stderr.write('%d %s %s' % (code, calls, 'numpy.random' in sys.modules))\n"
+        "sys.stderr.write('%d %s %s' % (code, calls, 'numpy' in sys.modules))\n"
     )
     # --assert: the linear scenario's O(eps^2) eigenvalue must read as index 0
     perturb = ["perturb", "--scenario", "linear", "--eps=1e-5,-1e-5", "--assert"]

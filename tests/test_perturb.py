@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from seifertlab.perturb import (
     spectral_gap,
     sphere_scenario,
 )
+from seifertlab.perturb.linalg import _norm, eigh
 
 ALL_SCENARIOS = [circle_scenario, sphere_scenario, linear_scenario, escape_scenario]
 
@@ -63,8 +66,8 @@ def test_fd_gradient_matches_analytic_on_scenarios():
         samples += [np.asarray(x) + rng.normal(scale=0.3, size=sc.dim) for x in samples[:4]]
         for s in (sc.family.s0, sc.family.s1, sc.family.s2):
             for x in samples:
-                an = s.gradient(x)
-                fd = s.fd_gradient(x, step=1e-5)
+                an = np.asarray(s.gradient(x))
+                fd = np.asarray(s.fd_gradient(x, step=1e-5))
                 assert np.linalg.norm(fd - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
 
 
@@ -73,8 +76,8 @@ def test_fd_hessian_matches_analytic_on_scenarios():
         sc = build()
         for x in sc.z0_sampler(4):
             for s in (sc.family.s0, sc.family.s1, sc.family.s2):
-                an = s.hessian(x)
-                fd = s.fd_hessian(x)
+                an = np.asarray(s.hessian(x))
+                fd = np.asarray(s.fd_hessian(x))
                 assert np.max(np.abs(fd - an)) <= 1e-4 * max(1.0, np.max(np.abs(an)))
 
 
@@ -121,10 +124,38 @@ def test_newton_far_seed_fails_or_lands_outside_basin():
     sc = circle_scenario()
     res = newton_critical_point(sc.family.at(0.01), [10.0, 10.0, 10.0])
     if res.converged:
-        dists = [np.linalg.norm(res.point - s.point) for s in sc.z1_sites]
+        dists = [np.linalg.norm(np.subtract(res.point, s.point)) for s in sc.z1_sites]
         assert min(dists) > 0.5
     else:
         assert res.message in ("diverged", "no progress", "max iterations")
+
+
+def test_newton_reads_an_overflowing_trial_as_no_progress():
+    # the first step lands near 3e219, where x**3 raises OverflowError; array
+    # arithmetic read that as inf, and so does Newton: every halving fails
+    S = ScalarField(
+        1,
+        lambda x: x[0] ** 4 / 4 - x[0],
+        lambda x: (x[0] ** 3 - 1.0,),
+        lambda x: ((3.0 * x[0] ** 2,),),
+    )
+    res = newton_critical_point(S, [1e-110])
+    assert not res.converged and res.message == "no progress"
+    assert res.iterations == 1 and res.point == (1e-110,)
+
+
+def test_newton_backtracks_over_a_domain_error():
+    # grad = sqrt(x) - 2: the full step from 100 lands at -60, where math.sqrt
+    # raises ValueError; the halved step to 20 makes progress
+    S = ScalarField(
+        1,
+        lambda x: 2.0 / 3.0 * x[0] ** 1.5 - 2.0 * x[0],
+        lambda x: (math.sqrt(x[0]) - 2.0,),
+        lambda x: ((0.5 / math.sqrt(x[0]),),),
+    )
+    res = newton_critical_point(S, [100.0])
+    assert res.converged
+    assert res.point[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_newton_rejects_non_finite_seed():
@@ -207,7 +238,7 @@ def test_morse_index_restricted_to_z0():
 
 
 def test_morse_index_full_negative_definite():
-    S = ScalarField(3, lambda x: -float(x @ x))
+    S = ScalarField(3, lambda x: -sum(v * v for v in x))
     assert morse_index(S, [0.0, 0.0, 0.0]) == 3
 
 
@@ -233,7 +264,7 @@ def reference_predicted_index(sc, pred, sign, gap=1e-6):
     s1_index = 0
     if site.z0_dim:
         restricted = sc.family.s1.restrict(site.z0_chart, site.z0_dim)
-        s1_index = int(np.sum(np.linalg.eigvalsh(sign * restricted.fd_hessian(params)) < -gap))
+        s1_index = int(np.sum(np.linalg.eigvalsh(sign * np.asarray(restricted.fd_hessian(params))) < -gap))
     return site.component.morse_bott_index + s1_index + f_index
 
 
@@ -335,14 +366,148 @@ def test_found_points_match_per_point_definitions():
             sign = 1 if rep.epsilon > 0 else -1
             assert rep.found
             for f in rep.found:
-                evals = np.linalg.eigvalsh(S_eps.hessian(f.point))
-                gap = spectral_gap(sc, rep.epsilon, float(np.max(np.abs(evals))))
+                H = S_eps.hessian(f.point)
+                evals = eigh(H)[0]
+                gap = spectral_gap(sc, rep.epsilon, max(abs(v) for v in evals))
                 assert f.index == morse_index(S_eps, f.point, gap)
-                assert f.min_abs_hessian_eig == float(np.min(np.abs(evals)))
+                assert f.min_abs_hessian_eig == min(abs(v) for v in evals)
                 assert f.value == S_eps.value(f.point)
-                assert f.grad_residual == float(np.linalg.norm(S_eps.gradient(f.point)))
+                grad = S_eps.gradient(f.point)
+                assert f.grad_residual == _norm(grad)
+                # and against numpy's LAPACK, as an independent reference
+                reference = np.linalg.eigvalsh(np.asarray(H))
+                scale = float(np.max(np.abs(reference)))
+                assert np.allclose(evals, reference, rtol=0.0, atol=1e-12 * scale)
+                assert f.min_abs_hessian_eig == pytest.approx(
+                    float(np.min(np.abs(reference))), rel=0.0, abs=1e-12 * scale
+                )
+                assert f.grad_residual == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
                 expected = reference_predicted_index(sc, preds[f.matched_prediction], sign)
                 assert f.predicted_index == expected
+
+
+# Recorded with the numpy-backed lab (LAPACK's eigensolver and LU) that the
+# plain-float core replaced: per (scenario, eps) the report's checks, signed
+# counts and messages, and per found point its coordinates, value, smallest
+# |Hessian eigenvalue|, index, predicted index and matched prediction.
+RECORDED = {
+    ("circle", 0.1): (
+        (True, True, True),
+        (0, 0),
+        [],
+        [
+            ((0.9872574766623533, 0.0, 0.0),
+             0.09936698552395944, 0.10129069909713184, 1, 1, 0),
+            ((-1.012273131032681, 0.0, 0.0),
+             -0.10061737663815833, 0.09878756724282844, 0, 0, 1),
+        ],
+    ),
+    ("circle", -0.02): (
+        (True, True, True),
+        (0, 0),
+        [],
+        [
+            ((1.0024906869919468, 0.0, 0.0),
+             -0.020024937810464716, 0.01995031002234171, 0, 0, 0),
+            ((-0.9974905619825709, 0.0, 0.0),
+             0.019974937185433462, 0.02005031502277932, 1, 1, 1),
+        ],
+    ),
+    ("circle", 0.001): (
+        (True, True, True),
+        (0, 0),
+        [],
+        [
+            ((0.9998749765546843, 0.0, 0.0),
+             0.0009999374921855462, 0.0010001250390785366, 1, 1, 0),
+            ((-1.0001249765703093, 0.0, 0.0),
+             -0.0010000624921894525, 0.0009998750390467492, 0, 0, 1),
+        ],
+    ),
+    ("sphere", 0.1): (
+        (True, True, True),
+        (2, 2),
+        [],
+        [
+            ((0.0, 0.0, 0.9872574766623533),
+             0.09936698552395944, 0.10129069909713184, 2, 2, 0),
+            ((0.0, 0.0, -1.012273131032681),
+             -0.10061737663815833, 0.09878756724282844, 0, 0, 1),
+        ],
+    ),
+    ("sphere", -0.02): (
+        (True, True, True),
+        (2, 2),
+        [],
+        [
+            ((0.0, 0.0, 1.0024906869919468),
+             -0.020024937810464716, 0.01995031002234171, 0, 0, 0),
+            ((0.0, 0.0, -0.9974905619825709),
+             0.019974937185433462, 0.02005031502277932, 2, 2, 1),
+        ],
+    ),
+    ("sphere", 0.001): (
+        (True, True, True),
+        (2, 2),
+        [],
+        [
+            ((0.0, 0.0, 0.9998749765546843),
+             0.0009999374921855462, 0.0010001250390785366, 2, 2, 0),
+            ((0.0, 0.0, -1.0001249765703093),
+             -0.0010000624921894525, 0.0009998750390467492, 0, 0, 1),
+        ],
+    ),
+    ("linear", 0.1): (
+        (True, True, True),
+        (1, 1),
+        [],
+        [
+            ((-0.06999999999999999, -0.009999999999999997, 0.39999999999999986),
+             -0.003500000000000003, 0.012460840229611466, 0, 0, 0),
+        ],
+    ),
+    ("linear", -0.02): (
+        (True, True, None),
+        (1, -1),
+        ["eps < 0 signed-count check skipped: S1|Z0 not declared proper"],
+        [
+            ((0.013999999999999999, 0.002, 0.39999999999999997),
+             -0.00013999999999999993, 0.0004999374937516489, 0, 0, 0),
+        ],
+    ),
+    ("linear", 0.001): (
+        (True, True, True),
+        (1, 1),
+        [],
+        [
+            ((-0.0007, -0.0001, 0.4),
+             -3.5000000000000014e-07, 1.2499996086405392e-06, 0, 0, 0),
+        ],
+    ),
+}
+
+
+def test_localisation_matches_recorded_values():
+    for name in ("circle", "sphere", "linear"):
+        for rep in run_localisation(scenario_by_name(name), [0.1, -0.02, 1e-3]):
+            checks, counts, messages, found = RECORDED[(name, rep.epsilon)]
+            assert (rep.bijection_ok, rep.indices_ok, rep.signed_count_ok) == checks
+            assert (rep.signed_count, rep.expected_signed_count) == counts
+            assert rep.messages == messages
+            assert rep.ok and not rep.degenerate_abstained
+            assert len(rep.found) == len(found)
+            for f, (point, value, min_eig, index, predicted, matched) in zip(rep.found, found):
+                assert (f.index, f.predicted_index, f.matched_prediction) == (index, predicted, matched)
+                assert not f.outside_basin
+                for got, want in zip((*f.point, f.value, f.min_abs_hessian_eig), (*point, value, min_eig)):
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0), (name, rep.epsilon)
+
+
+def test_degenerate_spectrum_message_is_unchanged():
+    (rep,) = run_localisation(sphere_scenario(), [1e-12])
+    assert (rep.bijection_ok, rep.indices_ok, rep.signed_count_ok) == (True, False, False)
+    assert [f.index for f in rep.found] == [None, None]
+    assert rep.messages == ["Hessian eigenvalue within gap 8e-12: spectrum [0.0, 0.0, 8.0]"] * 2
 
 
 def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
@@ -397,8 +562,8 @@ def test_localisation_abstains_on_degenerate_family():
 def test_record_construction_semantics():
     comp = Z0Component("point", 1, 1, 0)
     site = Z1Site([1, 0, 0], comp, lambda t: np.zeros(3), z0_dim=0)
-    assert isinstance(site.point, np.ndarray) and site.point.dtype == float
-    assert site.point.tolist() == [1.0, 0.0, 0.0]
+    assert isinstance(site.point, tuple) and all(type(v) is float for v in site.point)
+    assert site.point == (1.0, 0.0, 0.0)
     assert not site.flat and site.flat_seeds == ()
     first, second = ExperimentReport("a", 0.1, False), ExperimentReport("b", 0.2, False)
     assert first.found is not second.found and first.messages is not second.messages
@@ -427,7 +592,7 @@ def test_convergence_filter_circle_trajectories():
             pairs.append((eps, res.point))
         rep = convergence_filter(sc, pairs)
         assert rep.classification == "localises"
-        site_dists = [np.linalg.norm(rep.limit_point - s.point) for s in sc.z1_sites]
+        site_dists = [np.linalg.norm(np.subtract(rep.limit_point, s.point)) for s in sc.z1_sites]
         assert min(site_dists) < 1e-5
 
 
