@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from .errors import ConsistencyError
 
@@ -283,13 +284,23 @@ def _parse_line(line: str):
 
 
 def _run_batch(args) -> int:
+    """Run a batch file, one JSON request a line; exit 1 if any line fails.
+
+    Lines break at newlines only (read as universal newlines), since a JSON
+    string may hold U+2028, U+2029 or U+0085 raw.  A line whose exact text
+    comes again later runs once: its printed line and its ok flag are kept
+    until its last occurrence, and the copies print the same bytes.  Error
+    lines are not kept, because their message names their own line number.
+    """
     try:
         with open(args.path, encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
+            raw_lines = fh.read().split("\n")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         error, code = _error(exc)
         _emit(_dump_line(error), args.out)
         return code
+    left = Counter(raw_lines)  # occurrences of each text not yet reached
+    kept: dict[str, tuple[str, bool]] = {}
     failed = False
     # each line is written as soon as it is done, so a later line never loses it
     with (
@@ -298,16 +309,23 @@ def _run_batch(args) -> int:
         for i, line in enumerate(raw_lines, start=1):
             if not line.strip():
                 continue
-            try:
-                req = _parse_line(line)
-                report, ok = run_request(req)
-            except (ValueError, KeyError, TypeError, ConsistencyError) as exc:
-                report, ok = _error(exc, f"line {i}: ")[0], False
+            left[line] -= 1
+            if line in kept:
+                text, ok = kept[line] if left[line] else kept.pop(line)
             else:
-                # perturb has no --assert here, so its checks never fail the run
-                ok = ok or req["mode"] == "perturb"
+                try:
+                    req = _parse_line(line)
+                    report, ok = run_request(req)
+                except (ValueError, KeyError, TypeError, ConsistencyError) as exc:
+                    text, ok = _dump_line(_error(exc, f"line {i}: ")[0]), False
+                else:
+                    # perturb has no --assert here, so its checks never fail the run
+                    ok = ok or req["mode"] == "perturb"
+                    text = _dump_line(report)
+                    if left[line]:
+                        kept[line] = text, ok
             failed = failed or not ok
-            print(_dump_line(report), file=sink)
+            print(text, file=sink)
     return 1 if failed else 0
 
 

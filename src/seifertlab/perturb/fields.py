@@ -149,17 +149,37 @@ class PerturbationFamily:
         return self.s0.dim
 
     def value(self, x, eps: float) -> float:
-        return self.s0.value(x) + eps * self.s1.value(x) + eps**2 * self.s2.value(x)
+        x = _vec(x)
+        return (
+            float(self.s0._f(x)) + eps * float(self.s1._f(x)) + eps**2 * float(self.s2._f(x))
+        )
 
     def gradient(self, x, eps: float) -> Vector:
-        return _combine(eps, self.s0.gradient(x), self.s1.gradient(x), self.s2.gradient(x))
+        x = _vec(x)
+        return _combine(eps, *[
+            map(float, s._grad(x)) if s._grad is not None else s.fd_gradient(x)
+            for s in (self.s0, self.s1, self.s2)
+        ])
 
     def hessian(self, x, eps: float) -> Matrix:
-        h0, h1, h2 = self.s0.hessian(x), self.s1.hessian(x), self.s2.hessian(x)
-        return tuple([_combine(eps, r0, r1, r2) for r0, r1, r2 in zip(h0, h1, h2)])
+        x = _vec(x)
+        h0, h1, h2 = [
+            s._hess(x) if s._hess is not None else s.fd_hessian(x)
+            for s in (self.s0, self.s1, self.s2)
+        ]
+        return tuple([
+            _combine(eps, map(float, r0), map(float, r1), map(float, r2))
+            for r0, r1, r2 in zip(h0, h1, h2)
+        ])
 
     def at(self, eps: float) -> ScalarField:
-        """S_eps as a single field; derivatives stay analytic if the parts are."""
+        """S_eps as a single field; derivatives stay analytic if the parts are.
+
+        Its value, gradient and Hessian are :meth:`value`, :meth:`gradient`
+        and :meth:`hessian` at this eps, which make one pass: each part's own
+        callback runs once on the point, its output is turned into floats and
+        the three are combined entry by entry as a + eps*b + eps**2*c.
+        """
         grad = None
         hess = None
         if all(s._grad is not None for s in (self.s0, self.s1, self.s2)):

@@ -1,4 +1,4 @@
-"""Shared generators for sweep and property tests."""
+"""Shared generators and reference routes for sweep and property tests."""
 
 from __future__ import annotations
 
@@ -72,3 +72,27 @@ def signature_per_point(p: int, q: int, r: int) -> int:
                 else:
                     minus += 1
     return plus - minus
+
+
+def part_by_part(family, eps: float):
+    """S_eps's value, gradient and Hessian, each part taken through its own field.
+
+    The reference for ``PerturbationFamily.value/gradient/hessian``, which
+    call the parts' callbacks directly and must agree bit for bit.
+    """
+    s0, s1, s2 = family.s0, family.s1, family.s2
+
+    def combine(v0, v1, v2):
+        return tuple([a + eps * b + eps**2 * c for a, b, c in zip(v0, v1, v2)])
+
+    def value(x):
+        return s0.value(x) + eps * s1.value(x) + eps**2 * s2.value(x)
+
+    def gradient(x):
+        return combine(s0.gradient(x), s1.gradient(x), s2.gradient(x))
+
+    def hessian(x):
+        h0, h1, h2 = s0.hessian(x), s1.hessian(x), s2.hessian(x)
+        return tuple([combine(r0, r1, r2) for r0, r1, r2 in zip(h0, h1, h2)])
+
+    return value, gradient, hessian

@@ -768,6 +768,68 @@ def test_batch_exit_status_follows_cli(capsys, tmp_path):
     assert outputs[0]["reports"][0]["checks"]["bijection"] is False
 
 
+def test_batch_runs_each_repeated_line_once(capsys, tmp_path, monkeypatch):
+    from seifertlab import cli
+
+    brieskorn = '{"mode": "brieskorn", "exponents": [2, 3, 7]}'
+    perturb = '{"mode": "perturb", "scenario": "circle", "eps": [0.1, -0.05]}'
+    error = '{"mode": "verify", "max": 31}'
+    spaced = '{"mode": "brieskorn",  "exponents": [2, 3, 7]}'  # another text: runs again
+    lines = [brieskorn, perturb, error, "", brieskorn, spaced, error, perturb, brieskorn]
+    path = tmp_path / "requests.ndjson"
+    path.write_text("".join(line + "\n" for line in lines))
+    ran: list[str] = []
+    run_request = cli.run_request
+
+    def counting(req):
+        result = run_request(req)
+        ran.append(json.dumps(req))
+        return result
+
+    monkeypatch.setattr(cli, "run_request", counting)
+    code, out = run(capsys, "batch", str(path))
+    assert code == 1
+    # sha256 of the output before repeated lines reused their first run's bytes
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9435d775e3e3a3cd19e1aa2f5608f54729c766dbaf12008c236d4b08f39e18fb"
+    )
+    printed = out.splitlines()
+    assert len(printed) == 8
+    assert printed[0] == printed[3] == printed[4] == printed[7]
+    assert printed[1] == printed[6]
+    for i, number in ((2, 3), (5, 7)):
+        assert json.loads(printed[i])["error"] == {
+            "kind": "validation", "message": f"line {number}: sweep limit is 30 (desk scale)"
+        }
+    # one successful run per distinct text; an error line fails on its own each time
+    distinct = (brieskorn, perturb, spaced)
+    assert sorted(ran) == sorted(json.dumps(json.loads(line)) for line in distinct)
+
+
+def test_batch_splits_lines_at_newlines_only(capsys, tmp_path):
+    # a JSON string may hold U+2028, U+2029 and U+0085 raw; str.splitlines breaks
+    # at each of them, which turned this file's line 3 into "line 6"
+    path = tmp_path / "requests.ndjson"
+    path.write_bytes(
+        "\r\n".join([
+            '{"mode": "perturb", "scenario": "circle\u2028\u2029\u0085", "eps": [0.1]}',
+            '{"mode": "brieskorn", "exponents": [2, 3, 7]}',
+            '{"mode": "verify", "max": 31}',
+            "",
+        ]).encode()
+    )
+    code, out = run(capsys, "batch", str(path))
+    assert code == 1
+    outputs = [json.loads(line) for line in out.splitlines()]
+    assert len(outputs) == 3
+    assert outputs[0]["error"]["message"].startswith(
+        "line 1: unknown scenario 'circle\\u2028\\u2029\\x85'"
+    )
+    assert outputs[1]["invariants"]["casson"] == -1
+    assert outputs[2]["error"]["message"] == "line 3: sweep limit is 30 (desk scale)"
+
+
 def _call(*argv):
     """(exit code, stdout) of one in-process CLI call."""
     out = io.StringIO()

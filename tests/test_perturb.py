@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from helpers import part_by_part
+from hypothesis import given, settings, strategies as st
 
 from seifertlab.perturb import (
     DegenerateCriticalPointError,
@@ -97,6 +100,98 @@ def test_family_at_combines_terms():
     assert S.value(x) == pytest.approx(expected, rel=1e-14)
     assert np.allclose(S.gradient(x), sc.family.gradient(x, eps))
     assert np.allclose(S.hessian(x), sc.family.hessian(x, eps))
+
+
+def _bits(evaluate, x):
+    """Every float of evaluate(x) as its bits, or the type of the exception it raises."""
+    try:
+        out = evaluate(x)
+    except ArithmeticError as exc:
+        return type(exc)
+    rows = out if isinstance(out, tuple) else (out,)
+    floats = [v for row in rows for v in (row if isinstance(row, tuple) else (row,))]
+    return [struct.pack("<d", v) for v in floats]
+
+
+def _assert_single_pass_equals_parts(family, x, eps):
+    S = family.at(eps)
+    routes = [
+        (lambda y: family.value(y, eps), S.value),
+        (lambda y: family.gradient(y, eps), S.gradient if S._grad is not None else None),
+        (lambda y: family.hessian(y, eps), S.hessian if S._hess is not None else None),
+    ]
+    for (direct, through_at), reference in zip(routes, part_by_part(family, eps)):
+        expected = _bits(reference, x)
+        assert _bits(direct, x) == expected
+        if through_at is not None:  # else S_eps differences its own value instead
+            assert _bits(through_at, x) == expected
+
+
+coordinates = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-1e160, 1e160), st.sampled_from([0.0, -0.0, math.nan])
+)
+magnitudes = st.floats(1e-6, 1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([circle_scenario, sphere_scenario, linear_scenario]),
+    st.lists(coordinates, min_size=3, max_size=3),
+    magnitudes,
+    st.sampled_from([1.0, -1.0]),
+)
+def test_family_single_pass_equals_its_parts_bit_for_bit(build, x, magnitude, sign):
+    _assert_single_pass_equals_parts(build().family, tuple(x), sign * magnitude)
+
+
+def _mixed_family(analytic: bool = True) -> PerturbationFamily:
+    """Parts whose callbacks return ints, lists, tuples and numpy arrays.
+
+    Without ``analytic`` the last part has no gradient or Hessian callback,
+    so it is differentiated by central differences.
+    """
+    s0 = ScalarField(
+        2,
+        lambda x: 3 * x[0] - 1,
+        lambda x: [2, -x[1]],
+        lambda x: np.array([[4, 1], [1, -1]]),
+    )
+    s1 = ScalarField(
+        2,
+        lambda x: np.float64(1e300) * x[0] + x[1],
+        lambda x: np.array([1e300, x[1]]),
+        lambda x: [[x[0], 1e300], [1e300, 2.0]],
+    )
+    s2 = ScalarField(
+        2,
+        lambda x: 7 * x[1] + x[0] + x[0] * x[1],
+        (lambda x: (1 + x[1], 7 + x[0])) if analytic else None,
+        (lambda x: ((0, 1), (1, np.float32(0.1)))) if analytic else None,
+    )
+    return PerturbationFamily(s0, s1, s2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, math.nan])), min_size=2,
+             max_size=2),
+    magnitudes,
+    st.sampled_from([1.0, -1.0]),
+    st.booleans(),
+)
+def test_family_turns_int_list_and_array_parts_into_the_same_floats(x, magnitude, sign, analytic):
+    # each part's output becomes floats before eps touches it, so a huge eps
+    # gives the same inf and nan as the part-by-part sum, and no warning
+    _assert_single_pass_equals_parts(_mixed_family(analytic), tuple(x), sign * magnitude)
+
+
+def test_family_at_of_mixed_parts_on_a_fixed_point():
+    S = _mixed_family().at(0.1)
+    assert S.gradient((1.0, 2.0)) == (2 + 0.1 * 1e300 + 0.1**2 * 3.0, -2 + 0.1 * 2.0 + 0.1**2 * 8)
+    float32_tenth = 0.10000000149011612
+    assert S.hessian((1.0, 2.0))[1] == (
+        1 + 0.1 * 1e300 + 0.1**2 * 1.0, -1 + 0.1 * 2.0 + 0.1**2 * float32_tenth
+    )
 
 
 # ---------------------------------------------------------------- newton
