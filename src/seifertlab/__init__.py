@@ -57,7 +57,6 @@ _SUBMODULE_NAMES = {
         "z_decomposition",
     ),
     "singularity": (
-        "brieskorn_invariants",
         "casson_invariant",
         "geometric_genus_divisors",
         "geometric_genus_pd",

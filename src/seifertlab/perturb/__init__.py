@@ -44,7 +44,6 @@ from .lab import (
     morse_index,
     newton_critical_point,
     predicted_critical_points,
-    predicted_spectrum,
     run_localisation,
     spectral_gap,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "leading_term_kernel_drift",
     "PredictedPoint",
     "predicted_critical_points",
-    "predicted_spectrum",
     "FoundPoint",
     "ExperimentReport",
     "spectral_gap",

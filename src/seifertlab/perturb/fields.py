@@ -50,7 +50,6 @@ class ScalarField:
         f: Callable[[Vector], float],
         grad: Callable[[Vector], Sequence[float]] | None = None,
         hess: Callable[[Vector], Sequence[Sequence[float]]] | None = None,
-        name: str = "",
         is_zero: bool = False,
     ):
         if dim < 0:
@@ -59,7 +58,6 @@ class ScalarField:
         self._f = f
         self._grad = grad
         self._hess = hess
-        self.name = name
         self.is_zero = is_zero
 
     @classmethod
@@ -70,7 +68,6 @@ class ScalarField:
             f=lambda x: 0.0,
             grad=lambda x: zeros,
             hess=lambda x: (zeros,) * dim,
-            name="0",
             is_zero=True,
         )
 
@@ -87,16 +84,16 @@ class ScalarField:
             return _mat(self._hess(_vec(x)))
         return self.fd_hessian(x)
 
-    def fd_gradient(self, x, step: float = GRAD_STEP) -> Vector:
+    def fd_gradient(self, x) -> Vector:
         """Central-difference gradient, independent of any analytic evaluator."""
         x = _vec(x)
         f = self._f
         return _vec(
-            (f(_shift(x, i, step)) - f(_shift(x, i, -step))) / (2 * step)
+            (f(_shift(x, i, GRAD_STEP)) - f(_shift(x, i, -GRAD_STEP))) / (2 * GRAD_STEP)
             for i in range(self.dim)
         )
 
-    def fd_hessian(self, x, step: float = HESS_STEP) -> Matrix:
+    def fd_hessian(self, x) -> Matrix:
         """Central-difference Hessian, symmetrized."""
         x = _vec(x)
         f = self._f
@@ -104,29 +101,22 @@ class ScalarField:
         out = [[0.0] * n for _ in range(n)]
         f0 = f(x)
         for i in range(n):
-            xp, xm = _shift(x, i, step), _shift(x, i, -step)
-            out[i][i] = (f(xp) - 2 * f0 + f(xm)) / step**2
+            xp, xm = _shift(x, i, HESS_STEP), _shift(x, i, -HESS_STEP)
+            out[i][i] = (f(xp) - 2 * f0 + f(xm)) / HESS_STEP**2
             for j in range(i + 1, n):
                 mixed = (
-                    f(_shift(xp, j, step))
-                    - f(_shift(xp, j, -step))
-                    - f(_shift(xm, j, step))
-                    + f(_shift(xm, j, -step))
-                ) / (4 * step**2)
+                    f(_shift(xp, j, HESS_STEP))
+                    - f(_shift(xp, j, -HESS_STEP))
+                    - f(_shift(xm, j, HESS_STEP))
+                    + f(_shift(xm, j, -HESS_STEP))
+                ) / (4 * HESS_STEP**2)
                 out[i][j] = mixed
                 out[j][i] = mixed
         return _mat(out)
 
-    def restrict(
-        self, chart: Callable[[Vector], Sequence[float]], dim: int, name: str = ""
-    ) -> "ScalarField":
+    def restrict(self, chart: Callable[[Vector], Sequence[float]], dim: int) -> "ScalarField":
         """The composition with a chart t -> x(t); derivatives via differences."""
-        return ScalarField(
-            dim,
-            f=lambda t: self._f(_vec(chart(_vec(t)))),
-            name=name or f"{self.name}|chart",
-            is_zero=self.is_zero,
-        )
+        return ScalarField(dim, f=lambda t: self._f(_vec(chart(_vec(t)))), is_zero=self.is_zero)
 
 
 class PerturbationFamily:
@@ -136,13 +126,12 @@ class PerturbationFamily:
     depend only on s0, s1, s2.
     """
 
-    def __init__(self, s0: ScalarField, s1: ScalarField, s2: ScalarField, name: str = ""):
+    def __init__(self, s0: ScalarField, s1: ScalarField, s2: ScalarField):
         if not (s0.dim == s1.dim == s2.dim):
             raise ValueError("family members must share one dimension")
         self.s0 = s0
         self.s1 = s1
         self.s2 = s2
-        self.name = name
 
     @property
     def dim(self) -> int:
@@ -186,10 +175,4 @@ class PerturbationFamily:
             grad = lambda x: self.gradient(x, eps)
         if all(s._hess is not None for s in (self.s0, self.s1, self.s2)):
             hess = lambda x: self.hessian(x, eps)
-        return ScalarField(
-            self.dim,
-            f=lambda x: self.value(x, eps),
-            grad=grad,
-            hess=hess,
-            name=f"{self.name or 'S'}[eps={eps}]",
-        )
+        return ScalarField(self.dim, f=lambda x: self.value(x, eps), grad=grad, hess=hess)

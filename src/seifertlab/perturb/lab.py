@@ -1,4 +1,12 @@
-"""Newton continuation, Morse indices, leading terms, and localisation runs."""
+"""Newton continuation, Morse indices, leading terms, and localisation runs.
+
+The tolerances are module constants, each with a comment on what it bounds:
+the block below, RANK_RTOL in linalg.py, the validation thresholds in
+scenarios.py and the finite-difference steps in fields.py.  A call passes
+only newton_critical_point's tol, the gap of morse_index and
+morse_bott_index, and run_localisation's basin_radius and c_bound, which the
+command line sets.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from typing import NamedTuple
 
 from .fields import PerturbationFamily, ScalarField, Vector
 from .linalg import (
+    RANK_RTOL,
     LinAlgError,
     _add,
     _axpy,
@@ -17,11 +26,10 @@ from .linalg import (
     _sub,
     eigh,
     inertia_counts,
-    kernel_basis,
     pinv_solve,
     solve,
 )
-from .scenarios import Scenario, Z1Site, _Record
+from .scenarios import Scenario, Z1Site, _Record, _tangential_s1
 
 __all__ = [
     "NewtonResult",
@@ -35,7 +43,6 @@ __all__ = [
     "leading_term_kernel_drift",
     "PredictedPoint",
     "predicted_critical_points",
-    "predicted_spectrum",
     "FoundPoint",
     "ExperimentReport",
     "spectral_gap",
@@ -44,11 +51,20 @@ __all__ = [
     "convergence_filter",
 ]
 
-DIVERGENCE_NORM = 1e6
-RANK_RTOL = 1e-8  # pseudo-inverse cutoff, relative to the largest |eigenvalue|
+DIVERGENCE_NORM = 1e6  # an iterate farther than this from the origin ends Newton as diverged
+NEWTON_TOL = 1e-10  # |grad S_eps| at which Newton stops, unless a call asks for another
+NEWTON_MAX_ITER = 100  # Newton steps before newton_critical_point gives up
+POLISH_ROUNDS = 2  # full Newton steps tried after convergence, each kept if |grad| drops
+DEDUPE_RADIUS = 10 * NEWTON_TOL  # Newton limits closer than this are one point of S_eps
+CHART_NEWTON_TOL = 1e-8  # |grad f| at which Newton stops in a flat Z1's chart
+CHART_DEDUPE_RADIUS = 1e-6  # chart critical points of f closer than this are one
+MULTIPLIER_RESIDUAL = 1e-8  # |Hess S0 lambda + grad S1| from which a point is off Z1
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
 GAP_SHARE = 1e-2  # share of the smallest predicted eigenvalue that the gap takes
 EIGEN_RESOLUTION = 1e-12  # relative eigenvalue size float64 Hessians resolve, with margin
+CRITICAL_TOL = 1e-8  # |grad S_eps| above which convergence_filter rejects a point
+Z1_RESIDUAL_LO = 1e-6  # both Z1 residuals below this: the limit localises
+Z1_RESIDUAL_HI = 1e-3  # either Z1 residual above this: the limit is not resolved
 # what float ** and the math functions raise where array arithmetic gives inf or nan
 _NON_FINITE = (ArithmeticError, ValueError)
 
@@ -83,19 +99,15 @@ def _or_nan(evaluate, x: Vector, nan):
         return nan
 
 
-def newton_critical_point(
-    S: ScalarField,
-    seed,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> NewtonResult:
-    """Damped Newton iteration on grad S from the given seed.
+def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> NewtonResult:
+    """Damped Newton iteration on grad S from the given seed, until |grad| <= tol.
 
     Steps solve Hess * d = -grad, falling back to the spectral pseudo-inverse
     when the Hessian is singular (which happens exactly on the unperturbed
     critical manifold, where seeds usually start).  Each step is backtracked
     until the gradient norm decreases.  Fails on divergence (iterate norm
-    above 1e6), on a step that cannot make progress, or after max_iter.
+    above DIVERGENCE_NORM), on a step that cannot make progress, or after
+    NEWTON_MAX_ITER steps.
     """
     x = tuple(map(float, seed))
     if not all(map(math.isfinite, x)):
@@ -104,7 +116,7 @@ def newton_critical_point(
     nan_matrix = (nan_vector,) * len(x)
     g = _or_nan(S.gradient, x, nan_vector)
     gnorm = _norm(g)
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         if gnorm <= tol:
             x, g, gnorm = _polish(S, x, g, gnorm)
             return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, True)
@@ -134,13 +146,13 @@ def newton_critical_point(
             value = _or_nan(S.value, x, math.nan)
             return NewtonResult(x, gnorm, value, it + 1, False, "no progress")
     value = _or_nan(S.value, x, math.nan)
-    return NewtonResult(x, gnorm, value, max_iter, gnorm <= tol, "max iterations")
+    return NewtonResult(x, gnorm, value, NEWTON_MAX_ITER, gnorm <= tol, "max iterations")
 
 
-def _polish(S: ScalarField, x, g, gnorm, rounds: int = 2):
+def _polish(S: ScalarField, x, g, gnorm):
     """Extra full Newton steps once converged, keeping only strict improvements."""
     nan_vector = (math.nan,) * len(x)
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         try:
             step = solve(_or_nan(S.hessian, x, (nan_vector,) * len(x)), _neg(g))
         except LinAlgError:
@@ -181,27 +193,21 @@ def morse_bott_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     return neg
 
 
-def lagrange_multiplier(
-    s0: ScalarField,
-    s1: ScalarField,
-    x,
-    rank_rtol: float = RANK_RTOL,
-    residual_tol: float = 1e-8,
-) -> Vector:
+def lagrange_multiplier(s0: ScalarField, s1: ScalarField, x) -> Vector:
     """Minimal-norm solution lambda of Hess S0(x) * lambda = -grad S1(x).
 
     Solved through the spectral pseudo-inverse with rank cutoff
-    rank_rtol * max|eigenvalue|.  The system is consistent exactly when the
+    RANK_RTOL * max|eigenvalue|.  The system is consistent exactly when the
     part of grad S1 tangent to Crit(S0) vanishes, i.e. when x lies on Z1; a
-    residual at or above residual_tol is reported as an error.
+    residual at or above MULTIPLIER_RESIDUAL is reported as an error.
     """
     H = s0.hessian(x)
     g = s1.gradient(x)
-    lam = _neg(pinv_solve(H, g, rtol=rank_rtol))
+    lam = _neg(pinv_solve(H, g, rtol=RANK_RTOL))
     residual = _norm(_add(_matvec(H, lam), g))
-    if residual >= residual_tol:
+    if residual >= MULTIPLIER_RESIDUAL:
         raise MultiplierError(
-            f"multiplier residual {residual:.3e} >= {residual_tol:g}; "
+            f"multiplier residual {residual:.3e} >= {MULTIPLIER_RESIDUAL:g}; "
             "the point does not lie on Z1 of a Morse-Bott pair"
         )
     return lam
@@ -220,10 +226,7 @@ def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
     not see that ambiguity.  Returns max_k |(1/2) <grad S1, k>| over an
     orthonormal kernel basis.
     """
-    H = family.s0.hessian(x)
-    g1 = family.s1.gradient(x)
-    basis = kernel_basis(H, rtol=RANK_RTOL)
-    return max((abs(0.5 * _dot(k, g1)) for k in basis), default=0.0)
+    return max((abs(0.5 * c) for c in _tangential_s1(family, x)), default=0.0)
 
 
 class PredictedPoint(NamedTuple):
@@ -240,26 +243,18 @@ class PredictedPoint(NamedTuple):
 
 
 def _f_chart_field(family: PerturbationFamily, site: Z1Site) -> ScalarField:
-    return ScalarField(
-        site.z0_dim,
-        f=lambda t: leading_term(family, site.z0_chart(t)),
-        name="f|chart",
-    )
+    return ScalarField(site.z0_dim, f=lambda t: leading_term(family, site.z0_chart(t)))
 
 
-def predicted_critical_points(
-    scenario: Scenario,
-    newton_tol: float = 1e-8,
-    gap: float = RESTRICTED_GAP,
-    dedupe_radius: float = 1e-6,
-) -> list[PredictedPoint]:
+def predicted_critical_points(scenario: Scenario) -> list[PredictedPoint]:
     """Critical points of the leading term over Z1, with their predicted indices.
 
     Isolated Z1 points are critical outright (a function on a finite set),
     with index 0.  On a flat, the leading term is minimized in chart
     coordinates by Newton from the declared seeds and the index read from
-    the chartwise Hessian inertia.  One Hessian of S1|Z0 per point gives the
-    S1 term for both signs of eps: ind(-S1|Z0) is its positive count.
+    the chartwise Hessian inertia, with gap RESTRICTED_GAP.  One Hessian of
+    S1|Z0 per point gives the S1 term for both signs of eps: ind(-S1|Z0) is
+    its positive count.
     """
     out: list[PredictedPoint] = []
     for site in scenario.z1_sites:
@@ -267,19 +262,23 @@ def predicted_critical_points(
             f_chart = _f_chart_field(scenario.family, site)
             found_params: list[Vector] = []
             for seed in site.flat_seeds:
-                res = newton_critical_point(f_chart, seed, tol=newton_tol)
+                res = newton_critical_point(f_chart, seed, tol=CHART_NEWTON_TOL)
                 if not res.converged:
                     continue
-                if all(_norm(_sub(res.point, p)) > dedupe_radius for p in found_params):
+                if all(_norm(_sub(res.point, p)) > CHART_DEDUPE_RADIUS for p in found_params):
                     found_params.append(res.point)
-            charted = [(site.z0_chart(p), p, morse_index(f_chart, p, gap)) for p in found_params]
+            charted = [
+                (site.z0_chart(p), p, morse_index(f_chart, p, RESTRICTED_GAP))
+                for p in found_params
+            ]
         else:
             charted = [(site.point, (0.0,) * site.z0_dim, 0)]
         restricted = scenario.family.s1.restrict(site.z0_chart, site.z0_dim)
         for point, params, f_index in charted:
             s1_neg = s1_pos = 0
             if site.z0_dim:
-                s1_neg, _, s1_pos = inertia_counts(eigh(restricted.fd_hessian(params))[0], gap)
+                evals = eigh(restricted.fd_hessian(params))[0]
+                s1_neg, _, s1_pos = inertia_counts(evals, RESTRICTED_GAP)
             base = site.component.morse_bott_index + f_index
             out.append(
                 PredictedPoint(
@@ -289,19 +288,6 @@ def predicted_critical_points(
                 )
             )
     return out
-
-
-def predicted_spectrum(scenario: Scenario, predicted: PredictedPoint, eps_sign: int) -> int:
-    """Index prediction ind(S0) + ind(+-S1|Z0) + ind(f) at a leading-term point.
-
-    The S1 term uses +S1 for eps > 0 and -S1 for eps < 0; the S0 term comes
-    from the component metadata the point is tagged with.
-    """
-    if not isinstance(predicted, PredictedPoint) or predicted.site is None:
-        raise ValueError("point carries no component metadata")
-    if eps_sign not in (1, -1):
-        raise ValueError("eps_sign must be +1 or -1")
-    return predicted.indices[eps_sign]
 
 
 class FoundPoint(NamedTuple):
@@ -428,17 +414,15 @@ def run_localisation(
     epsilons,
     basin_radius: float = 0.5,
     c_bound: float = 1e3,
-    tol: float = 1e-10,
 ) -> list[ExperimentReport]:
     """Localise Crit(S_eps) near Z1 for each eps and verify the predictions.
 
     For each eps: Newton from every leading-term critical point, deduplicate
-    (radius 10*tol), then check (a) found points biject onto the predictions
-    within basin_radius, (b) each Morse index, read with the gap of
-    :func:`spectral_gap`, matches the three-term index
-    sum, (c) the signed count equals the chi-weighted component formula
+    (radius DEDUPE_RADIUS), then check (a) found points biject onto the
+    predictions within basin_radius, (b) each Morse index, read with the gap
+    of :func:`spectral_gap`, matches the three-term index sum, (c) the signed count equals the chi-weighted component formula
     (chi_c-weighted for eps < 0; skipped when the scenario declares the
-    properness hypothesis unavailable).  Points with psi above c_bound are
+    properness hypothesis unavailable).  Points with norm above c_bound are
     flagged as outside the localisation neighborhood and excluded from (a).
     """
     preds = predicted_critical_points(scenario)
@@ -470,13 +454,13 @@ def run_localisation(
         )
         results: list[NewtonResult] = []
         for i, pred in enumerate(preds):
-            res = newton_critical_point(S_eps, pred.point, tol=tol)
+            res = newton_critical_point(S_eps, pred.point)
             if not res.converged:
                 report.messages.append(
                     f"newton failed from prediction {i}: {res.message}"
                 )
                 continue
-            if all(_norm(_sub(res.point, r.point)) >= 10 * tol for r in results):
+            if all(_norm(_sub(res.point, r.point)) >= DEDUPE_RADIUS for r in results):
                 results.append(res)
 
         # nearest-prediction assignment; a basin miss or a collision breaks it
@@ -484,7 +468,7 @@ def run_localisation(
         bijection = True
         for res in results:
             x = res.point
-            outside = scenario.psi(x) > c_bound
+            outside = _norm(x) > c_bound
             dists = [_norm(_sub(x, p.point)) for p in preds]
             j = min(range(len(dists)), key=dists.__getitem__) if dists else None
             matched = j if (j is not None and dists[j] <= basin_radius) else None
@@ -576,23 +560,17 @@ class ConvergenceReport(NamedTuple):
         }
 
 
-def convergence_filter(
-    scenario: Scenario,
-    pairs,
-    c_bound: float = 1e3,
-    crit_tol: float = 1e-8,
-    residual_lo: float = 1e-6,
-    residual_hi: float = 1e-3,
-) -> ConvergenceReport:
+def convergence_filter(scenario: Scenario, pairs, c_bound: float = 1e3) -> ConvergenceReport:
     """Classify the limit of a sequence of perturbed critical points.
 
     ``pairs`` is a sequence of (eps_n, x_n) with eps_n -> 0, each x_n a
-    verified critical point of S_{eps_n} (re-verified here).  If the
-    sequence leaves {psi <= c_bound} it escapes.  Otherwise the limit is
+    critical point of S_{eps_n} to CRITICAL_TOL (re-verified here).  If the
+    sequence leaves {|x| <= c_bound} it escapes.  Otherwise the limit is
     extrapolated to eps = 0 (polynomially through the last points) and
     tested for Z1 membership through the residuals |grad S0| and
-    |tangential grad S1|: both below residual_lo means the limit localises
-    to Z1; residuals between the thresholds are reported as inconclusive.
+    |tangential grad S1|: both below Z1_RESIDUAL_LO means the limit
+    localises to Z1; residuals between the thresholds are reported as
+    inconclusive.
     """
     if not pairs:
         raise ValueError("need at least one (eps, point) pair")
@@ -601,20 +579,20 @@ def convergence_filter(
     seq.sort(key=lambda p: -abs(p[0]))
     for e, x in seq:
         gnorm = _norm(family.gradient(x, e))
-        if gnorm > crit_tol:
+        if gnorm > CRITICAL_TOL:
             raise ValueError(
                 f"({e}, {list(x)}) is not a critical point: |grad S_eps| = {gnorm:.3e}"
             )
-    if scenario.psi(seq[-1][1]) > c_bound:
+    if _norm(seq[-1][1]) > c_bound:
         return ConvergenceReport(
             classification="escapes",
             limit_point=seq[-1][1],
             grad_s0_residual=float("nan"),
             tangential_s1_residual=float("nan"),
-            message=f"psi = {scenario.psi(seq[-1][1]):.3e} exceeds bound {c_bound:g}",
+            message=f"|x| = {_norm(seq[-1][1]):.3e} exceeds bound {c_bound:g}",
         )
     limit = _extrapolate_to_zero(seq)
-    if scenario.psi(limit) > c_bound:
+    if _norm(limit) > c_bound:
         return ConvergenceReport(
             classification="escapes",
             limit_point=limit,
@@ -623,12 +601,10 @@ def convergence_filter(
             message="extrapolated limit leaves the bounded region",
         )
     r0 = _norm(family.s0.gradient(limit))
-    basis = kernel_basis(family.s0.hessian(limit), rtol=RANK_RTOL)
-    g1 = family.s1.gradient(limit)
-    r1 = _norm([_dot(k, g1) for k in basis])
-    if r0 < residual_lo and r1 < residual_lo:
+    r1 = _norm(_tangential_s1(family, limit))
+    if r0 < Z1_RESIDUAL_LO and r1 < Z1_RESIDUAL_LO:
         return ConvergenceReport("localises", limit, r0, r1)
-    if r0 > residual_hi or r1 > residual_hi:
+    if r0 > Z1_RESIDUAL_HI or r1 > Z1_RESIDUAL_HI:
         return ConvergenceReport(
             "inconclusive",
             limit,

@@ -24,6 +24,7 @@ __all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "kernel_basis", "pi
 
 _EPS = sys.float_info.epsilon
 _MAX_SWEEPS = 64  # Jacobi converges quadratically; finite input needs a handful
+RANK_RTOL = 1e-8  # rank cutoff, relative to the largest |eigenvalue|
 
 
 class LinAlgError(ArithmeticError):
@@ -162,7 +163,7 @@ def _cutoff(evals, rtol: float) -> float:
     return rtol * max(scale, 1e-300)
 
 
-def kernel_basis(H, rtol: float = 1e-8) -> tuple[tuple[float, ...], ...]:
+def kernel_basis(H, rtol: float = RANK_RTOL) -> tuple[tuple[float, ...], ...]:
     """Orthonormal basis of the numerical kernel of symmetric H, as k vectors.
 
     The cutoff is relative: eigenvalues of magnitude <= rtol * max|eig| count
@@ -173,7 +174,7 @@ def kernel_basis(H, rtol: float = 1e-8) -> tuple[tuple[float, ...], ...]:
     return tuple(v for lam, v in zip(evals, vecs) if abs(lam) <= cutoff)
 
 
-def pinv_solve(H, b, rtol: float = 1e-8) -> tuple[float, ...]:
+def pinv_solve(H, b, rtol: float = RANK_RTOL) -> tuple[float, ...]:
     """Minimal-norm least-squares solution of H x = b for symmetric H.
 
     Spectral pseudo-inverse with relative rank cutoff rtol * max|eig|; kernel

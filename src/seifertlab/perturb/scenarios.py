@@ -33,7 +33,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .fields import PerturbationFamily, ScalarField, Vector
-from .linalg import _dot, _norm, kernel_basis
+from .linalg import RANK_RTOL, _dot, _norm, kernel_basis
 
 __all__ = [
     "Z0Component",
@@ -49,6 +49,8 @@ __all__ = [
 
 
 _ZERO3 = ((0.0, 0.0, 0.0),) * 3
+VALIDATE_TOL = 1e-8  # a residual Scenario.validate reads as zero lies below this
+VALIDATE_SAMPLES = 32  # Z0 points Scenario.validate checks
 
 
 class _Record:
@@ -59,6 +61,16 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def _tangential_s1(family: PerturbationFamily, x) -> list[float]:
+    """grad S1(x) on an orthonormal basis of Ker Hess S0(x), the tangent space of Z0.
+
+    It vanishes exactly where a point of Z0 lies on Z1 = Crit(S1|Z0).
+    """
+    basis = kernel_basis(family.s0.hessian(x), rtol=RANK_RTOL)
+    g1 = family.s1.gradient(x)
+    return [_dot(k, g1) for k in basis]
 
 
 class Z0Component(NamedTuple):
@@ -102,14 +114,12 @@ class Z1Site(_Record):
 class Scenario(_Record):
     """A perturbation family with its declared critical structure.
 
-    ``z0_sampler(n)`` returns n evenly spaced points of Z0; ``psi`` bounds the
-    localisation neighborhood; ``chi_c_count_valid`` declares S1|Z0 proper and
-    bounded below, which the eps < 0 signed count needs.
+    ``z0_sampler(n)`` returns n evenly spaced points of Z0;
+    ``chi_c_count_valid`` declares S1|Z0 proper and bounded below, which the
+    eps < 0 signed count needs.
     """
 
-    __slots__ = (
-        "name", "family", "components", "z1_sites", "z0_sampler", "psi", "chi_c_count_valid"
-    )
+    __slots__ = ("name", "family", "components", "z1_sites", "z0_sampler", "chi_c_count_valid")
 
     def __init__(
         self,
@@ -118,7 +128,6 @@ class Scenario(_Record):
         components: tuple[Z0Component, ...],
         z1_sites: tuple[Z1Site, ...],
         z0_sampler: Callable[[int], list[Vector]],
-        psi: Callable[[Vector], float] = _norm,
         chi_c_count_valid: bool = True,
     ):
         self.name = name
@@ -126,35 +135,32 @@ class Scenario(_Record):
         self.components = components
         self.z1_sites = z1_sites
         self.z0_sampler = z0_sampler
-        self.psi = psi
         self.chi_c_count_valid = chi_c_count_valid
 
     @property
     def dim(self) -> int:
         return self.family.dim
 
-    def validate(self, tol: float = 1e-8, samples: int = 32) -> list[str]:
+    def validate(self) -> list[str]:
         """Residual checks on the declared structure; empty list means valid.
 
         Every Z1 point must kill grad S0 and the component of grad S1
-        tangent to Z0; sampled Z0 points must kill grad S0.  The samples are
-        deterministic, so validation draws no random numbers.
+        tangent to Z0; VALIDATE_SAMPLES sampled Z0 points must kill grad S0.
+        The samples are deterministic, so validation draws no random numbers.
         """
         problems = []
         for site in self.z1_sites:
             g0 = _norm(self.family.s0.gradient(site.point))
-            if g0 >= tol:
+            if g0 >= VALIDATE_TOL:
                 problems.append(f"site {list(site.point)}: |grad S0| = {g0:.3e}")
-            tangent = kernel_basis(self.family.s0.hessian(site.point))
-            g1 = self.family.s1.gradient(site.point)
-            tang_part = _norm([_dot(v, g1) for v in tangent])
-            if tang_part >= tol:
+            tang_part = _norm(_tangential_s1(self.family, site.point))
+            if tang_part >= VALIDATE_TOL:
                 problems.append(
                     f"site {list(site.point)}: tangential |grad S1| = {tang_part:.3e}"
                 )
-        for x in self.z0_sampler(samples):
+        for x in self.z0_sampler(VALIDATE_SAMPLES):
             g0 = _norm(self.family.s0.gradient(x))
-            if g0 >= tol:
+            if g0 >= VALIDATE_TOL:
                 problems.append(f"sampled {list(x)}: |grad S0| = {g0:.3e}")
         return problems
 
@@ -176,15 +182,9 @@ def circle_scenario() -> Scenario:
             (0.0, 0.0, 2.0),
         )
 
-    s0 = ScalarField(3, s0_f, s0_grad, s0_hess, name="(x^2+y^2-1)^2 + z^2")
-    s1 = ScalarField(
-        3,
-        lambda x: x[0],
-        lambda x: (1.0, 0.0, 0.0),
-        lambda x: _ZERO3,
-        name="x",
-    )
-    family = PerturbationFamily(s0, s1, ScalarField.zero(3), name="circle")
+    s0 = ScalarField(3, s0_f, s0_grad, s0_hess)
+    s1 = ScalarField(3, lambda x: x[0], lambda x: (1.0, 0.0, 0.0), lambda x: _ZERO3)
+    family = PerturbationFamily(s0, s1, ScalarField.zero(3))
     comp = Z0Component(name="unit-circle", chi=0, chi_c=0, morse_bott_index=0)
 
     def chart_at(theta0):
@@ -218,15 +218,9 @@ def sphere_scenario() -> Scenario:
             for i, xi in enumerate(x)
         )
 
-    s0 = ScalarField(3, s0_f, s0_grad, s0_hess, name="(|x|^2-1)^2")
-    s1 = ScalarField(
-        3,
-        lambda x: x[2],
-        lambda x: (0.0, 0.0, 1.0),
-        lambda x: _ZERO3,
-        name="z",
-    )
-    family = PerturbationFamily(s0, s1, ScalarField.zero(3), name="sphere")
+    s0 = ScalarField(3, s0_f, s0_grad, s0_hess)
+    s1 = ScalarField(3, lambda x: x[2], lambda x: (0.0, 0.0, 1.0), lambda x: _ZERO3)
+    family = PerturbationFamily(s0, s1, ScalarField.zero(3))
     comp = Z0Component(name="unit-sphere", chi=2, chi_c=2, morse_bott_index=0)
 
     def chart_pole(sign):
@@ -258,23 +252,20 @@ def linear_scenario() -> Scenario:
         lambda x: x[0] ** 2 + 2.0 * x[1] ** 2,
         lambda x: (2.0 * x[0], 4.0 * x[1], 0.0),
         lambda x: ((2.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 0.0)),
-        name="u1^2 + 2*u2^2",
     )
     s1 = ScalarField(
         3,
         lambda x: (1.0 + x[2]) * x[0] + x[2] * x[1],
         lambda x: (1.0 + x[2], x[2], x[0] + x[1]),
         lambda x: ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)),
-        name="(1+w)u1 + w*u2",
     )
     s2 = ScalarField(
         3,
         lambda x: x[2] ** 2,
         lambda x: (0.0, 0.0, 2.0 * x[2]),
         lambda x: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 2.0)),
-        name="w^2",
     )
-    family = PerturbationFamily(s0, s1, s2, name="linear")
+    family = PerturbationFamily(s0, s1, s2)
     comp = Z0Component(name="w-axis", chi=1, chi_c=-1, morse_bott_index=0)
     chart = lambda t: (0.0, 0.0, t[0])
     sites = (
@@ -308,16 +299,9 @@ def escape_scenario() -> Scenario:
         lambda x: -0.5 * math.log1p(x[0] ** 2),
         lambda x: (-x[0] / (1.0 + x[0] ** 2),),
         lambda x: (((x[0] ** 2 - 1.0) / (1.0 + x[0] ** 2) ** 2,),),
-        name="-log(1+x^2)/2",
     )
-    s1 = ScalarField(
-        1,
-        lambda x: x[0],
-        lambda x: (1.0,),
-        lambda x: ((0.0,),),
-        name="x",
-    )
-    family = PerturbationFamily(s0, s1, ScalarField.zero(1), name="escape")
+    s1 = ScalarField(1, lambda x: x[0], lambda x: (1.0,), lambda x: ((0.0,),))
+    family = PerturbationFamily(s0, s1, ScalarField.zero(1))
     comp = Z0Component(name="origin", chi=1, chi_c=1, morse_bott_index=1)
     sites = (
         Z1Site((0.0,), comp, lambda t: (0.0,), z0_dim=0),

@@ -39,7 +39,6 @@ from .seifert import (
 )
 
 __all__ = [
-    "SingularityInvariants",
     "IdentityChainReport",
     "milnor_number",
     "geometric_genus_pd",
@@ -48,7 +47,6 @@ __all__ = [
     "signature_lattice_oracle",
     "casson_invariant",
     "verify_identity_chain",
-    "brieskorn_invariants",
 ]
 
 _LATTICE_LIMIT = 10**6
@@ -304,40 +302,4 @@ def verify_identity_chain(
         pg_routes_ok=pg_ok,
         sigma_routes_ok=sigma_ok,
         milnor_quarter_ok=quarter_ok,
-    )
-
-
-class SingularityInvariants(NamedTuple):
-    """The invariant pack for one Brieskorn triple."""
-
-    milnor: int
-    pg: int
-    signature: int
-    b_plus: int
-    casson: int
-    euler_sl2c: int
-
-    def as_dict(self) -> dict:
-        return {
-            "milnor": self.milnor,
-            "pg": self.pg,
-            "signature": self.signature,
-            "b_plus": self.b_plus,
-            "casson": self.casson,
-            "euler_sl2c": self.euler_sl2c,
-        }
-
-
-def brieskorn_invariants(p: int, q: int, r: int) -> SingularityInvariants:
-    """Invariants of x^p + y^q + z^r = 0, verified through the identity chain."""
-    chain = verify_identity_chain(p, q, r)
-    if not chain.ok:
-        raise ConsistencyError(f"identity chain failed for ({p},{q},{r}): {chain.as_dict()}")
-    return SingularityInvariants(
-        milnor=chain.milnor,
-        pg=chain.pg_pd,
-        signature=chain.sigma_lattice,
-        b_plus=2 * chain.pg_pd,
-        casson=chain.casson,
-        euler_sl2c=chain.euler_sl2c,
     )

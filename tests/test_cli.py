@@ -393,6 +393,29 @@ def test_default_output_matches_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_perturb_output_matches_recorded_bytes(capsys):
+    # sha256 of the output before the lab's tolerances became module constants;
+    # linear covers the skipped eps < 0 signed count, sphere at 1e-12 the
+    # eigenvalue-within-gap note
+    eps = "--eps=0.1,-0.1,0.01,-0.01,1e-3,-1e-3"
+    for argv, digest in [
+        (("circle", eps), "895be78aa4a5e4d5d985ec7e582ecbb705631c7e36473f64d0e686e7f03dc258"),
+        (("circle", eps, "--json"),
+         "e467d38033832f95a02a382140ea3f8f101715b9eb26bfcc00876c2dfbee918a"),
+        (("sphere", eps), "894d9bf74a9cf70520e1b1420489da8b042aa1765b2a633e5fa46cba988ff3a3"),
+        (("sphere", eps, "--json"),
+         "1c02b8347417766c1dec3d818a58baae8df313177c451eb11ed53ad6997e69e6"),
+        (("linear", eps), "ef488a275066f49ca1c3bdec7e7517490b7b03de50b0bf79cbedb1cd9b377a60"),
+        (("linear", eps, "--json"),
+         "c69b296927af483aad811a6d8f521e5501976dcc2ee3e60bb7701bb7caf0b21e"),
+        (("sphere", "--eps", "1e-12"),
+         "d1bc259dc7c56a3416e66b45aad1b1ab0731c9b7481798759549a484d6b06588"),
+    ]:
+        code, out = run(capsys, "perturb", "--scenario", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_exact_only_calls_do_not_load_numpy():
     src = os.path.dirname(os.path.dirname(seifertlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,4 @@
-"""The package namespace: its public names and the README library example."""
+"""The package namespaces: their public names and the README library example."""
 
 from __future__ import annotations
 
@@ -29,11 +29,26 @@ EXPORTS = {
         "sl2c_euler", "sl2c_poincare", "solve_L0_k", "z_decomposition",
     ),
     "singularity": (
-        "brieskorn_invariants", "casson_invariant", "geometric_genus_divisors",
-        "geometric_genus_pd", "milnor_number", "signature_durfee",
-        "signature_lattice_oracle", "verify_identity_chain",
+        "casson_invariant", "geometric_genus_divisors", "geometric_genus_pd",
+        "milnor_number", "signature_durfee", "signature_lattice_oracle",
+        "verify_identity_chain",
     ),
     "errors": ("ConsistencyError",),
+}
+# the names `seifertlab.perturb` exports, by the submodule that defines them
+PERTURB_EXPORTS = {
+    "fields": ("ScalarField", "PerturbationFamily"),
+    "scenarios": (
+        "Scenario", "Z0Component", "Z1Site", "circle_scenario", "escape_scenario",
+        "linear_scenario", "scenario_by_name", "scenario_names", "sphere_scenario",
+    ),
+    "lab": (
+        "ConvergenceReport", "DegenerateCriticalPointError", "ExperimentReport", "FoundPoint",
+        "MultiplierError", "NewtonResult", "PredictedPoint", "convergence_filter",
+        "lagrange_multiplier", "leading_term", "leading_term_kernel_drift", "morse_bott_index",
+        "morse_index", "newton_critical_point", "predicted_critical_points",
+        "run_localisation", "spectral_gap",
+    ),
 }
 SRC = os.path.dirname(os.path.dirname(seifertlab.__file__))
 README = os.path.join(os.path.dirname(SRC), "README.md")
@@ -41,7 +56,7 @@ README = os.path.join(os.path.dirname(SRC), "README.md")
 
 def test_public_names_are_the_exported_set():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 41
+    assert len(names) == 40
     assert sorted(seifertlab.__all__) == sorted(names)
 
 
@@ -62,6 +77,29 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from seifertlab import *", namespace)
     assert set(seifertlab.__all__) <= set(namespace)
+
+
+def test_perturb_public_names_are_the_exported_set():
+    import seifertlab.perturb as perturb
+
+    names = [name for names in PERTURB_EXPORTS.values() for name in names]
+    assert len(names) == 28
+    assert sorted(perturb.__all__) == sorted(names)
+
+
+@pytest.mark.parametrize("module", sorted(PERTURB_EXPORTS))
+def test_perturb_public_names_resolve_to_their_submodule_objects(module):
+    import seifertlab.perturb as perturb
+
+    defining = importlib.import_module(f"seifertlab.perturb.{module}")
+    for name in PERTURB_EXPORTS[module]:
+        assert getattr(perturb, name) is getattr(defining, name)
+
+
+def test_perturb_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from seifertlab.perturb import *", namespace)
+    assert {name for names in PERTURB_EXPORTS.values() for name in names} <= set(namespace)
 
 
 def test_readme_library_example_prints_its_documented_values():

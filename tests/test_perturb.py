@@ -30,7 +30,6 @@ from seifertlab.perturb import (
     morse_index,
     newton_critical_point,
     predicted_critical_points,
-    predicted_spectrum,
     run_localisation,
     scenario_by_name,
     scenario_names,
@@ -70,7 +69,7 @@ def test_fd_gradient_matches_analytic_on_scenarios():
         for s in (sc.family.s0, sc.family.s1, sc.family.s2):
             for x in samples:
                 an = np.asarray(s.gradient(x))
-                fd = np.asarray(s.fd_gradient(x, step=1e-5))
+                fd = np.asarray(s.fd_gradient(x))
                 assert np.linalg.norm(fd - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
 
 
@@ -340,10 +339,10 @@ def test_morse_index_full_negative_definite():
 def test_predicted_spectrum_circle():
     sc = circle_scenario()
     east, west = predicted_critical_points(sc)
-    assert predicted_spectrum(sc, east, 1) == 1  # 0 + 1 + 0
-    assert predicted_spectrum(sc, west, 1) == 0
-    assert predicted_spectrum(sc, east, -1) == 0  # -cos has a minimum at 0
-    assert predicted_spectrum(sc, west, -1) == 1
+    assert east.indices[1] == 1  # 0 + 1 + 0
+    assert west.indices[1] == 0
+    assert east.indices[-1] == 0  # -cos has a minimum at 0
+    assert west.indices[-1] == 1
 
 
 def reference_predicted_index(sc, pred, sign, gap=1e-6):
@@ -369,13 +368,7 @@ def test_predicted_indices_cover_both_signs():
         for pred in predicted_critical_points(sc):
             for sign in (1, -1):
                 expected = reference_predicted_index(sc, pred, sign)
-                assert pred.indices[sign] == predicted_spectrum(sc, pred, sign) == expected
-
-
-def test_predicted_spectrum_requires_metadata():
-    sc = circle_scenario()
-    with pytest.raises(ValueError):
-        predicted_spectrum(sc, np.array([1.0, 0.0, 0.0]), 1)
+                assert pred.indices[sign] == expected
 
 
 # ------------------------------------------------------------ localisation
@@ -609,9 +602,9 @@ def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
     calls = []
     fd_hessian = ScalarField.fd_hessian
 
-    def counted(self, x, *args, **kwargs):
-        calls.append(self.name)
-        return fd_hessian(self, x, *args, **kwargs)
+    def counted(self, x):
+        calls.append(x)
+        return fd_hessian(self, x)
 
     monkeypatch.setattr(ScalarField, "fd_hessian", counted)
     reports = run_localisation(circle_scenario(), [0.1, -0.1, 0.01, -0.01])
@@ -716,6 +709,18 @@ def test_convergence_filter_rejects_non_critical_points():
     sc = circle_scenario()
     with pytest.raises(ValueError):
         convergence_filter(sc, [(0.01, [0.5, 0.5, 0.5])])
+
+
+def test_tangential_s1_flags_a_point_of_z0_off_z1():
+    # (0, 1, 0) lies on the unit circle, where grad S1 = (1, 0, 0) is tangent
+    sc = circle_scenario()
+    off = (0.0, 1.0, 0.0)
+    assert leading_term_kernel_drift(sc.family, off) == 0.5
+    rep = convergence_filter(sc, [(0.0, off)])
+    assert rep.classification == "inconclusive"
+    assert (rep.grad_s0_residual, rep.tangential_s1_residual) == (0.0, 1.0)
+    sc.z1_sites = (Z1Site(off, sc.components[0], lambda t: off, z0_dim=1),)
+    assert sc.validate() == ["site [0.0, 1.0, 0.0]: tangential |grad S1| = 1.000e+00"]
 
 
 # ---------------------------------------------------------------- scenarios

@@ -15,7 +15,6 @@ from seifertlab.errors import ConsistencyError
 from seifertlab.orbifold import h0, orbifold_euler_char, power
 from seifertlab.seifert import SeifertData, brieskorn_seifert_data, n_bundle
 from seifertlab.singularity import (
-    brieskorn_invariants,
     casson_invariant,
     geometric_genus_divisors,
     geometric_genus_pd,
@@ -240,18 +239,6 @@ def test_pg_two_routes_beyond_triples():
         for alphas in coprime_tuples(n, limit):
             S = brieskorn_seifert_data(alphas)
             assert geometric_genus_pd(S) == geometric_genus_divisors(S)
-
-
-def test_brieskorn_invariants_pack():
-    inv = brieskorn_invariants(2, 3, 7)
-    assert inv.as_dict() == {
-        "milnor": 12,
-        "pg": 1,
-        "signature": -8,
-        "b_plus": 2,
-        "casson": -1,
-        "euler_sl2c": 3,
-    }
 
 
 def test_identity_chain_runs_lattice_oracle_once(monkeypatch):
