@@ -89,7 +89,8 @@ def _dump(report: dict) -> str:
 
 
 def _dump_line(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    # reports are trees built fresh per request, so no cycle check is needed
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _error(exc: Exception, where: str = "") -> tuple[dict, int]:

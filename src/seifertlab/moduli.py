@@ -21,10 +21,14 @@ Each such component carries:
 Two routes find the vectors.  The scan (:func:`enumerate_e_vectors`) runs
 over residues and carries the closed-form m.  On a homology sphere every
 bundle is a power of N, so the vectors are also the effective powers G^l,
-0 <= l < A*deg K, of the degree-1/A bundle G = N^(A*e(Y)); one integer walk
-over those powers (``orbifold._walk``, shared with the divisor route of
-the geometric genus) must find the same set, gives each vector's
-h^0(L^(-1) K^2) and, from l, its label.
+0 <= l < A*deg K, of the degree-1/A bundle G = N^(A*e(Y)).  One integer
+walk over those A*deg K powers (``orbifold._walk``) must find the same
+vectors, in the scan's order of degree, and gives each vector's label from
+l.  Each vector's h^0(L^(-1) K^2) is that of G^(2*A*deg K - l), whose
+degree comes in closed form from G's data, so the walk goes no further.
+On the link orientation G = N^(-1), and the same walk's degrees give the
+divisor route's geometric genus, which the report hands to the identity
+chain instead of walking again.
 
 Summing T^(2m) * P_T(CP^e) over the vectors gives the excess of the SL(2,C)
 Poincare polynomial over the SU(2) one; the hat-normalized variant shifts
@@ -43,6 +47,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -50,6 +56,7 @@ from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
 from .orbifold import (
     LineBundleData,
     Orbifold,
+    _h0_sum,
     _walk,
     canonical_bundle,
     dual,
@@ -141,36 +148,53 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     The bound -chi(C) makes the set finite (possibly empty).  The scan runs
     in integers scaled by A = prod alpha_i, pruning each residue slot as soon
     as the partial degree hits the bound, and carries each vector's
-    half-index in the same pass (see :func:`exponent_closed_form`).  Output
-    is sorted by degree, then lexicographically by (e, beta_1, ..., beta_n).
+    half-index in the same pass (see :func:`exponent_closed_form`).  A leaf
+    of the last fiber with scaled partial degree acc stands for the vectors
+    e = 0, 1, ... with e*A + acc below the bound, whose m*A falls by A per
+    unit of e.  Output is sorted by degree, then lexicographically by
+    (e, beta_1, ..., beta_n).
     """
     alphas, A, cofactors, limit = C.alphas, C.scale, C.cofactors, C.scaled_deg_k
     if limit <= 0:
         return []
-    # rows of (deg*A, (e, beta...), m*A); sorting them sorts by (degree, as_tuple())
-    rows: list[tuple[int, tuple[int, ...], int]] = []
+    last = C.n - 1
+    a_last, step_last = alphas[last], cofactors[last]
+    # rows of (deg*A, e, betas, m*A); sorting them sorts by (degree, as_tuple())
+    rows: list[tuple[int, int, tuple[int, ...], int]] = []
+    append = rows.append
 
-    def scan(i: int, acc: int, frac: int, vector: tuple[int, ...]):
-        if i == C.n:
-            rows.append((acc, vector, limit - acc - A + frac))
+    def scan(i: int, acc: int, frac: int, betas: tuple[int, ...]):
+        if i < last:
+            a, step = alphas[i], cofactors[i]
+            for beta in range(a):
+                nxt = acc + beta * step
+                if nxt >= limit:
+                    break
+                # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
+                scan(i + 1, nxt, frac + (beta + 1) % a * step, betas + (beta,))
             return
-        a, step = alphas[i], cofactors[i]
-        for beta in range(a):
-            nxt = acc + beta * step
+        for beta in range(a_last):
+            nxt = acc + beta * step_last
             if nxt >= limit:
                 break
-            # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
-            scan(i + 1, nxt, frac + (beta + 1) % a * step, vector + (beta,))
+            leaf = betas + (beta,)
+            scaled = limit - nxt - A + frac + (beta + 1) % a_last * step_last
+            e = 0
+            while nxt < limit:
+                append((nxt, e, leaf, scaled))
+                nxt += A
+                scaled -= A
+                e += 1
 
-    e = 0
-    while e * A < limit:
-        scan(0, e * A, 0, (e,))
-        e += 1
+    scan(0, 0, 0, ())
     rows.sort()
-    return [
-        EVector(e=vector[0], betas=vector[1:], exponent=_exponent(scaled, A, vector))
-        for _, vector, scaled in rows
-    ]
+    vectors = []
+    for _, e, betas, scaled in rows:
+        m, rem = divmod(scaled, A)
+        if rem or m < 0:  # _exponent names the failing vector
+            _exponent(scaled, A, (e,) + betas)
+        vectors.append(EVector(e, betas, m))
+    return vectors
 
 
 def _excess_euler(S: SeifertData) -> int:
@@ -281,54 +305,58 @@ def z_decomposition(S: SeifertData) -> list[ZComponent]:
     :func:`_components`).  Every CP^e piece also carries the ambient complex
     dimension 2*(e + m) and the (l0_power, k) label of its divisor bundle.
     """
-    return _components(S, _vectors(S))
+    return _components(S, _vectors(S))[0]
 
 
-def _components(S: SeifertData, vectors: list[EVector]) -> list[ZComponent]:
+def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[ZComponent], list[int]]:
     """The scanned vectors checked against, and labelled by, one walk over G^l.
 
     G = N^(A*e(Y)) has degree 1/A, so every bundle of degree d is G^(A*d):
-    the vectors are the effective G^l with 0 <= l < A*deg K, K = G^(A*deg K)
-    and L^(-1) K^2 = G^(2*A*deg K - l).  With L = N^(A*e(Y)*l) the label
-    follows from the parity rule of :func:`solve_L0_k`, in integers.
+    the vectors are the effective G^l with 0 <= l < A*deg K, one walk of
+    A*deg K powers, in the order of l, which is the scan's order of degree,
+    and K = G^(A*deg K).  Each vector's h^0(L^(-1) K^2) is
+    that of G^j, j = 2*A*deg K - l, whose desingularised degree
+    j*e_G + sum_i floor(j*beta_i/alpha_i) comes in closed form from G's data
+    (e_G; beta_i): it is ``normalize(power(G, j))`` without building the
+    bundle.  With L = N^(A*e(Y)*l) the label follows from the parity rule of
+    :func:`solve_L0_k`, in integers.
 
     The ambient dimension 2*(h^0(L) + h^0(L^(-1) K^2) - 1) is set to
-    2*(e + m) without a further check: once the walk's set equals the scan's,
+    2*(e + m) without a further check: once the walk's vectors equal the scan's,
     h^0(L) = e + 1, and once its exponent equals the scan's, h^0(L^(-1) K^2)
     = m, so a re-derivation could not fail.
+
+    Returns the components and the walk's degrees of G^l, l < A*deg K; on
+    the link orientation G = N^(-1), and those degrees are the divisor
+    route's to the geometric genus.
     """
     a_e = require_homology_sphere(S)
     top = S.orbifold.scaled_deg_k
-    degrees, residues = _walk(power(n_bundle(S), a_e), 2 * top + 1, keep=top)
-    powers = {(degrees[l], betas): l for l, betas in residues.items()}
-    scanned = [(v.e, v.betas) for v in vectors]
-    if len(scanned) != len(powers) or set(scanned) != powers.keys():
+    G = power(n_bundle(S), a_e)
+    degrees, residues = _walk(G, top, keep=top)
+    if [(degrees[l], betas) for l, betas in residues.items()] != [v[:2] for v in vectors]:
         raise ConsistencyError(
-            f"walk and scan disagree: {len(powers)} effective powers of N, "
-            f"{len(scanned)} vectors"
+            f"walk and scan disagree: {len(residues)} effective powers of N, "
+            f"{len(vectors)} vectors"
         )
-    components = [ZComponent(kind="su2", morse_index=0)]
-    for v, key in zip(vectors, scanned):
-        l = powers[key]
+    ls = list(residues)
+    # e(G^j) = j*e_G + sum_i floor(j*beta_i/alpha_i), one fiber at a time
+    js = [2 * top - l for l in ls]
+    duals = [j * G.e for j in js]
+    for a, b in zip(S.orbifold.alphas, G.betas):
+        duals = list(map(add, duals, map(floordiv, map(mul, js, repeat(b)), repeat(a))))
+    components = [ZComponent("su2")]
+    append = components.append
+    for v, l, d in zip(vectors, ls, duals):
         m = v.exponent
-        m_walk = max(0, degrees[2 * top - l] + 1)
-        if m != m_walk:
+        if m != max(0, d + 1):
             raise ConsistencyError(
                 f"exponent routes disagree on {v.as_tuple()}: "
-                f"closed form {m}, bundle route {m_walk}"
+                f"closed form {m}, bundle route {max(0, d + 1)}"
             )
         k = (top - l) % 2
-        components.append(
-            ZComponent(
-                kind="cpe",
-                vector=v,
-                morse_index=2 * m,
-                ambient_dim_c=2 * (v.e + m),
-                l0_power=(k + a_e * (top - l)) // 2,
-                parity_k=k,
-            )
-        )
-    return components
+        append(ZComponent("cpe", v, 2 * m, 2 * (v.e + m), (k + a_e * (top - l)) // 2, k))
+    return components, degrees
 
 
 def _excess(vectors: list[EVector]) -> LaurentPoly:
@@ -400,20 +428,28 @@ class ModuliReport(NamedTuple):
     excess_poincare: LaurentPoly
     pg: int
     hp_excess: LaurentPoly
+    pg_divisors: int | None = None
 
 
 def moduli_report(S: SeifertData) -> ModuliReport:
     """Bundle the decomposition, the two excess polynomials and p_g.
 
-    Everything comes from one enumeration of the lattice vectors.  With a
-    Casson invariant lambda, chi of the character variety is -2*lambda + pg;
-    ``reports.seifert_report`` forms it once, whatever the source of lambda.
+    Everything comes from one enumeration of the lattice vectors and one
+    walk over the powers of N.  ``pg`` is the excess Euler characteristic,
+    from the scan.  On a link-oriented fibration ``pg_divisors`` is the
+    divisor route's p_g, the sum of h^0 over the walk's powers of N^(-1)
+    (see ``singularity.geometric_genus_divisors``); it is None on the
+    reversed orientation.  With a Casson invariant lambda, chi of the
+    character variety is -2*lambda + pg; ``reports.seifert_report`` forms it
+    once, whatever the source of lambda.
     """
     vectors = _vectors(S)
+    components, degrees = _components(S, vectors)
     excess = _excess(vectors)
     return ModuliReport(
-        z_components=tuple(_components(S, vectors)),
+        z_components=tuple(components),
         excess_poincare=excess,
         pg=euler_eval(excess),
         hp_excess=_hp_excess(vectors),
+        pg_divisors=_h0_sum(degrees) if S.a_times_e < 0 else None,
     )

@@ -187,6 +187,11 @@ def h0(L: LineBundleData) -> int:
     return max(0, L.e + 1)
 
 
+def _h0_sum(degrees: list[int]) -> int:
+    """Sum of h^0 = max(0, e + 1) over desingularised degrees e."""
+    return sum(e + 1 for e in degrees if e >= 0)
+
+
 def _walk(
     G: LineBundleData, count: int, keep: int = 0
 ) -> tuple[list[int], dict[int, tuple[int, ...]]]:

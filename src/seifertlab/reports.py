@@ -18,7 +18,6 @@ from .orbifold import canonical_bundle, orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
 from .singularity import (
     _check_lattice_limit,
-    geometric_genus_divisors,
     geometric_genus_pd,
     verify_identity_chain,
 )
@@ -108,7 +107,11 @@ def seifert_report(
     _check_lattice_limit(*S.alphas)  # before the moduli side does any work
 
     mod = moduli_report(S)
-    chain = None if triple is None else verify_identity_chain(*triple, excess_euler=mod.pg, S=S)
+    chain = None
+    if triple is not None:  # the chain reuses the moduli side's scan and walk
+        chain = verify_identity_chain(
+            *triple, excess_euler=mod.pg, pg_divisors=mod.pg_divisors, S=S
+        )
     lam = casson if casson is not None or chain is None else chain.casson
     euler_sl2c = None if lam is None else -2 * lam + mod.pg
 
@@ -139,11 +142,8 @@ def seifert_report(
     }
     notes: list[str] = []
     if link_oriented:
-        if chain is not None:
-            pg_pd, pg_div = chain.pg_pd, chain.pg_divisors
-        else:
-            pg_pd, pg_div = geometric_genus_pd(S), geometric_genus_divisors(S)
-        checks["pg_routes"] = pg_pd == pg_div == mod.pg
+        pg_pd = chain.pg_pd if chain is not None else geometric_genus_pd(S)
+        checks["pg_routes"] = pg_pd == mod.pg_divisors == mod.pg
     else:
         notes.append("reversed orientation (deg N > 0): singularity invariants unavailable")
     if chain is not None:

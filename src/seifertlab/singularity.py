@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .moduli import _excess_euler
-from .orbifold import _walk, power
+from .orbifold import _h0_sum, _walk, power
 from .seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -129,7 +129,7 @@ def geometric_genus_divisors(S: SeifertData) -> int:
     equal on every singularity link.
     """
     degrees, _ = _walk(power(n_bundle(S), -1), _link_bound(S))
-    return sum(e + 1 for e in degrees if e >= 0)
+    return _h0_sum(degrees)
 
 
 def signature_durfee(pg: int, milnor: int) -> int:
@@ -251,7 +251,12 @@ class IdentityChainReport(NamedTuple):
 
 
 def verify_identity_chain(
-    p: int, q: int, r: int, excess_euler: int | None = None, S: SeifertData | None = None
+    p: int,
+    q: int,
+    r: int,
+    excess_euler: int | None = None,
+    pg_divisors: int | None = None,
+    S: SeifertData | None = None,
 ) -> IdentityChainReport:
     """Run the full cross-check chain for one pairwise-coprime triple.
 
@@ -266,8 +271,11 @@ def verify_identity_chain(
     assembled the excess polynomial of Sigma(p,q,r), in any order of the
     exponents; otherwise the count-only scan ``moduli._excess_euler`` gives
     it, the sum of e + 1 over the lattice vectors, without building one.
-    ``S`` is the caller's link-oriented Seifert data of Sigma(p,q,r), in any
-    fiber order; otherwise it is built here.
+    ``pg_divisors`` is the divisor route's p_g when the caller's walk over
+    the powers of N^(-1) has already given it (``moduli.moduli_report``);
+    otherwise :func:`geometric_genus_divisors` walks them here.  ``S`` is
+    the caller's link-oriented Seifert data of Sigma(p,q,r), in any fiber
+    order; otherwise it is built here.
     """
     _check_triple(p, q, r)
     _check_lattice_limit(p, q, r)
@@ -277,7 +285,7 @@ def verify_identity_chain(
         raise ValueError(f"Seifert data over {S.alphas} is not Sigma({p},{q},{r})")
     mu = milnor_number(p, q, r)
     pg_pd = geometric_genus_pd(S)
-    pg_div = geometric_genus_divisors(S)
+    pg_div = geometric_genus_divisors(S) if pg_divisors is None else pg_divisors
     if excess_euler is None:
         excess_euler = _excess_euler(S)
     sigma_lat = signature_lattice_oracle(p, q, r)

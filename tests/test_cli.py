@@ -393,6 +393,30 @@ def test_default_output_matches_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_batch_output_matches_recorded_bytes(capsys, tmp_path):
+    # sha256 of the output before the moduli walk stopped at A*deg K powers and
+    # fed the divisor p_g: Sigma(17,19,23) (968 vectors) from its exponents and
+    # as raw Seifert data, five and four fibers, the reversal of Sigma(17,19,23)
+    # and a sweep
+    path = tmp_path / "requests.ndjson"
+    path.write_text(
+        '{"mode": "brieskorn", "exponents": [19, 23, 17]}\n'
+        '{"mode": "seifert", "b": -2, "fibers": [[23, 22], [17, 7], [19, 12]]}\n'
+        '{"mode": "brieskorn", "exponents": [2, 3, 5, 7, 11]}\n'
+        '{"mode": "seifert", "b": -2, "fibers": [[7, 3], [2, 1], [5, 2], [3, 2]],'
+        ' "casson": -14, "su2_poly": "28"}\n'
+        '{"mode": "seifert", "b": -1, "fibers": [[17, 10], [19, 7], [23, 1]]}\n'
+        '{"mode": "verify", "max": 9}\n'
+    )
+    code, out = run(capsys, "batch", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "2645665d20f5c65b84fe2f875761abd641142e4a2a5a62070573bb5e87cae06e"
+    )
+
+
 def test_perturb_output_matches_recorded_bytes(capsys):
     # sha256 of the output before the lab's tolerances became module constants;
     # linear covers the skipped eps < 0 signed count, sphere at 1e-12 the

@@ -300,18 +300,54 @@ def test_components_check_every_vector(monkeypatch):
             tampered[i] = v._replace(betas=betas)
             with pytest.raises(ConsistencyError, match="walk and scan disagree"):
                 moduli._components(S, tampered)
-    # one walk per request, and no tensor or power per vector
+    # one walk of A*deg K powers per request, and no tensor or power per vector
     walks, ops = [], []
     original_walk, original_power, original_tensor = moduli._walk, moduli.power, moduli.tensor
     monkeypatch.setattr(
-        moduli, "_walk", lambda G, count, keep: walks.append(G) or original_walk(G, count, keep)
+        moduli,
+        "_walk",
+        lambda G, count, keep: walks.append((G, count, keep)) or original_walk(G, count, keep),
     )
     monkeypatch.setattr(moduli, "power", lambda L, m: ops.append(m) or original_power(L, m))
     monkeypatch.setattr(moduli, "tensor", lambda *a: ops.append(a) or original_tensor(*a))
-    components = moduli._components(S, vectors)
+    components, degrees = moduli._components(S, vectors)
     assert len(components) == len(vectors) + 1
-    assert walks == [dual(n_bundle(S))]
+    top = S.orbifold.scaled_deg_k
+    assert walks == [(dual(n_bundle(S)), top, top)]
+    assert len(degrees) == top
     assert ops == [-1]  # G = N^(A*e(Y)) = N^(-1) on the link orientation
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_a_report_walks_the_powers_of_n_once(monkeypatch):
+    import seifertlab.moduli as moduli
+    import seifertlab.singularity as singularity
+    from seifertlab.reports import brieskorn_report, seifert_report, verify_sweep_report
+
+    calls = []
+    _counting(monkeypatch, moduli, "_walk", calls)
+    _counting(monkeypatch, singularity, "_walk", calls)
+    _counting(monkeypatch, singularity, "geometric_genus_divisors", calls)
+    report = brieskorn_report((13, 3, 2))
+    assert report["checks"]["pg_routes"] and calls == ["_walk"]
+    calls.clear()
+    S = brieskorn_seifert_data((3, 2, 7, 5))
+    report = seifert_report(S, {"mode": "seifert"})
+    assert report["checks"] == {"pg_routes": True} and calls == ["_walk"]
+    calls.clear()
+    # a sweep builds no vector, so its divisor route keeps its own walk
+    report = verify_sweep_report(7)
+    assert report["all_ok"]
+    assert calls == ["geometric_genus_divisors", "_walk"] * report["count"]
 
 
 # 3, 4 and 5 fibers come up equally often; (2,3,5,7,11) has 1039 vectors
@@ -343,6 +379,42 @@ def test_count_only_scan_equals_the_excess_euler_characteristic(alphas, reverse)
         S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
     vectors = enumerate_e_vectors(S.orbifold)
     assert _excess_euler(S) == euler_eval(excess_poincare(S)) == sum(v.e + 1 for v in vectors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_BASES.flatmap(st.permutations))
+def test_report_divisor_pg_equals_the_standalone_route(alphas):
+    from seifertlab.singularity import geometric_genus_divisors
+
+    S = brieskorn_seifert_data(alphas)
+    assert moduli_report(S).pg_divisors == geometric_genus_divisors(S) == moduli_report(S).pg
+    # the reversed orientation is no singularity link: no divisor p_g
+    reversed_S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    assert moduli_report(reversed_S).pg_divisors is None
+
+
+@pytest.mark.parametrize("alphas", [(13, 2, 5), (3, 2, 7, 5)])
+def test_a_tampered_walk_degree_fails_pg_routes(monkeypatch, alphas):
+    import seifertlab.moduli as moduli
+    from seifertlab.reports import seifert_report
+
+    original = moduli._walk
+
+    def tampered(G, count, keep):
+        degrees, residues = original(G, count, keep)
+        # a power with no section gains one; the residues, and so the
+        # vectors the walk matches against the scan, stay as they were
+        l = degrees.index(-1)
+        return degrees[:l] + [0] + degrees[l + 1 :], residues
+
+    S = brieskorn_seifert_data(alphas)
+    assert seifert_report(S, {})["checks"]["pg_routes"] is True
+    monkeypatch.setattr(moduli, "_walk", tampered)
+    report = seifert_report(S, {})
+    assert report["checks"]["pg_routes"] is False
+    assert all(ok for key, ok in report["checks"].items() if key != "pg_routes")
+    if report["singularity"] is not None:  # the identity chain checks the same p_g
+        assert report["singularity"]["checks"]["pg_routes"] is False
 
 
 def _tampered(alphas, field, change):

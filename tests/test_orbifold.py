@@ -184,6 +184,15 @@ def test_bundle_ops_equal_normalize_of_raw_data(data):
 # G = N^(-1) of Sigma(2,3,5), where A*deg K = -1 and every sweep walks with
 # count = keep = -1
 _D235 = (S235, dual(n_bundle(brieskorn_seifert_data((2, 3, 5)))), None, None)
+# G = N of Sigma(3,5,7) reversed, (-1; (3,2), (5,1), (7,1)), which has e = -1
+# and A*deg K = 34, walked as a report walks it
+_S357 = brieskorn_seifert_data((3, 5, 7))
+_N357_REVERSED = (
+    _S357.orbifold,
+    n_bundle(SeifertData(-_S357.b - 3, tuple((a, a - g) for a, g in _S357.fibers))),
+    None,
+    None,
+)
 
 
 # count and keep run from negative through more than 12 periods of every alpha
@@ -192,12 +201,18 @@ _D235 = (S235, dual(n_bundle(brieskorn_seifert_data((2, 3, 5)))), None, None)
 @example(_D235, -1, -1)
 @example(_D235, 0, 5)
 @example(_D235, 7, 150)
+@example(_N357_REVERSED, 34, 34)
 def test_walk_equals_powers(data, count, keep):
     _, G, _, _ = data
     degrees, residues = _walk(G, count, keep)
-    powers = [power(G, l) for l in range(count)]
-    assert degrees == [P.e for P in powers]
-    assert residues == {l: P.betas for l, P in enumerate(powers) if l < keep and P.e >= 0}
+    powers = [power(G, l) for l in range(max(2 * count, 0))]
+    assert degrees == [P.e for P in powers[:count]]
+    walked = powers[: max(min(keep, count), 0)]
+    assert residues == {l: P.betas for l, P in enumerate(walked) if P.e >= 0}
+    # the dual degrees of a report's vectors, past the walk: G^j in closed form
+    pairs = list(zip(G.orbifold.alphas, G.betas))
+    for j, P in enumerate(powers):
+        assert j * G.e + sum(j * b // a for a, b in pairs) == P.e
 
 
 _HOMOLOGY_SPHERE_BASES = coprime_tuples(3, 13) + coprime_tuples(4, 11)

@@ -232,6 +232,15 @@ def test_identity_chain_takes_the_callers_seifert_data():
     reversed_S = SeifertData(-S.b - 3, tuple((a, a - g) for a, g in S.fibers))
     with pytest.raises(ValueError, match="wrong orientation"):
         verify_identity_chain(2, 5, 13, S=reversed_S)
+    # a p_g from the caller's walk is checked like the chain's own, and
+    # weakens neither check of the caller's data
+    pg = expected["pg_divisors"]
+    assert verify_identity_chain(2, 5, 13, pg_divisors=pg, S=S).as_dict() == expected
+    assert not verify_identity_chain(2, 5, 13, pg_divisors=pg + 1, S=S).pg_routes_ok
+    with pytest.raises(ValueError, match="not Sigma"):
+        verify_identity_chain(2, 5, 13, pg_divisors=pg, S=brieskorn_seifert_data((2, 5, 11)))
+    with pytest.raises(ValueError, match="wrong orientation"):
+        verify_identity_chain(2, 5, 13, pg_divisors=pg, S=reversed_S)
 
 
 def test_pg_two_routes_beyond_triples():
