@@ -40,7 +40,6 @@ _SUBMODULE_NAMES = {
         "brieskorn_seifert_data",
         "bundle_log",
         "n_bundle",
-        "validate_homology_sphere",
     ),
     "moduli": (
         "EVector",

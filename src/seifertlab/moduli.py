@@ -36,11 +36,12 @@ each CP^e summand by T^(-2e) instead.  The SU(2) summand itself is an opaque
 optional input, but its Euler characteristic is always -2 * casson.
 
 The identity chain reads only the excess Euler characteristic, the sum of
-e + 1 over the vectors.  A count-only form of the scan
-(:func:`_excess_euler`) gives it without building a vector: it stops at
-the residues and sums each leaf's range of e in closed form, keeping the
-scan's pruning and its integrality check of m.  Reports, which print every
-vector, still enumerate them.
+e + 1 over the vectors.  One scan over the residues of the first n - 1
+fibers (:func:`_prefixes`) feeds two last-fiber loops: the enumeration
+builds every vector, and the count (:func:`_excess_euler`) stops at the
+residues and sums each leaf's range of e in closed form.  Both check the
+integrality of m once per leaf.  Reports, which print every vector, still
+enumerate them.
 """
 
 from __future__ import annotations
@@ -142,6 +143,32 @@ def _exponent(scaled: int, A: int, vector: tuple[int, ...]) -> int:
     return m
 
 
+def _prefixes(C: Orbifold) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The scan over the residues of the first n - 1 fibers.
+
+    One (acc, frac, betas) per prefix (beta_1..beta_(n-1)) whose scaled
+    partial degree acc = sum_i beta_i*A/alpha_i is below A*deg K, in
+    lexicographic order; frac = sum_i ((beta_i + 1) mod alpha_i) * A/alpha_i
+    is the prefix's share of m*A.  Each fiber's residues stop at the first
+    one that reaches the bound.  On one fiber the only prefix is the empty
+    one.
+    """
+    limit = C.scaled_deg_k
+    prefixes = [(0, 0, ())]
+    for a, step in zip(C.alphas[:-1], C.cofactors[:-1]):
+        grown = []
+        append = grown.append
+        for acc, frac, betas in prefixes:
+            for beta in range(a):
+                nxt = acc + beta * step
+                if nxt >= limit:
+                    break
+                # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
+                append((nxt, frac + (beta + 1) % a * step, betas + (beta,)))
+        prefixes = grown
+    return prefixes
+
+
 def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     """All vectors (e; beta) with e >= 0, 0 <= beta_i < alpha_i, deg < -chi(C).
 
@@ -150,89 +177,60 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     as the partial degree hits the bound, and carries each vector's
     half-index in the same pass (see :func:`exponent_closed_form`).  A leaf
     of the last fiber with scaled partial degree acc stands for the vectors
-    e = 0, 1, ... with e*A + acc below the bound, whose m*A falls by A per
-    unit of e.  Output is sorted by degree, then lexicographically by
+    e = 0, 1, ..., t - 1 with e*A + acc below the bound, whose m falls by 1
+    per unit of e, so the integrality check of the least m, at e = t - 1,
+    covers the leaf.  Output is sorted by degree, then lexicographically by
     (e, beta_1, ..., beta_n).
     """
-    alphas, A, cofactors, limit = C.alphas, C.scale, C.cofactors, C.scaled_deg_k
-    if limit <= 0:
-        return []
-    last = C.n - 1
-    a_last, step_last = alphas[last], cofactors[last]
-    # rows of (deg*A, e, betas, m*A); sorting them sorts by (degree, as_tuple())
+    A, limit = C.scale, C.scaled_deg_k
+    a, step = C.alphas[-1], C.cofactors[-1]
+    # rows of (deg*A, e, betas, m); sorting them sorts by (degree, as_tuple())
     rows: list[tuple[int, int, tuple[int, ...], int]] = []
     append = rows.append
-
-    def scan(i: int, acc: int, frac: int, betas: tuple[int, ...]):
-        if i < last:
-            a, step = alphas[i], cofactors[i]
-            for beta in range(a):
-                nxt = acc + beta * step
-                if nxt >= limit:
-                    break
-                # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
-                scan(i + 1, nxt, frac + (beta + 1) % a * step, betas + (beta,))
-            return
-        for beta in range(a_last):
-            nxt = acc + beta * step_last
+    for acc, frac, betas in _prefixes(C):
+        for beta in range(a):
+            nxt = acc + beta * step
             if nxt >= limit:
                 break
             leaf = betas + (beta,)
-            scaled = limit - nxt - A + frac + (beta + 1) % a_last * step_last
+            m, rem = divmod(limit - nxt - A + frac + (beta + 1) % a * step, A)
             e = 0
             while nxt < limit:
-                append((nxt, e, leaf, scaled))
+                append((nxt, e, leaf, m))
                 nxt += A
-                scaled -= A
+                m -= 1
                 e += 1
-
-    scan(0, 0, 0, ())
+            if rem or m < -1:  # the least m, at e - 1, is m + 1
+                _exponent((m + 1) * A + rem, A, (e - 1,) + leaf)
     rows.sort()
-    vectors = []
-    for _, e, betas, scaled in rows:
-        m, rem = divmod(scaled, A)
-        if rem or m < 0:  # _exponent names the failing vector
-            _exponent(scaled, A, (e,) + betas)
-        vectors.append(EVector(e, betas, m))
-    return vectors
+    return [EVector(e, betas, m) for _, e, betas, m in rows]
 
 
 def _excess_euler(S: SeifertData) -> int:
     """Sum of chi(CP^e) = e + 1 over the lattice vectors, without building them.
 
-    The scan of :func:`enumerate_e_vectors`, with its pruning, stops at the
-    residues: a leaf with scaled partial degree acc takes every e with
-    e*A + acc < A*deg K, that is t = (A*deg K - 1 - acc) // A + 1 vectors,
-    whose e + 1 sum to t(t + 1)/2.  Their m*A falls by exactly A per unit
-    of e, so checking the least one, at e = t - 1, with :func:`_exponent`
-    checks all of them.  This is the excess polynomial's Euler
-    characteristic, ``euler_eval(excess_poincare(S))``.
+    The scan of :func:`enumerate_e_vectors`, with its pruning and its
+    integrality check of each leaf's least m, stops at the residues: a leaf
+    with scaled partial degree acc takes every e with e*A + acc < A*deg K,
+    that is t = (A*deg K - 1 - acc) // A + 1 vectors, whose e + 1 sum to
+    t(t + 1)/2.  This is the excess polynomial's Euler characteristic,
+    ``euler_eval(excess_poincare(S))``.
     """
     require_homology_sphere(S)
     C = S.orbifold
-    alphas, A, cofactors, limit = C.alphas, C.scale, C.cofactors, C.scaled_deg_k
-    last = C.n - 1
+    A, limit = C.scale, C.scaled_deg_k
+    a, step = C.alphas[-1], C.cofactors[-1]
     total = 0
-
-    def scan(i: int, acc: int, frac: int, betas: tuple[int, ...]):
-        nonlocal total
-        a, step = alphas[i], cofactors[i]
+    for acc, frac, betas in _prefixes(C):
         for beta in range(a):
             nxt = acc + beta * step
             if nxt >= limit:
                 break
-            nxt_frac = frac + (beta + 1) % a * step
-            if i < last:
-                scan(i + 1, nxt, nxt_frac, betas + (beta,))
-                continue
             t = (limit - 1 - nxt) // A + 1
-            least = limit - nxt - t * A + nxt_frac
+            least = limit - nxt - t * A + frac + (beta + 1) % a * step
             if least % A or least < 0:  # _exponent names the failing vector
                 _exponent(least, A, (t - 1,) + betas + (beta,))
             total += t * (t + 1) // 2
-
-    if limit > 0:
-        scan(0, 0, 0, ())
     return total
 
 

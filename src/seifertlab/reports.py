@@ -14,10 +14,11 @@ from math import gcd
 
 from .exact import LaurentPoly, euler_eval
 from .moduli import moduli_report
-from .orbifold import canonical_bundle, orbifold_euler_char
+from .orbifold import orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
 from .singularity import (
     _check_lattice_limit,
+    _identity_chain,
     geometric_genus_pd,
     verify_identity_chain,
 )
@@ -109,9 +110,7 @@ def seifert_report(
     mod = moduli_report(S)
     chain = None
     if triple is not None:  # the chain reuses the moduli side's scan and walk
-        chain = verify_identity_chain(
-            *triple, excess_euler=mod.pg, pg_divisors=mod.pg_divisors, S=S
-        )
+        chain = _identity_chain(*triple, S, mod.pg, mod.pg_divisors)
     lam = casson if casson is not None or chain is None else chain.casson
     euler_sl2c = None if lam is None else -2 * lam + mod.pg
 
@@ -121,7 +120,7 @@ def seifert_report(
         "orbifold": {
             "alphas": list(C.alphas),
             "euler_char": fraction_str(chi),
-            "canonical_degree": fraction_str(canonical_bundle(C).degree),
+            "canonical_degree": fraction_str(-chi),  # deg K = -chi(C)
             "n_bundle": n_bundle(S).as_dict(),
             "n_degree": fraction_str(S.euler_number),
         },

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError
 from .orbifold import LineBundleData, Orbifold, normalize, power
 
 __all__ = [
     "SeifertData",
-    "HomologySphereCheck",
     "pairwise_coprime",
     "brieskorn_seifert_data",
-    "validate_homology_sphere",
     "require_homology_sphere",
     "n_bundle",
     "bundle_log",
@@ -102,13 +100,6 @@ class SeifertData:
         return {"b": self.b, "fibers": [[a, g] for a, g in self.fibers]}
 
 
-class HomologySphereCheck(NamedTuple):
-    """Result of the integral-homology-sphere test, with the A*e(Y) diagnostic."""
-
-    ok: bool
-    a_times_e: int
-
-
 def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
     """Seifert data of the Brieskorn sphere Sigma(alpha_1, ..., alpha_n).
 
@@ -133,17 +124,11 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
     return SeifertData(b, tuple(zip(alphas, gammas)), _orbifold=C)
 
 
-def validate_homology_sphere(S: SeifertData) -> HomologySphereCheck:
-    """True iff |A * e(Y)| = 1; the diagnostic reports the integer A * e(Y)."""
-    return HomologySphereCheck(ok=abs(S.a_times_e) == 1, a_times_e=S.a_times_e)
-
-
 def require_homology_sphere(S: SeifertData) -> int:
     """A*e(Y) = +-1 of an integral homology sphere; ValueError naming A*e(Y) otherwise."""
-    check = validate_homology_sphere(S)
-    if not check.ok:
-        raise ValueError(f"not an integral homology sphere: A*e(Y) = {check.a_times_e}")
-    return check.a_times_e
+    if abs(S.a_times_e) != 1:
+        raise ValueError(f"not an integral homology sphere: A*e(Y) = {S.a_times_e}")
+    return S.a_times_e
 
 
 def n_bundle(S: SeifertData) -> LineBundleData:

@@ -65,9 +65,10 @@ def _check_lattice_limit(*alphas: int) -> None:
 
     On three fibers A*(n-2) = p*q*r.  On every fiber count it bounds the
     moduli side's vector count, which is below A*deg K < A*(n-2), and the
-    A*deg K steps of each p_g route.  The identity chain calls it before
-    any other work on a triple, and report assembly on the alphas of every
-    fibration, in either orientation.
+    A*deg K steps of each p_g route.  :func:`verify_identity_chain` calls it
+    before any other work on a triple, and report assembly on the alphas of
+    every fibration, in either orientation, before its moduli side and the
+    chain it runs on the same data.
     """
     m = math.prod(alphas) * (len(alphas) - 2)
     if m > _LATTICE_LIMIT:
@@ -250,14 +251,7 @@ class IdentityChainReport(NamedTuple):
         }
 
 
-def verify_identity_chain(
-    p: int,
-    q: int,
-    r: int,
-    excess_euler: int | None = None,
-    pg_divisors: int | None = None,
-    S: SeifertData | None = None,
-) -> IdentityChainReport:
+def verify_identity_chain(p: int, q: int, r: int) -> IdentityChainReport:
     """Run the full cross-check chain for one pairwise-coprime triple.
 
     Asserted identities, all at exact integer precision:
@@ -267,32 +261,35 @@ def verify_identity_chain(
       (iii) -2*lambda + p_g = mu/4 = chi of the SL(2,C) character variety,
             with chi = -2*lambda + excess Euler characteristic.
 
-    ``excess_euler`` is the moduli side's value when the caller has already
-    assembled the excess polynomial of Sigma(p,q,r), in any order of the
-    exponents; otherwise the count-only scan ``moduli._excess_euler`` gives
-    it, the sum of e + 1 over the lattice vectors, without building one.
-    ``pg_divisors`` is the divisor route's p_g when the caller's walk over
-    the powers of N^(-1) has already given it (``moduli.moduli_report``);
-    otherwise :func:`geometric_genus_divisors` walks them here.  ``S`` is
-    the caller's link-oriented Seifert data of Sigma(p,q,r), in any fiber
-    order; otherwise it is built here.
+    The link-oriented Seifert data of Sigma(p,q,r) is built here; the
+    count-only scan ``moduli._excess_euler`` gives the excess Euler
+    characteristic, the sum of e + 1 over the lattice vectors, without
+    building one, and :func:`geometric_genus_divisors` walks the powers of
+    N^(-1).  ``reports.seifert_report``, whose moduli report already holds
+    both values, hands them to the same chain.
     """
     _check_triple(p, q, r)
     _check_lattice_limit(p, q, r)
-    if S is None:
-        S = brieskorn_seifert_data((p, q, r))
-    elif sorted(S.alphas) != sorted((p, q, r)):
-        raise ValueError(f"Seifert data over {S.alphas} is not Sigma({p},{q},{r})")
+    S = brieskorn_seifert_data((p, q, r))
+    return _identity_chain(p, q, r, S, _excess_euler(S), geometric_genus_divisors(S))
+
+
+def _identity_chain(
+    p: int, q: int, r: int, S: SeifertData, excess_euler: int, pg_divisors: int
+) -> IdentityChainReport:
+    """The chain on link-oriented data S of Sigma(p,q,r), in any fiber order.
+
+    ``excess_euler`` and ``pg_divisors`` are the moduli side's excess Euler
+    characteristic and the divisor route's p_g of S; the Pinkham-Dolgachev
+    p_g and the lattice signature are computed here.
+    """
     mu = milnor_number(p, q, r)
     pg_pd = geometric_genus_pd(S)
-    pg_div = geometric_genus_divisors(S) if pg_divisors is None else pg_divisors
-    if excess_euler is None:
-        excess_euler = _excess_euler(S)
     sigma_lat = signature_lattice_oracle(p, q, r)
     sigma_dur = signature_durfee(pg_pd, mu)
     lam = _casson_from_signature(sigma_lat)
     chi_m = -2 * lam + excess_euler
-    pg_ok = pg_pd == pg_div == excess_euler
+    pg_ok = pg_pd == pg_divisors == excess_euler
     sigma_ok = sigma_dur == sigma_lat
     quarter_ok = (mu % 4 == 0) and (-2 * lam + pg_pd == mu // 4 == chi_m)
     return IdentityChainReport(
@@ -301,7 +298,7 @@ def verify_identity_chain(
         r=r,
         milnor=mu,
         pg_pd=pg_pd,
-        pg_divisors=pg_div,
+        pg_divisors=pg_divisors,
         excess_euler=excess_euler,
         sigma_durfee=sigma_dur,
         sigma_lattice=sigma_lat,

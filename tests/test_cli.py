@@ -387,6 +387,29 @@ def test_default_output_matches_recorded_bytes(capsys):
             1,
             "2ecd4022bbc58c16eb5649fec441c438b6a148c0c3cbaa0ff17b054581ff1b2b",
         ),
+        # before the residue scan was shared by the vector and count paths:
+        # one fiber (no fiber before the last), two fibers, and the default
+        # tables of a report and of a sweep
+        (
+            ("seifert", "--b", "0", "--fiber", "2/1", "--json"),
+            0,
+            "994ea4377978508c05fa37c3cc8b7e584c22775e6255bf1d57136bc0506dca69",
+        ),
+        (
+            ("seifert", "--b", "-1", "--fiber", "2/1", "--fiber", "3/1", "--json"),
+            0,
+            "2fd8a49e3ef2615c9262fada1876ab98f96ae06e93be8697b31fc4e7300c344e",
+        ),
+        (
+            ("brieskorn", "2", "3", "7"),
+            0,
+            "f198f1d008ac268e0badb5702330165fcde7bb36820c6616f1d8c94ca86e248f",
+        ),
+        (
+            ("verify", "--max", "9"),
+            0,
+            "1646999e8bf0d51e74a46c0cde5a9ce6144890932264d7810669c32b504d0fff",
+        ),
     ]:
         code, out = run(capsys, *argv)
         assert code == exit_code

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -21,7 +22,6 @@ EXPORTS = {
     ),
     "seifert": (
         "SeifertData", "brieskorn_seifert_data", "bundle_log", "n_bundle",
-        "validate_homology_sphere",
     ),
     "moduli": (
         "EVector", "ZComponent", "enumerate_e_vectors", "excess_poincare",
@@ -56,7 +56,7 @@ README = os.path.join(os.path.dirname(SRC), "README.md")
 
 def test_public_names_are_the_exported_set():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 40
+    assert len(names) == 39
     assert sorted(seifertlab.__all__) == sorted(names)
 
 
@@ -112,3 +112,44 @@ def test_readme_library_example_prints_its_documented_values():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["2", "-2 6", "6", "0"]
+
+
+def _private_definitions_and_references():
+    """Module-level private functions and classes under src/seifertlab, and
+    every name the package's code reads, each with the definition it sits in."""
+    definitions, references = [], []
+    package = os.path.join(SRC, "seifertlab")
+    for folder, _, files in os.walk(package):
+        for file in sorted(files):
+            if not file.endswith(".py"):
+                continue
+            path = os.path.relpath(os.path.join(folder, file), package)
+            with open(os.path.join(folder, file), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for statement in tree.body:
+                owner = None
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    owner = (path, statement.name)
+                    if statement.name.startswith("_") and not statement.name.startswith("__"):
+                        definitions.append(owner)
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name):
+                        references.append((node.id, owner))
+                    elif isinstance(node, ast.Attribute):
+                        references.append((node.attr, owner))
+                    elif isinstance(node, ast.alias):
+                        references.append((node.name, owner))
+    return definitions, references
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper that nothing else in src/ reads is dead code; a
+    # reference from inside its own body (recursion) does not count
+    definitions, references = _private_definitions_and_references()
+    assert definitions
+    unused = [
+        f"{path}:{name}"
+        for path, name in definitions
+        if not any(ref == name and owner != (path, name) for ref, owner in references)
+    ]
+    assert unused == []

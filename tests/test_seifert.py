@@ -16,7 +16,7 @@ from seifertlab.seifert import (
     brieskorn_seifert_data,
     bundle_log,
     n_bundle,
-    validate_homology_sphere,
+    require_homology_sphere,
 )
 
 
@@ -87,13 +87,12 @@ def test_seifert_data_validation():
         SeifertData(-1, ((2, 1), (2, 1)))  # e(Y) = 0
 
 
-def test_validate_homology_sphere_examples():
-    check = validate_homology_sphere(brieskorn_seifert_data((2, 3, 5)))
-    assert check.ok and check.a_times_e == -1
-    check = validate_homology_sphere(SeifertData(-1, ((2, 1), (4, 1))))
-    assert not check.ok and check.a_times_e == -2
-    check = validate_homology_sphere(SeifertData(-1, ((2, 1), (3, 1), (7, 1))))
-    assert check.ok and check.a_times_e == -1
+def test_require_homology_sphere_examples():
+    assert require_homology_sphere(brieskorn_seifert_data((2, 3, 5))) == -1
+    with pytest.raises(ValueError, match=r"A\*e\(Y\) = -2$"):
+        require_homology_sphere(SeifertData(-1, ((2, 1), (4, 1))))
+    assert require_homology_sphere(SeifertData(-1, ((2, 1), (3, 1), (7, 1)))) == -1
+    assert require_homology_sphere(SeifertData(0, ((2, 1),))) == 1
 
 
 def test_n_bundle_examples():
@@ -139,8 +138,7 @@ def test_bundle_log_rejects_foreign_bundle():
 def test_brieskorn_sweep_is_homology_sphere_with_negative_degree():
     for alphas in coprime_tuples(3, 15):
         S = brieskorn_seifert_data(alphas)
-        check = validate_homology_sphere(S)
-        assert check.ok and check.a_times_e == -1
+        assert require_homology_sphere(S) == S.a_times_e == -1
         assert S.euler_number < 0
         # deg K / deg N is the integer power expressing K through N
         K = canonical_bundle(S.orbifold)
@@ -165,7 +163,7 @@ def test_link_orientation_recognises_the_brieskorn_triple():
                 b = (a_e - weighted) // A
                 for fibers in permutations(zip(alphas, gammas)):
                     S = SeifertData(b, fibers)
-                    assert validate_homology_sphere(S).a_times_e == a_e
+                    assert require_homology_sphere(S) == S.a_times_e == a_e
                     reference = brieskorn_seifert_data(S.alphas)
                     is_link = reference.b == b and sorted(reference.fibers) == sorted(fibers)
                     assert (a_e < 0) == is_link
@@ -195,7 +193,11 @@ def test_scale_matches_the_fraction_definitions(b, fibers):
         return
     S = SeifertData(b, fibers)
     assert S.a_times_e == e * A and S.euler_number == e
-    assert validate_homology_sphere(S).a_times_e == S.a_times_e
+    if abs(S.a_times_e) == 1:
+        assert require_homology_sphere(S) == S.a_times_e
+    else:
+        with pytest.raises(ValueError, match=rf"A\*e\(Y\) = {S.a_times_e}$"):
+            require_homology_sphere(S)
     C = S.orbifold
     assert C is S.orbifold
     assert C.scale == A and C.cofactors == tuple(A // a for a in alphas)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from math import ceil, floor, gcd, prod
 
 import pytest
@@ -221,26 +221,28 @@ def test_identity_chain_sweep_to_15():
         assert -2 * rep.casson + rep.pg_pd == rep.milnor // 4 == rep.euler_sl2c
 
 
-def test_identity_chain_takes_the_callers_seifert_data():
-    expected = verify_identity_chain(2, 5, 13).as_dict()
-    for alphas in ((2, 5, 13), (13, 2, 5)):
-        S = brieskorn_seifert_data(alphas)
-        assert verify_identity_chain(2, 5, 13, S=S).as_dict() == expected
-    with pytest.raises(ValueError, match="not Sigma"):
-        verify_identity_chain(2, 5, 13, S=brieskorn_seifert_data((2, 5, 11)))
+def test_report_chain_equals_the_standalone_chain_in_every_fiber_order(monkeypatch):
+    import seifertlab.reports as reports
+
+    expected = reports.singularity_block(verify_identity_chain(2, 5, 13))
     S = brieskorn_seifert_data((2, 5, 13))
-    reversed_S = SeifertData(-S.b - 3, tuple((a, a - g) for a, g in S.fibers))
-    with pytest.raises(ValueError, match="wrong orientation"):
-        verify_identity_chain(2, 5, 13, S=reversed_S)
-    # a p_g from the caller's walk is checked like the chain's own, and
-    # weakens neither check of the caller's data
-    pg = expected["pg_divisors"]
-    assert verify_identity_chain(2, 5, 13, pg_divisors=pg, S=S).as_dict() == expected
-    assert not verify_identity_chain(2, 5, 13, pg_divisors=pg + 1, S=S).pg_routes_ok
-    with pytest.raises(ValueError, match="not Sigma"):
-        verify_identity_chain(2, 5, 13, pg_divisors=pg, S=brieskorn_seifert_data((2, 5, 11)))
-    with pytest.raises(ValueError, match="wrong orientation"):
-        verify_identity_chain(2, 5, 13, pg_divisors=pg, S=reversed_S)
+    for order in permutations(range(3)):
+        exponents = tuple(S.alphas[i] for i in order)
+        assert reports.brieskorn_report(exponents)["singularity"] == expected
+        raw = SeifertData(S.b, tuple(S.fibers[i] for i in order))
+        assert reports.seifert_report(raw, {})["singularity"] == expected
+    # a divisor-route p_g handed to the chain is checked like its own
+    original = reports.moduli_report
+
+    def wrong_walk(S):
+        mod = original(S)
+        return mod._replace(pg_divisors=mod.pg_divisors + 1)
+
+    monkeypatch.setattr(reports, "moduli_report", wrong_walk)
+    report = reports.seifert_report(S, {})
+    assert report["checks"]["pg_routes"] is False
+    assert report["singularity"]["checks"]["pg_routes"] is False
+    assert report["singularity"]["checks"]["sigma_routes"] is True
 
 
 def test_pg_two_routes_beyond_triples():
