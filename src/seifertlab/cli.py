@@ -7,10 +7,11 @@ failure or an --out or --csv path that cannot be written.  When stdout itself
 cannot be written (a closed pipe, a full disk), the error object goes to
 stderr as one line and the exit code is 2.
 
-Each mode imports only its own side: the exact modes load the exact stack
-(reports, seifert, moduli, ...), and ``perturb`` loads ``seifertlab.perturb``
-and never the exact stack.  Neither side needs anything beyond the standard
-library.
+Each mode imports only its own side: ``brieskorn`` and ``seifert`` load the
+exact stack (reports, seifert, moduli, exact, ...), ``verify`` only the
+identity chain (reports, singularity, seifert, orbifold; no moduli, exact or
+fractions), and ``perturb`` loads ``seifertlab.perturb`` and never the exact
+stack.  Neither side needs anything beyond the standard library.
 """
 
 from __future__ import annotations
@@ -169,9 +170,17 @@ def _write_csv(path: str, reports: list[dict]) -> None:
                 writer.writerow([rep["epsilon"]] + list(f["point"]) + [f["value"], f["index"]])
 
 
+def _field(obj: dict, key: str):
+    """obj[key]; a ValueError naming the field when it is absent."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
 def _typed(obj: dict, key: str, kind: type, required: bool = True):
     """obj[key] checked to be a kind (a bool is no int); None when optional and absent."""
-    value = obj[key] if required else obj.get(key)
+    value = _field(obj, key) if required else obj.get(key)
     if value is None and not required:
         return None
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -205,8 +214,8 @@ def run_request(req: dict) -> tuple[dict, bool]:
     ``mode``; ``exponents``, or ``b`` and ``fibers`` as [alpha, gamma] pairs,
     with optional ``casson`` and ``su2_poly``; ``max``; or ``scenario``,
     ``eps`` as a list and optional ``basin_radius`` and ``c_bound``.  Bad
-    input raises ValueError, KeyError or TypeError; a failed internal
-    cross-check raises ConsistencyError.
+    input, a missing field included, raises ValueError or TypeError; a
+    failed internal cross-check raises ConsistencyError.
     """
     if not isinstance(req, dict):
         raise TypeError(f"request must be a JSON object, got {type(req).__name__}")
@@ -223,7 +232,8 @@ def run_request(req: dict) -> tuple[dict, bool]:
     if mode == "brieskorn":
         from .reports import brieskorn_report
 
-        report = brieskorn_report(_ints(req["exponents"], "exponents"), casson=casson, su2_poly=su2)
+        exponents = _ints(_field(req, "exponents"), "exponents")
+        report = brieskorn_report(exponents, casson=casson, su2_poly=su2)
         return report, all(report["checks"].values())
     if mode == "seifert":
         from .reports import seifert_report

@@ -37,17 +37,18 @@ optional input, but its Euler characteristic is always -2 * casson.
 
 The identity chain reads only the excess Euler characteristic, the sum of
 e + 1 over the vectors.  One scan over the residues of the first n - 1
-fibers (:func:`_prefixes`) feeds two last-fiber loops: the enumeration
-builds every vector, and the count (:func:`_excess_euler`) stops at the
-residues and sums each leaf's range of e in closed form.  Both check the
-integrality of m once per leaf.  Reports, which print every vector, still
-enumerate them.
+fibers (``orbifold._prefixes``) feeds two last-fiber loops: the enumeration
+here builds every vector, and the count (``singularity._excess_euler``,
+which this module imports) stops at the residues and sums each leaf's range
+of e in closed form.  Both check the integrality of m once per leaf, through
+``orbifold._exponent``.  The count sits beside the identity chain so that a
+sweep, which reads only the count, never loads this module or ``exact``.
+Reports, which print every vector, still enumerate them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul
 from typing import NamedTuple
@@ -57,7 +58,9 @@ from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
 from .orbifold import (
     LineBundleData,
     Orbifold,
+    _exponent,
     _h0_sum,
+    _prefixes,
     _walk,
     canonical_bundle,
     dual,
@@ -67,6 +70,7 @@ from .orbifold import (
     tensor,
 )
 from .seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
+from .singularity import _excess_euler
 
 __all__ = [
     "EVector",
@@ -133,42 +137,6 @@ class ZComponent(NamedTuple):
         }
 
 
-def _exponent(scaled: int, A: int, vector: tuple[int, ...]) -> int:
-    """m from m*A, which must be a non-negative multiple of A."""
-    m, rem = divmod(scaled, A)
-    if rem or m < 0:
-        raise ConsistencyError(
-            f"exponent {Fraction(scaled, A)} for vector {vector} is not a non-negative integer"
-        )
-    return m
-
-
-def _prefixes(C: Orbifold) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The scan over the residues of the first n - 1 fibers.
-
-    One (acc, frac, betas) per prefix (beta_1..beta_(n-1)) whose scaled
-    partial degree acc = sum_i beta_i*A/alpha_i is below A*deg K, in
-    lexicographic order; frac = sum_i ((beta_i + 1) mod alpha_i) * A/alpha_i
-    is the prefix's share of m*A.  Each fiber's residues stop at the first
-    one that reaches the bound.  On one fiber the only prefix is the empty
-    one.
-    """
-    limit = C.scaled_deg_k
-    prefixes = [(0, 0, ())]
-    for a, step in zip(C.alphas[:-1], C.cofactors[:-1]):
-        grown = []
-        append = grown.append
-        for acc, frac, betas in prefixes:
-            for beta in range(a):
-                nxt = acc + beta * step
-                if nxt >= limit:
-                    break
-                # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
-                append((nxt, frac + (beta + 1) % a * step, betas + (beta,)))
-        prefixes = grown
-    return prefixes
-
-
 def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     """All vectors (e; beta) with e >= 0, 0 <= beta_i < alpha_i, deg < -chi(C).
 
@@ -204,34 +172,6 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
                 _exponent((m + 1) * A + rem, A, (e - 1,) + leaf)
     rows.sort()
     return [EVector(e, betas, m) for _, e, betas, m in rows]
-
-
-def _excess_euler(S: SeifertData) -> int:
-    """Sum of chi(CP^e) = e + 1 over the lattice vectors, without building them.
-
-    The scan of :func:`enumerate_e_vectors`, with its pruning and its
-    integrality check of each leaf's least m, stops at the residues: a leaf
-    with scaled partial degree acc takes every e with e*A + acc < A*deg K,
-    that is t = (A*deg K - 1 - acc) // A + 1 vectors, whose e + 1 sum to
-    t(t + 1)/2.  This is the excess polynomial's Euler characteristic,
-    ``euler_eval(excess_poincare(S))``.
-    """
-    require_homology_sphere(S)
-    C = S.orbifold
-    A, limit = C.scale, C.scaled_deg_k
-    a, step = C.alphas[-1], C.cofactors[-1]
-    total = 0
-    for acc, frac, betas in _prefixes(C):
-        for beta in range(a):
-            nxt = acc + beta * step
-            if nxt >= limit:
-                break
-            t = (limit - 1 - nxt) // A + 1
-            least = limit - nxt - t * A + frac + (beta + 1) % a * step
-            if least % A or least < 0:  # _exponent names the failing vector
-                _exponent(least, A, (t - 1,) + betas + (beta,))
-            total += t * (t + 1) // 2
-    return total
 
 
 def _check_enumerated(C: Orbifold, v: EVector) -> None:
@@ -382,7 +322,7 @@ def sl2c_euler(S: SeifertData, casson: int) -> int:
     """chi of the stable SL(2,C) character variety: -2*casson + excess Euler.
 
     The excess Euler characteristic comes from the count-only scan
-    :func:`_excess_euler`; no vector is built.
+    ``singularity._excess_euler``; no vector is built.
     """
     return -2 * casson + _excess_euler(S)
 

@@ -11,15 +11,25 @@ alpha_i carries the quotient into e, which preserves the orbifold degree
 The underlying surface is S^2 throughout: every bundle then carries a unique
 holomorphic structure, h^1 of any effective bundle vanishes, and the section
 count is h^0 = max(0, e + 1) in terms of the normalized data.
+
+Two integer scans over these bundles live here, because both the moduli
+side and the identity chain read them: ``_walk`` runs over the powers of
+one bundle, and ``_prefixes`` over the residues of the lattice vectors that
+label the critical locus (see ``moduli``).  Neither builds a Fraction; a
+``Fraction`` is imported only where one is returned or named in an error.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import accumulate, compress, cycle, islice, repeat
+from itertools import accumulate, compress, cycle, islice
 from operator import add
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+from .errors import ConsistencyError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Orbifold",
@@ -112,6 +122,8 @@ class LineBundleData:
     @property
     def degree(self) -> Fraction:
         """Orbifold degree e + sum beta_i/alpha_i, exact: one Fraction over prod alpha_i."""
+        from fractions import Fraction
+
         C = self.orbifold
         return Fraction(
             self.e * C.scale + sum(b * c for b, c in zip(self.betas, C.cofactors)), C.scale
@@ -123,6 +135,8 @@ class LineBundleData:
 
 def orbifold_euler_char(C: Orbifold) -> Fraction:
     """Orbifold Euler characteristic chi(C) = 2 - n + sum 1/alpha_i."""
+    from fractions import Fraction
+
     return 2 - C.n + sum((Fraction(1, a) for a in C.alphas), Fraction(0))
 
 
@@ -204,18 +218,61 @@ def _walk(
 
     The residue of G^l at fiber i is l*beta_i mod alpha_i, periodic in l
     with period alpha_i, and so is the carry (l*beta_i mod alpha_i +
-    beta_i) // alpha_i into e.  Both are tabled once per period; the per-l
-    sums run in C-level iterators.
+    beta_i) // alpha_i into e.  Both are tabled once per period, G's own e
+    folded into the first fiber's steps; the per-l sums run in C-level
+    iterators.
     """
     if count <= 0:
         return [], {}
     residue_tables = [
         [j * b % a for j in range(a)] for a, b in zip(G.orbifold.alphas, G.betas)
     ]
-    steps = repeat(G.e, count - 1)
-    for a, b, table in zip(G.orbifold.alphas, G.betas, residue_tables):
-        steps = map(add, steps, cycle([(r + b) // a for r in table]))
-    degrees = list(accumulate(steps, initial=0))  # G^0 is trivial
+    carries = [
+        [(r + b) // a for r in table]
+        for a, b, table in zip(G.orbifold.alphas, G.betas, residue_tables)
+    ]
+    steps = cycle([G.e + c for c in carries[0]])
+    for carry in carries[1:]:
+        steps = map(add, steps, cycle(carry))
+    degrees = list(accumulate(islice(steps, count - 1), initial=0))  # G^0 is trivial
     effective = map((0).__le__, islice(degrees, max(keep, 0)))
     residues = dict(compress(enumerate(zip(*map(cycle, residue_tables))), effective))
     return degrees, residues
+
+
+def _exponent(scaled: int, A: int, vector: tuple[int, ...]) -> int:
+    """m from m*A, which must be a non-negative multiple of A."""
+    m, rem = divmod(scaled, A)
+    if rem or m < 0:
+        from fractions import Fraction
+
+        raise ConsistencyError(
+            f"exponent {Fraction(scaled, A)} for vector {vector} is not a non-negative integer"
+        )
+    return m
+
+
+def _prefixes(C: Orbifold) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The scan over the residues of the first n - 1 fibers.
+
+    One (acc, frac, betas) per prefix (beta_1..beta_(n-1)) whose scaled
+    partial degree acc = sum_i beta_i*A/alpha_i is below A*deg K, in
+    lexicographic order; frac = sum_i ((beta_i + 1) mod alpha_i) * A/alpha_i
+    is the prefix's share of m*A.  Each fiber's residues stop at the first
+    one that reaches the bound.  On one fiber the only prefix is the empty
+    one.
+    """
+    limit = C.scaled_deg_k
+    prefixes = [(0, 0, ())]
+    for a, step in zip(C.alphas[:-1], C.cofactors[:-1]):
+        grown = []
+        append = grown.append
+        for acc, frac, betas in prefixes:
+            for beta in range(a):
+                nxt = acc + beta * step
+                if nxt >= limit:
+                    break
+                # {(beta + 1)/a} * A = ((beta + 1) mod a) * A/a
+                append((nxt, frac + (beta + 1) % a * step, betas + (beta,)))
+        prefixes = grown
+    return prefixes

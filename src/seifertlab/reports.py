@@ -4,16 +4,18 @@ Reports are plain dicts of JSON-safe values: rationals as "num/den" strings,
 polynomials in their canonical text rendering, and every derived block
 accompanied by its cross-checks.  Dumping with sorted keys makes identical
 inputs produce byte-identical output.
+
+Only the sweep's needs are imported up front: :func:`verify_sweep_report`
+runs the identity chain alone, so a ``verify`` call never loads ``moduli``,
+``exact`` or ``fractions``.  :func:`seifert_report` and :func:`parse_poly`
+import the moduli side and ``LaurentPoly`` when they are called.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .exact import LaurentPoly, euler_eval
-from .moduli import moduli_report
 from .orbifold import orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
 from .singularity import (
@@ -22,6 +24,11 @@ from .singularity import (
     geometric_genus_pd,
     verify_identity_chain,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact import LaurentPoly
 
 __all__ = [
     "fraction_str",
@@ -35,13 +42,7 @@ __all__ = [
 
 
 def fraction_str(q: Fraction | int) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<digits>\d+)?(?P<star>\*)?(?P<t>T(\^(?P<exp>[+-]?\d+))?)?$"
-)
+    return f"{q.numerator}/{q.denominator}"  # an int is q/1
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -50,6 +51,13 @@ def parse_poly(text: str) -> LaurentPoly:
     Accepts sums of ``c``, ``T^k``, ``c*T^k`` (whitespace optional,
     negative exponents as ``T^-k``), e.g. "1 + T^2" or "2" or "T^-2 + 1".
     """
+    import re  # re caches the compiled pattern
+
+    from .exact import LaurentPoly
+
+    term_re = re.compile(
+        r"^(?P<sign>[+-])?(?P<digits>\d+)?(?P<star>\*)?(?P<t>T(\^(?P<exp>[+-]?\d+))?)?$"
+    )
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -57,7 +65,7 @@ def parse_poly(text: str) -> LaurentPoly:
     for term in s.split("+"):
         if not term:
             raise ValueError(f"malformed polynomial {text!r}")
-        m = _TERM_RE.match(term)
+        m = term_re.match(term)
         if not m or (m.group("digits") is None and m.group("t") is None):
             raise ValueError(f"malformed term {term!r} in {text!r}")
         if m.group("star") and (m.group("digits") is None or m.group("t") is None):
@@ -100,6 +108,9 @@ def seifert_report(
     and then b, so a link-oriented fibration with three fibers is the link
     Sigma(alpha_1, alpha_2, alpha_3), in any fiber order.
     """
+    from .exact import euler_eval
+    from .moduli import moduli_report
+
     a_times_e = require_homology_sphere(S)
     C = S.orbifold
     chi = orbifold_euler_char(C)

@@ -13,12 +13,14 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConsistencyError
 from .orbifold import LineBundleData, Orbifold, normalize, power
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SeifertData",
@@ -94,6 +96,8 @@ class SeifertData:
     @property
     def euler_number(self) -> Fraction:
         """e(Y) = b + sum gamma_i/alpha_i = deg N, as A*e(Y) over A."""
+        from fractions import Fraction
+
         return Fraction(self.a_times_e, self.orbifold.scale)
 
     def as_dict(self) -> dict:

@@ -16,6 +16,10 @@ module computes, for pairwise-coprime exponents:
     -2*lambda + p_g, which must equal mu/4.
 
 ``verify_identity_chain`` runs every cross-check at exact integer precision.
+Its moduli-side term, the excess Euler characteristic, comes from the
+count-only scan ``_excess_euler`` here, over ``orbifold._prefixes``; the
+moduli module reads the same scan, and this module imports nothing from it,
+so a sweep loads neither ``moduli`` nor ``exact`` nor ``fractions``.
 For four or more exponents (complete intersections, not hypersurfaces) mu
 and sigma are out of scope; only the Seifert-side quantities exist here.
 """
@@ -23,13 +27,12 @@ and sigma are out of scope; only the Seifert-side quantities exist here.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, cycle, repeat
+from itertools import accumulate, cycle, islice
 from operator import add
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .moduli import _excess_euler
-from .orbifold import _h0_sum, _walk, power
+from .orbifold import _exponent, _h0_sum, _prefixes, _walk, power
 from .seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -106,14 +109,18 @@ def geometric_genus_pd(S: SeifertData) -> int:
 
     Successive terms differ by b + sum_i (ceil((l+1)*gamma_i/alpha_i) -
     ceil(l*gamma_i/alpha_i)), and each fiber's ceiling step is periodic in l
-    with period alpha_i.  The steps are tabled once per period and the terms
-    run as a stream of C-level iterators, never a list of length A*deg K.
-    Only the Seifert invariants enter, never a line bundle, so this route
-    stays independent of :func:`geometric_genus_divisors`.
+    with period alpha_i.  The steps are tabled once per period, b folded
+    into the first fiber's, and the terms run as a stream of C-level
+    iterators, never a list of length A*deg K.  Only the Seifert invariants
+    enter, never a line bundle, so this route stays independent of
+    :func:`geometric_genus_divisors`.
     """
-    steps = repeat(S.b, _link_bound(S))
-    for a, g in S.fibers:
-        steps = map(add, steps, cycle([(-j * g) // a - (-(j + 1) * g) // a for j in range(a)]))
+    bound = _link_bound(S)
+    ceiling_steps = [[(-j * g) // a - (-(j + 1) * g) // a for j in range(a)] for a, g in S.fibers]
+    steps = cycle([S.b + c for c in ceiling_steps[0]])
+    for table in ceiling_steps[1:]:
+        steps = map(add, steps, cycle(table))
+    steps = islice(steps, max(bound, 0))
     # -N(l) - 1 = l*b + sum_i ceil(l*gamma_i/alpha_i) - 1 for l = 0, 1, ..., A*deg K
     terms = accumulate(steps, initial=-1)
     return sum(filter((0).__lt__, terms))
@@ -209,6 +216,35 @@ def _casson_from_signature(sigma: int) -> int:
     return sigma // 8
 
 
+def _excess_euler(S: SeifertData) -> int:
+    """Sum of chi(CP^e) = e + 1 over the lattice vectors, without building them.
+
+    The scan of ``moduli.enumerate_e_vectors``, with its pruning and its
+    integrality check of each leaf's least m, stops at the residues: a leaf
+    with scaled partial degree acc takes every e with e*A + acc < A*deg K,
+    that is t = (A*deg K - 1 - acc) // A + 1 vectors, whose e + 1 sum to
+    t(t + 1)/2.  This is the excess polynomial's Euler characteristic,
+    ``euler_eval(moduli.excess_poincare(S))``, and on a link the geometric
+    genus.
+    """
+    require_homology_sphere(S)
+    C = S.orbifold
+    A, limit = C.scale, C.scaled_deg_k
+    a, step = C.alphas[-1], C.cofactors[-1]
+    total = 0
+    for acc, frac, betas in _prefixes(C):
+        for beta in range(a):
+            nxt = acc + beta * step
+            if nxt >= limit:
+                break
+            t = (limit - 1 - nxt) // A + 1
+            least = limit - nxt - t * A + frac + (beta + 1) % a * step
+            if least % A or least < 0:  # _exponent names the failing vector
+                _exponent(least, A, (t - 1,) + betas + (beta,))
+            total += t * (t + 1) // 2
+    return total
+
+
 class IdentityChainReport(NamedTuple):
     """Every intermediate value of the cross-check chain for one triple."""
 
@@ -262,7 +298,7 @@ def verify_identity_chain(p: int, q: int, r: int) -> IdentityChainReport:
             with chi = -2*lambda + excess Euler characteristic.
 
     The link-oriented Seifert data of Sigma(p,q,r) is built here; the
-    count-only scan ``moduli._excess_euler`` gives the excess Euler
+    count-only scan :func:`_excess_euler` gives the excess Euler
     characteristic, the sum of e + 1 over the lattice vectors, without
     building one, and :func:`geometric_genus_divisors` walks the powers of
     N^(-1).  ``reports.seifert_report``, whose moduli report already holds
@@ -281,9 +317,10 @@ def _identity_chain(
 
     ``excess_euler`` and ``pg_divisors`` are the moduli side's excess Euler
     characteristic and the divisor route's p_g of S; the Pinkham-Dolgachev
-    p_g and the lattice signature are computed here.
+    p_g and the lattice signature are computed here.  The caller has checked
+    the triple, so mu is read off it without a second check.
     """
-    mu = milnor_number(p, q, r)
+    mu = (p - 1) * (q - 1) * (r - 1)
     pg_pd = geometric_genus_pd(S)
     sigma_lat = signature_lattice_oracle(p, q, r)
     sigma_dur = signature_durfee(pg_pd, mu)

@@ -518,6 +518,32 @@ def test_perturb_calls_do_not_load_the_exact_side(tmp_path):
         assert proc.stderr.endswith("loaded: []"), proc.stderr
 
 
+def test_verify_calls_load_only_the_identity_chain(tmp_path):
+    src = os.path.dirname(os.path.dirname(seifertlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    batch = tmp_path / "requests.ndjson"
+    batch.write_text('{"mode": "verify", "max": 5}\n{"mode": "verify", "max": 7}\n')
+    unused = (
+        "seifertlab.moduli",
+        "seifertlab.exact",
+        "seifertlab.perturb",
+        "fractions",
+        "decimal",
+        "numbers",
+    )
+    script = (
+        "import sys\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n"
+        f"sys.stderr.write('loaded: %s' % [m for m in {unused!r} if m in sys.modules])\n"
+    )
+    for argv in (["verify", "--max", "5"], ["verify", "--max", "5", "--json"], ["batch", str(batch)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("loaded: []"), proc.stderr
+
+
 def test_perturb_calls_load_only_the_standard_library_and_seifertlab(tmp_path):
     src = os.path.dirname(os.path.dirname(seifertlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -782,6 +808,26 @@ def test_batch_wrong_shape_gives_error_object(capsys, tmp_path, bad_line):
     assert outputs[0]["invariants"]["casson"] == -1
     assert outputs[1]["error"]["kind"] == "validation"
     assert outputs[1]["error"]["message"].startswith("line 2")
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ('{"mode": "brieskorn"}', "exponents"),
+        ('{"mode": "seifert", "b": -1}', "fibers"),
+        ('{"mode": "seifert", "fibers": [[2, 1], [3, 1], [7, 1]]}', "b"),
+        ('{"mode": "verify"}', "max"),
+        ('{"mode": "perturb", "eps": [0.1]}', "scenario"),
+        ('{"mode": "perturb", "scenario": "circle"}', "eps"),
+    ],
+)
+def test_batch_line_without_a_required_field_names_it(capsys, tmp_path, line, field):
+    code, outputs = _batch(capsys, tmp_path, '{"mode": "verify", "max": 5}', line)
+    assert code == 1
+    assert outputs[0]["all_ok"] is True
+    assert outputs[1] == {
+        "error": {"kind": "validation", "message": f"line 2: missing field {field!r}"}
+    }
 
 
 def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatch):

@@ -222,6 +222,7 @@ def test_identity_chain_sweep_to_15():
 
 
 def test_report_chain_equals_the_standalone_chain_in_every_fiber_order(monkeypatch):
+    import seifertlab.moduli as moduli
     import seifertlab.reports as reports
 
     expected = reports.singularity_block(verify_identity_chain(2, 5, 13))
@@ -232,13 +233,13 @@ def test_report_chain_equals_the_standalone_chain_in_every_fiber_order(monkeypat
         raw = SeifertData(S.b, tuple(S.fibers[i] for i in order))
         assert reports.seifert_report(raw, {})["singularity"] == expected
     # a divisor-route p_g handed to the chain is checked like its own
-    original = reports.moduli_report
+    original = moduli.moduli_report  # looked up by the report when it runs
 
     def wrong_walk(S):
         mod = original(S)
         return mod._replace(pg_divisors=mod.pg_divisors + 1)
 
-    monkeypatch.setattr(reports, "moduli_report", wrong_walk)
+    monkeypatch.setattr(moduli, "moduli_report", wrong_walk)
     report = reports.seifert_report(S, {})
     assert report["checks"]["pg_routes"] is False
     assert report["singularity"]["checks"]["pg_routes"] is False
