@@ -43,7 +43,6 @@ _SUBMODULE_NAMES = {
     ),
     "moduli": (
         "EVector",
-        "ZComponent",
         "enumerate_e_vectors",
         "excess_poincare",
         "exponent_closed_form",
@@ -53,7 +52,6 @@ _SUBMODULE_NAMES = {
         "sl2c_euler",
         "sl2c_poincare",
         "solve_L0_k",
-        "z_decomposition",
     ),
     "singularity": (
         "casson_invariant",

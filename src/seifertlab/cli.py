@@ -12,6 +12,11 @@ exact stack (reports, seifert, moduli, exact, ...), ``verify`` only the
 identity chain (reports, singularity, seifert, orbifold; no moduli, exact or
 fractions), and ``perturb`` loads ``seifertlab.perturb`` and never the exact
 stack.  Neither side needs anything beyond the standard library.
+
+JSON goes out indented (``--json``) or one line per request (``batch``).
+``json`` encodes every report but a fibration report's components, which
+are written straight from their integer records: one template per CP^e
+component, spliced in at a placeholder that must occur exactly once.
 """
 
 from __future__ import annotations
@@ -86,12 +91,56 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    return _splice(report, _indented, indent=2)
 
 
 def _dump_line(report: dict) -> str:
     # reports are trees built fresh per request, so no cycle check is needed
-    return json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return _splice(report, _compact, separators=(",", ":"), check_circular=False)
+
+
+def _indented(n: int) -> tuple[str, str, str]:
+    """The indented components list at depth 1: its opening with the SU(2)
+    piece, the template of one CP^e record with n residues, and its closing."""
+    return (
+        '[\n    {\n      "kind": "su2"\n    }',
+        ',\n    {\n      "ambient_dim_c": %d,\n      "e": %d,\n      "k": %d,\n'
+        '      "kind": "cpe",\n      "l0_power": %d,\n      "morse_index": %d,\n'
+        '      "vector": [\n' + ",\n".join(["        %d"] * n) + "\n      ]\n    }",
+        "\n  ]",
+    )
+
+
+def _compact(n: int) -> tuple[str, str, str]:
+    """The compact components list: as :func:`_indented`, without whitespace."""
+    return (
+        '[{"kind":"su2"}',
+        ',{"ambient_dim_c":%d,"e":%d,"k":%d,"kind":"cpe","l0_power":%d,"morse_index":%d,'
+        '"vector":[' + ",".join(["%d"] * n) + "]}",
+        "]",
+    )
+
+
+# json encodes a fibration report with this string in place of its
+# components, which are written from their records where it lands
+_SLOT = "\0z_components"
+_SLOT_TEXT = json.dumps(_SLOT)
+
+
+def _splice(report: dict, form, **options) -> str:
+    """json.dumps(report, sort_keys=True, **options), with the records of
+    ``report["z_components"]`` (see ``moduli._components``) written in the
+    list ``form(n)`` frames, n being the vector's number of residues."""
+    records = report.get("z_components")
+    if records is None:
+        return json.dumps(report, sort_keys=True, **options)
+    parts = json.dumps({**report, "z_components": _SLOT}, sort_keys=True, **options).split(
+        _SLOT_TEXT
+    )
+    if len(parts) != 2:
+        raise ConsistencyError(f"component placeholder found {len(parts) - 1} times, not once")
+    opening, template, closing = form(len(records[0]) - 5 if records else 0)
+    return "".join([parts[0], opening, *map(template.__mod__, records), closing, parts[1]])
 
 
 def _error(exc: Exception, where: str = "") -> tuple[dict, int]:
@@ -220,9 +269,9 @@ def run_request(req: dict) -> tuple[dict, bool]:
     if not isinstance(req, dict):
         raise TypeError(f"request must be a JSON object, got {type(req).__name__}")
     mode = req.get("mode")
-    su2_text = _typed(req, "su2_poly", str, required=False)
+    su2_text = _typed(req, "su2_poly", str, required=False)  # typed in every mode
     su2 = None
-    if su2_text is not None:  # checked in every mode, perturb included
+    if su2_text is not None and mode != "perturb":  # the lab never reads it
         from .reports import parse_poly
 
         su2 = parse_poly(su2_text)

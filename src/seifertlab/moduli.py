@@ -35,6 +35,13 @@ Poincare polynomial over the SU(2) one; the hat-normalized variant shifts
 each CP^e summand by T^(-2e) instead.  The SU(2) summand itself is an opaque
 optional input, but its Euler characteristic is always -2 * casson.
 
+Each CP^e component is carried as one record, a flat tuple of ints in the
+order of its JSON keys: (ambient_dim_c, e, k, l0_power, morse_index,
+beta_1, ..., beta_n), whose tail is the vector's residues.  The writers
+(``cli._dump``, ``cli._dump_line``, ``reports.report_table``) print each
+record from one template, and print the SU(2) piece, which comes first in
+every report, themselves.
+
 The identity chain reads only the excess Euler characteristic, the sum of
 e + 1 over the vectors.  One scan over the residues of the first n - 1
 fibers (``orbifold._prefixes``) feeds two last-fiber loops: the enumeration
@@ -74,14 +81,12 @@ from .singularity import _excess_euler
 
 __all__ = [
     "EVector",
-    "ZComponent",
     "ModuliReport",
     "AssembledPoly",
     "enumerate_e_vectors",
     "exponent_closed_form",
     "exponent_via_bundles",
     "solve_L0_k",
-    "z_decomposition",
     "excess_poincare",
     "sl2c_euler",
     "sl2c_poincare",
@@ -104,37 +109,6 @@ class EVector(NamedTuple):
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.e,) + self.betas
-
-
-class ZComponent(NamedTuple):
-    """One connected piece of the critical locus.
-
-    Either the SU(2) locus (kind "su2", index 0) or a CP^e divisor component
-    (kind "cpe") carrying its Morse-Bott index 2*m, the complex dimension
-    2*(e + m) of the ambient moduli component, and the (l0_power, k) label
-    of its divisor bundle L = L0^(-2) N^k K; the bundle itself is
-    ``normalize(e, betas, C)`` of the vector.
-    """
-
-    kind: str
-    vector: EVector | None = None
-    morse_index: int = 0
-    ambient_dim_c: int | None = None
-    l0_power: int | None = None
-    parity_k: int | None = None
-
-    def as_dict(self) -> dict:
-        if self.kind == "su2":
-            return {"kind": "su2"}
-        return {
-            "kind": "cpe",
-            "e": self.vector.e,
-            "vector": list(self.vector.betas),
-            "morse_index": self.morse_index,
-            "ambient_dim_c": self.ambient_dim_c,
-            "l0_power": self.l0_power,
-            "k": self.parity_k,
-        }
 
 
 def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
@@ -235,18 +209,7 @@ def _vectors(S: SeifertData) -> list[EVector]:
     return enumerate_e_vectors(S.orbifold)
 
 
-def z_decomposition(S: SeifertData) -> list[ZComponent]:
-    """The critical locus: one SU(2) piece plus one CP^e piece per vector.
-
-    The scan finds the vectors and their closed-form exponents; the walk over
-    the powers of N must find the same vectors and the same exponents (see
-    :func:`_components`).  Every CP^e piece also carries the ambient complex
-    dimension 2*(e + m) and the (l0_power, k) label of its divisor bundle.
-    """
-    return _components(S, _vectors(S))[0]
-
-
-def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[ZComponent], list[int]]:
+def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[tuple], list[int]]:
     """The scanned vectors checked against, and labelled by, one walk over G^l.
 
     G = N^(A*e(Y)) has degree 1/A, so every bundle of degree d is G^(A*d):
@@ -264,9 +227,10 @@ def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[ZComponent
     h^0(L) = e + 1, and once its exponent equals the scan's, h^0(L^(-1) K^2)
     = m, so a re-derivation could not fail.
 
-    Returns the components and the walk's degrees of G^l, l < A*deg K; on
-    the link orientation G = N^(-1), and those degrees are the divisor
-    route's to the geometric genus.
+    Returns one record (ambient_dim_c, e, k, l0_power, morse_index,
+    beta_1, ..., beta_n) per vector, in the scan's order, and the walk's
+    degrees of G^l, l < A*deg K; on the link orientation G = N^(-1), and
+    those degrees are the divisor route's to the geometric genus.
     """
     a_e = require_homology_sphere(S)
     top = S.orbifold.scaled_deg_k
@@ -283,18 +247,17 @@ def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[ZComponent
     duals = [j * G.e for j in js]
     for a, b in zip(S.orbifold.alphas, G.betas):
         duals = list(map(add, duals, map(floordiv, map(mul, js, repeat(b)), repeat(a))))
-    components = [ZComponent("su2")]
-    append = components.append
-    for v, l, d in zip(vectors, ls, duals):
-        m = v.exponent
+    records = []
+    append = records.append
+    for (e, betas, m), l, d in zip(vectors, ls, duals):
         if m != max(0, d + 1):
             raise ConsistencyError(
-                f"exponent routes disagree on {v.as_tuple()}: "
+                f"exponent routes disagree on {(e,) + betas}: "
                 f"closed form {m}, bundle route {max(0, d + 1)}"
             )
         k = (top - l) % 2
-        append(ZComponent("cpe", v, 2 * m, 2 * (v.e + m), (k + a_e * (top - l)) // 2, k))
-    return components, degrees
+        append((2 * (e + m), e, k, (k + a_e * (top - l)) // 2, 2 * m, *betas))
+    return records, degrees
 
 
 def _excess(vectors: list[EVector]) -> LaurentPoly:
@@ -362,7 +325,7 @@ def hp_poincare(S: SeifertData, su2_hat_poly: LaurentPoly | None = None) -> Asse
 class ModuliReport(NamedTuple):
     """Assembled moduli-side quantities for one fibration."""
 
-    z_components: tuple[ZComponent, ...]
+    z_components: list[tuple]  # one record per CP^e component
     excess_poincare: LaurentPoly
     pg: int
     hp_excess: LaurentPoly
@@ -370,7 +333,7 @@ class ModuliReport(NamedTuple):
 
 
 def moduli_report(S: SeifertData) -> ModuliReport:
-    """Bundle the decomposition, the two excess polynomials and p_g.
+    """Bundle the CP^e components, the two excess polynomials and p_g.
 
     Everything comes from one enumeration of the lattice vectors and one
     walk over the powers of N.  ``pg`` is the excess Euler characteristic,
@@ -385,7 +348,7 @@ def moduli_report(S: SeifertData) -> ModuliReport:
     components, degrees = _components(S, vectors)
     excess = _excess(vectors)
     return ModuliReport(
-        z_components=tuple(components),
+        z_components=components,
         excess_poincare=excess,
         pg=euler_eval(excess),
         hp_excess=_hp_excess(vectors),

@@ -3,7 +3,11 @@
 Reports are plain dicts of JSON-safe values: rationals as "num/den" strings,
 polynomials in their canonical text rendering, and every derived block
 accompanied by its cross-checks.  Dumping with sorted keys makes identical
-inputs produce byte-identical output.
+inputs produce byte-identical output.  The one exception is a fibration
+report's ``"z_components"``: it holds one integer record per CP^e component
+(see ``moduli._components``), and the writers, ``cli._dump``,
+``cli._dump_line`` and :func:`report_table`, print the SU(2) piece first and
+each record from one template, with no dict per component.
 
 Only the sweep's needs are imported up front: :func:`verify_sweep_report`
 runs the identity chain alone, so a ``verify`` call never loads ``moduli``,
@@ -13,6 +17,7 @@ import the moduli side and ``LaurentPoly`` when they are called.
 
 from __future__ import annotations
 
+from itertools import starmap
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -136,7 +141,7 @@ def seifert_report(
             "n_degree": fraction_str(S.euler_number),
         },
         "homology_sphere": {"ok": True, "a_times_e": a_times_e},
-        "z_components": [zc.as_dict() for zc in mod.z_components],
+        "z_components": mod.z_components,
     }
 
     report["singularity"] = singularity_block(chain) if chain is not None else None
@@ -223,16 +228,6 @@ def verify_sweep_report(max_exponent: int) -> dict:
     }
 
 
-def _z_component_line(zc: dict) -> str:
-    if zc["kind"] == "su2":
-        return "SU(2) locus (index 0)"
-    vec = ",".join(str(v) for v in zc["vector"])
-    return (
-        f"CP^{zc['e']} [vector ({zc['e']};{vec}), index {zc['morse_index']}, "
-        f"ambient_dim_C {zc['ambient_dim_c']}, L0 = N^{zc['l0_power']}, k = {zc['k']}]"
-    )
-
-
 def report_table(report: dict) -> str:
     """Human-readable rendering of a fibration report."""
     lines = []
@@ -253,8 +248,15 @@ def report_table(report: dict) -> str:
             lines.append(f"{key:<16} {value}")
     for note in inv.get("notes", []):
         lines.append(f"note             {note}")
-    for zc in report["z_components"]:
-        lines.append(f"z component      {_z_component_line(zc)}")
+    lines.append("z component      SU(2) locus (index 0)")
+    records = report["z_components"]
+    if records:  # str.format, since the row reorders the record's fields
+        vector = ",".join(f"{{{i}}}" for i in range(5, len(records[0])))
+        row = (
+            "z component      CP^{1} [vector ({1};" + vector + "), index {4}, "
+            "ambient_dim_C {0}, L0 = N^{3}, k = {2}]"
+        )
+        lines += starmap(row.format, records)
     poly = report["polynomials"]
     lines.append(f"excess poly      {poly['excess']}")
     lines.append(f"hp excess        {poly['hp_excess']}")

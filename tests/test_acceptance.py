@@ -18,8 +18,8 @@ from seifertlab.moduli import (
     exponent_closed_form,
     exponent_via_bundles,
     hp_poincare,
+    moduli_report,
     sl2c_euler,
-    z_decomposition,
 )
 from seifertlab.orbifold import (
     dual,
@@ -161,8 +161,8 @@ def test_criterion_5_exponent_integrality_and_triple_degeneracy():
             if m < 0:
                 failures.append(f"{C.alphas} {v.as_tuple()}: negative exponent")
         if C.n == 3:
-            for z in z_decomposition(S):
-                if z.kind == "cpe" and (z.morse_index != 0 or z.ambient_dim_c != 0):
+            for ambient_dim_c, _, _, _, morse_index, *_ in moduli_report(S).z_components:
+                if morse_index != 0 or ambient_dim_c != 0:
                     failures.append(f"{C.alphas}: non-degenerate triple component")
     _report(5, "exponents are non-negative integers; n = 3 gives a finite variety", failures)
 

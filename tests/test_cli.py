@@ -410,6 +410,26 @@ def test_default_output_matches_recorded_bytes(capsys):
             0,
             "1646999e8bf0d51e74a46c0cde5a9ce6144890932264d7810669c32b504d0fff",
         ),
+        # before each CP^e component was written from one integer record:
+        # Sigma(23,29,31) (2902 components, negative l0_power), the reversal
+        # of Sigma(17,19,23) (968 components) indented, and the default
+        # table of Sigma(3,5,7,11) (301 component rows)
+        (
+            ("brieskorn", "23", "29", "31", "--json"),
+            0,
+            "8eaeb95ad568ee4eec261c1dc4d4d0f787c32e6e5f574dcbcf2bc8de9a2bc998",
+        ),
+        (
+            ("seifert", "--b", "-1", "--fiber", "17/10", "--fiber", "19/7", "--fiber", "23/1",
+             "--json"),
+            0,
+            "641eeecb4965c17997dae4fb115718a0c4410aaba29d35e881bf73b2819cad9d",
+        ),
+        (
+            ("brieskorn", "3", "5", "7", "11"),
+            0,
+            "1a838697a7d551c64592d8e0c53b136a73dadebf02abde782fa98625f356ae90",
+        ),
     ]:
         code, out = run(capsys, *argv)
         assert code == exit_code
@@ -502,6 +522,8 @@ def test_perturb_calls_do_not_load_the_exact_side(tmp_path):
     batch.write_text(
         '{"mode": "perturb", "scenario": "circle", "eps": [0.1]}\n'
         '{"mode": "perturb", "scenario": "linear", "eps": [0.05, -0.05]}\n'
+        # the lab never reads su2_poly, so a perturb line only type-checks it
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "su2_poly": "1"}\n'
     )
     report = f"sys.stderr.write('loaded: %s' % [m for m in {EXACT_SIDE!r} if m in sys.modules])\n"
     run_cli = "import sys\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n" + report
@@ -810,6 +832,23 @@ def test_batch_wrong_shape_gives_error_object(capsys, tmp_path, bad_line):
     assert outputs[1]["error"]["message"].startswith("line 2")
 
 
+def test_perturb_line_only_type_checks_su2_poly(capsys, tmp_path):
+    # the lab never reads su2_poly: a perturb line does not parse it, but a
+    # value that is no string is still bad input
+    code, outputs = _batch(
+        capsys,
+        tmp_path,
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "su2_poly": "T^^2"}',
+        '{"mode": "perturb", "scenario": "circle", "eps": [0.1], "su2_poly": 5}',
+    )
+    assert code == 1
+    assert outputs[0]["input"] == {"mode": "perturb", "scenario": "circle", "eps": [0.1]}
+    assert outputs[1]["error"] == {
+        "kind": "validation",
+        "message": "line 2: field 'su2_poly' must be of type str, got 5",
+    }
+
+
 @pytest.mark.parametrize(
     "line, field",
     [
@@ -1051,3 +1090,58 @@ def test_batch_lines_match_cli_calls(items):
         assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
         failed = failed or cli_code != 0
     assert code == (1 if failed else 0)
+
+
+@pytest.mark.parametrize("dump", ["_dump_line", "_dump"])
+def test_dumping_a_report_allocates_a_few_times_its_text(dump):
+    # Sigma(11,25,29) has 1024 CP^e components; each is written straight from its
+    # record, so the dump holds about the text and its pieces, not a tree of
+    # dicts or the encoder's chunks
+    import tracemalloc
+
+    from seifertlab import cli
+    from seifertlab.reports import brieskorn_report
+
+    report = brieskorn_report((11, 25, 29))
+    tracemalloc.start()
+    try:
+        text = getattr(cli, dump)(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(text)["z_components"]) == 1 + 1024
+    assert peak < 5 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        brieskorn_seifert_data((2, 3, 5)),
+        brieskorn_seifert_data((7, 2, 3)),
+        brieskorn_seifert_data((3, 5, 7, 11)),
+        brieskorn_seifert_data((2, 3, 5, 7, 11)),
+        seifertlab.SeifertData(-1, ((2, 1), (5, 1), (13, 4))),  # Sigma(2,5,13) reversed
+    ],
+)
+def test_components_are_written_as_json_writes_their_dicts(S):
+    from seifertlab import cli
+    from seifertlab.reports import seifert_report
+
+    report = seifert_report(S, {"mode": "seifert"})
+    keys = ("ambient_dim_c", "e", "k", "l0_power", "morse_index")
+    tree = dict(
+        report,
+        z_components=[{"kind": "su2"}]
+        + [dict(zip(keys, r), kind="cpe", vector=list(r[5:])) for r in report["z_components"]],
+    )
+    assert cli._dump(report) == json.dumps(tree, sort_keys=True, indent=2)
+    assert cli._dump_line(report) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def test_component_placeholder_must_occur_once():
+    from seifertlab import cli
+
+    report = {"input": {"mode": "brieskorn"}, "z_components": [], "note": "\0z_components"}
+    for dump in (cli._dump, cli._dump_line):
+        with pytest.raises(ConsistencyError, match="placeholder found 2 times"):
+            dump(report)

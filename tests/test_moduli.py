@@ -22,7 +22,6 @@ from seifertlab.moduli import (
     sl2c_euler,
     sl2c_poincare,
     solve_L0_k,
-    z_decomposition,
 )
 from seifertlab.orbifold import (
     Orbifold,
@@ -123,28 +122,26 @@ def test_solve_L0_k_postcondition_on_sweep():
             assert rebuilt == L
 
 
-def test_z_decomposition_examples():
-    only_su2 = z_decomposition(brieskorn_seifert_data((2, 3, 5)))
-    assert [z.kind for z in only_su2] == ["su2"]
+def test_z_components_examples():
+    # one record (ambient_dim_c, e, k, l0_power, morse_index, *betas) per CP^e
+    # component; the SU(2) piece is the writers' to print
+    assert moduli_report(brieskorn_seifert_data((2, 3, 5))).z_components == []
 
-    comps = z_decomposition(brieskorn_seifert_data((2, 3, 7)))
-    assert [z.kind for z in comps] == ["su2", "cpe"]
-    cpe = comps[1]
-    assert cpe.vector.e == 0 and cpe.morse_index == 0 and cpe.ambient_dim_c == 0
+    comps = moduli_report(brieskorn_seifert_data((2, 3, 7))).z_components
+    assert len(comps) == 1
+    ambient_dim_c, e, _, _, morse_index, *_ = comps[0]
+    assert e == 0 and morse_index == 0 and ambient_dim_c == 0
 
-    comps = z_decomposition(brieskorn_seifert_data((3, 4, 5, 7)))
-    cp1 = [
-        z
-        for z in comps
-        if z.kind == "cpe" and z.vector.e == 1 and set(z.vector.betas) == {0}
-    ]
+    comps = moduli_report(brieskorn_seifert_data((3, 4, 5, 7))).z_components
+    cp1 = [z for z in comps if z[1] == 1 and set(z[5:]) == {0}]
     assert len(cp1) == 1
-    assert cp1[0].morse_index == 0 and cp1[0].ambient_dim_c == 2
+    ambient_dim_c, _, _, _, morse_index, *_ = cp1[0]
+    assert morse_index == 0 and ambient_dim_c == 2
 
 
-def test_z_decomposition_rejects_non_homology_sphere():
+def test_z_components_reject_non_homology_sphere():
     with pytest.raises(ValueError):
-        z_decomposition(SeifertData(-1, ((2, 1), (4, 1))))
+        moduli_report(SeifertData(-1, ((2, 1), (4, 1))))
 
 
 def test_excess_poincare_examples():
@@ -221,18 +218,20 @@ def test_enumeration_bijection_with_bundle_powers():
 def test_triples_have_finite_character_variety():
     # for n = 3 every exponent and ambient dimension vanishes
     for alphas in coprime_tuples(3, 15):
-        for z in z_decomposition(brieskorn_seifert_data(alphas)):
-            if z.kind == "cpe":
-                assert z.morse_index == 0
-                assert z.ambient_dim_c == 0
-                assert z.vector.e == 0
+        for ambient_dim_c, e, _, _, morse_index, *_ in moduli_report(
+            brieskorn_seifert_data(alphas)
+        ).z_components:
+            assert morse_index == 0
+            assert ambient_dim_c == 0
+            assert e == 0
 
 
 def test_index_bounded_by_ambient_dimension():
     for alphas in coprime_tuples(4, 10) + coprime_tuples(5, 8):
-        for z in z_decomposition(brieskorn_seifert_data(alphas)):
-            if z.kind == "cpe":
-                assert 0 <= z.morse_index <= z.ambient_dim_c
+        for ambient_dim_c, _, _, _, morse_index, *_ in moduli_report(
+            brieskorn_seifert_data(alphas)
+        ).z_components:
+            assert 0 <= morse_index <= ambient_dim_c
 
 
 def test_moduli_report_consistency():
@@ -240,7 +239,7 @@ def test_moduli_report_consistency():
     rep = moduli_report(S)
     assert rep.pg == 2
     assert euler_eval(rep.excess_poincare) == rep.pg
-    assert len(rep.z_components) == 3
+    assert len(rep.z_components) == 2  # two CP^0 components beside the SU(2) piece
 
 
 def test_enumerated_exponent_matches_both_routes():
@@ -311,7 +310,7 @@ def test_components_check_every_vector(monkeypatch):
     monkeypatch.setattr(moduli, "power", lambda L, m: ops.append(m) or original_power(L, m))
     monkeypatch.setattr(moduli, "tensor", lambda *a: ops.append(a) or original_tensor(*a))
     components, degrees = moduli._components(S, vectors)
-    assert len(components) == len(vectors) + 1
+    assert len(components) == len(vectors)
     top = S.orbifold.scaled_deg_k
     assert walks == [(dual(n_bundle(S)), top, top)]
     assert len(degrees) == top
@@ -365,10 +364,11 @@ def test_components_equal_single_vector_bundle_routes(alphas, reverse):
     if reverse:  # (b; gamma_i) -> (-b - n; alpha_i - gamma_i) negates e(Y)
         S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
     C = S.orbifold
-    for z in z_decomposition(S)[1:]:
-        L = normalize(z.vector.e, z.vector.betas, C)
-        assert z.morse_index // 2 == exponent_via_bundles(C, z.vector)
-        assert (z.l0_power, z.parity_k) == solve_L0_k(L, S)
+    for _, e, k, l0_power, morse_index, *betas in moduli_report(S).z_components:
+        v = EVector(e, tuple(betas))
+        L = normalize(v.e, v.betas, C)
+        assert morse_index // 2 == exponent_via_bundles(C, v)
+        assert (l0_power, k) == solve_L0_k(L, S)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,9 +24,9 @@ EXPORTS = {
         "SeifertData", "brieskorn_seifert_data", "bundle_log", "n_bundle",
     ),
     "moduli": (
-        "EVector", "ZComponent", "enumerate_e_vectors", "excess_poincare",
-        "exponent_closed_form", "exponent_via_bundles", "hp_poincare", "moduli_report",
-        "sl2c_euler", "sl2c_poincare", "solve_L0_k", "z_decomposition",
+        "EVector", "enumerate_e_vectors", "excess_poincare", "exponent_closed_form",
+        "exponent_via_bundles", "hp_poincare", "moduli_report", "sl2c_euler", "sl2c_poincare",
+        "solve_L0_k",
     ),
     "singularity": (
         "casson_invariant", "geometric_genus_divisors", "geometric_genus_pd",
@@ -56,7 +56,7 @@ README = os.path.join(os.path.dirname(SRC), "README.md")
 
 def test_public_names_are_the_exported_set():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 39
+    assert len(names) == 37
     assert sorted(seifertlab.__all__) == sorted(names)
 
 
