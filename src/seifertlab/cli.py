@@ -415,7 +415,8 @@ def _run_single(args) -> int:
             req["fibers"] = [list(_parse_fiber(f)) for f in args.fiber]
         elif args.mode == "perturb":
             try:
-                req["eps"] = [float(e) for e in args.eps.split(",") if e != ""]
+                # an empty --eps is the empty list, rejected as a batch line's "eps": [] is
+                req["eps"] = [float(e) for e in args.eps.split(",")] if args.eps else []
             except ValueError:
                 raise ValueError(f"bad --eps list {args.eps!r}") from None
         report, ok = run_request(req)

@@ -22,25 +22,20 @@ from .scenarios import (
     Z0Component,
     Z1Site,
     circle_scenario,
-    escape_scenario,
     linear_scenario,
     scenario_by_name,
     scenario_names,
     sphere_scenario,
 )
 from .lab import (
-    ConvergenceReport,
     DegenerateCriticalPointError,
     ExperimentReport,
     FoundPoint,
     MultiplierError,
     NewtonResult,
     PredictedPoint,
-    convergence_filter,
     lagrange_multiplier,
     leading_term,
-    leading_term_kernel_drift,
-    morse_bott_index,
     morse_index,
     newton_critical_point,
     predicted_critical_points,
@@ -57,7 +52,6 @@ __all__ = [
     "circle_scenario",
     "sphere_scenario",
     "linear_scenario",
-    "escape_scenario",
     "scenario_by_name",
     "scenario_names",
     "NewtonResult",
@@ -65,16 +59,12 @@ __all__ = [
     "DegenerateCriticalPointError",
     "MultiplierError",
     "morse_index",
-    "morse_bott_index",
     "lagrange_multiplier",
     "leading_term",
-    "leading_term_kernel_drift",
     "PredictedPoint",
     "predicted_critical_points",
     "FoundPoint",
     "ExperimentReport",
     "spectral_gap",
     "run_localisation",
-    "ConvergenceReport",
-    "convergence_filter",
 ]

@@ -3,9 +3,8 @@
 The tolerances are module constants, each with a comment on what it bounds:
 the block below, RANK_RTOL in linalg.py, the validation thresholds in
 scenarios.py and the finite-difference steps in fields.py.  A call passes
-only newton_critical_point's tol, the gap of morse_index and
-morse_bott_index, and run_localisation's basin_radius and c_bound, which the
-command line sets.
+only newton_critical_point's tol, morse_index's gap, and run_localisation's
+basin_radius and c_bound; the command line sets the last two.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .linalg import (
     pinv_solve,
     solve,
 )
-from .scenarios import Scenario, Z1Site, _Record, _tangential_s1
+from .scenarios import Scenario, Z1Site, _Record
 
 __all__ = [
     "NewtonResult",
@@ -37,22 +36,19 @@ __all__ = [
     "DegenerateCriticalPointError",
     "MultiplierError",
     "morse_index",
-    "morse_bott_index",
     "lagrange_multiplier",
     "leading_term",
-    "leading_term_kernel_drift",
     "PredictedPoint",
     "predicted_critical_points",
     "FoundPoint",
     "ExperimentReport",
     "spectral_gap",
     "run_localisation",
-    "ConvergenceReport",
-    "convergence_filter",
 ]
 
 DIVERGENCE_NORM = 1e6  # an iterate farther than this from the origin ends Newton as diverged
 NEWTON_TOL = 1e-10  # |grad S_eps| at which Newton stops, unless a call asks for another
+NEWTON_PINV_RTOL = 1e-12  # rank cutoff, relative to max|eigenvalue|, of a singular Newton step
 NEWTON_MAX_ITER = 100  # Newton steps before newton_critical_point gives up
 POLISH_ROUNDS = 2  # full Newton steps tried after convergence, each kept if |grad| drops
 DEDUPE_RADIUS = 10 * NEWTON_TOL  # Newton limits closer than this are one point of S_eps
@@ -62,9 +58,6 @@ MULTIPLIER_RESIDUAL = 1e-8  # |Hess S0 lambda + grad S1| from which a point is o
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
 GAP_SHARE = 1e-2  # share of the smallest predicted eigenvalue that the gap takes
 EIGEN_RESOLUTION = 1e-12  # relative eigenvalue size float64 Hessians resolve, with margin
-CRITICAL_TOL = 1e-8  # |grad S_eps| above which convergence_filter rejects a point
-Z1_RESIDUAL_LO = 1e-6  # both Z1 residuals below this: the limit localises
-Z1_RESIDUAL_HI = 1e-3  # either Z1 residual above this: the limit is not resolved
 # what float ** and the math functions raise where array arithmetic gives inf or nan
 _NON_FINITE = (ArithmeticError, ValueError)
 
@@ -128,7 +121,7 @@ def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> Newt
             if not all(map(math.isfinite, step)):
                 raise LinAlgError
         except LinAlgError:
-            step = _neg(pinv_solve(H, g, rtol=1e-12))
+            step = _neg(pinv_solve(H, g, rtol=NEWTON_PINV_RTOL))
         if _norm(step) == 0.0:
             step = _neg(g)  # kernel-only gradient: descend directly
         t = 1.0
@@ -186,13 +179,6 @@ def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
     return _index(eigh(S.hessian(x))[0], gap)
 
 
-def morse_bott_index(S: ScalarField, x, gap: float = 1e-8) -> int:
-    """Negative-eigenvalue count, tolerating the near-zero band as tangent
-    directions of the critical manifold."""
-    neg, _, _ = inertia_counts(eigh(S.hessian(x))[0], gap)
-    return neg
-
-
 def lagrange_multiplier(s0: ScalarField, s1: ScalarField, x) -> Vector:
     """Minimal-norm solution lambda of Hess S0(x) * lambda = -grad S1(x).
 
@@ -217,16 +203,6 @@ def leading_term(family: PerturbationFamily, x) -> float:
     """The localisation leading term (1/2) <grad S1, lambda> + S2 at x on Z1."""
     lam = lagrange_multiplier(family.s0, family.s1, x)
     return 0.5 * _dot(family.s1.gradient(x), lam) + family.s2.value(x)
-
-
-def leading_term_kernel_drift(family: PerturbationFamily, x) -> float:
-    """Largest change of the leading term under unit kernel shifts of lambda.
-
-    The multiplier is only defined up to Ker(Hess S0); the leading term must
-    not see that ambiguity.  Returns max_k |(1/2) <grad S1, k>| over an
-    orthonormal kernel basis.
-    """
-    return max((abs(0.5 * c) for c in _tangential_s1(family, x)), default=0.0)
 
 
 class PredictedPoint(NamedTuple):
@@ -420,10 +396,11 @@ def run_localisation(
     For each eps: Newton from every leading-term critical point, deduplicate
     (radius DEDUPE_RADIUS), then check (a) found points biject onto the
     predictions within basin_radius, (b) each Morse index, read with the gap
-    of :func:`spectral_gap`, matches the three-term index sum, (c) the signed count equals the chi-weighted component formula
-    (chi_c-weighted for eps < 0; skipped when the scenario declares the
-    properness hypothesis unavailable).  Points with norm above c_bound are
-    flagged as outside the localisation neighborhood and excluded from (a).
+    of :func:`spectral_gap`, matches the three-term index sum, (c) the
+    signed count equals the chi-weighted component formula (chi_c-weighted
+    for eps < 0; skipped when the scenario declares the properness
+    hypothesis unavailable).  Points with norm above c_bound are flagged as
+    outside the localisation neighborhood and excluded from (a).
     """
     preds = predicted_critical_points(scenario)
     family = scenario.family
@@ -519,99 +496,3 @@ def run_localisation(
         reports.append(report)
     return reports
 
-
-def _extrapolate_to_zero(seq) -> Vector:
-    """Lagrange extrapolation of x(eps) to eps = 0 from the last <= 3 points.
-
-    ``seq`` is sorted by decreasing |eps|; duplicate eps values collapse to
-    the latest point.  One point: returned as is.  Two or three points with
-    distinct eps: polynomial extrapolation, which kills the O(eps) (and
-    O(eps^2)) drift of a continued critical branch.
-    """
-    tail: list[tuple[float, Vector]] = []
-    for e, x in seq:
-        tail = [(ee, xx) for ee, xx in tail if ee != e]
-        tail.append((e, x))
-    tail = tail[-3:]
-    limit = (0.0,) * len(tail[0][1])
-    for i, (ei, xi) in enumerate(tail):
-        weight = 1.0
-        for j, (ej, _) in enumerate(tail):
-            if j != i:
-                weight *= (0.0 - ej) / (ei - ej)
-        limit = _axpy(weight, xi, limit)
-    return limit
-
-
-class ConvergenceReport(NamedTuple):
-    classification: str  # "localises" | "escapes" | "inconclusive"
-    limit_point: Vector
-    grad_s0_residual: float
-    tangential_s1_residual: float
-    message: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "limit_point": [float(v) for v in self.limit_point],
-            "grad_s0_residual": self.grad_s0_residual,
-            "tangential_s1_residual": self.tangential_s1_residual,
-            "message": self.message,
-        }
-
-
-def convergence_filter(scenario: Scenario, pairs, c_bound: float = 1e3) -> ConvergenceReport:
-    """Classify the limit of a sequence of perturbed critical points.
-
-    ``pairs`` is a sequence of (eps_n, x_n) with eps_n -> 0, each x_n a
-    critical point of S_{eps_n} to CRITICAL_TOL (re-verified here).  If the
-    sequence leaves {|x| <= c_bound} it escapes.  Otherwise the limit is
-    extrapolated to eps = 0 (polynomially through the last points) and
-    tested for Z1 membership through the residuals |grad S0| and
-    |tangential grad S1|: both below Z1_RESIDUAL_LO means the limit
-    localises to Z1; residuals between the thresholds are reported as
-    inconclusive.
-    """
-    if not pairs:
-        raise ValueError("need at least one (eps, point) pair")
-    family = scenario.family
-    seq = [(float(e), tuple(map(float, x))) for e, x in pairs]
-    seq.sort(key=lambda p: -abs(p[0]))
-    for e, x in seq:
-        gnorm = _norm(family.gradient(x, e))
-        if gnorm > CRITICAL_TOL:
-            raise ValueError(
-                f"({e}, {list(x)}) is not a critical point: |grad S_eps| = {gnorm:.3e}"
-            )
-    if _norm(seq[-1][1]) > c_bound:
-        return ConvergenceReport(
-            classification="escapes",
-            limit_point=seq[-1][1],
-            grad_s0_residual=float("nan"),
-            tangential_s1_residual=float("nan"),
-            message=f"|x| = {_norm(seq[-1][1]):.3e} exceeds bound {c_bound:g}",
-        )
-    limit = _extrapolate_to_zero(seq)
-    if _norm(limit) > c_bound:
-        return ConvergenceReport(
-            classification="escapes",
-            limit_point=limit,
-            grad_s0_residual=float("nan"),
-            tangential_s1_residual=float("nan"),
-            message="extrapolated limit leaves the bounded region",
-        )
-    r0 = _norm(family.s0.gradient(limit))
-    r1 = _norm(_tangential_s1(family, limit))
-    if r0 < Z1_RESIDUAL_LO and r1 < Z1_RESIDUAL_LO:
-        return ConvergenceReport("localises", limit, r0, r1)
-    if r0 > Z1_RESIDUAL_HI or r1 > Z1_RESIDUAL_HI:
-        return ConvergenceReport(
-            "inconclusive",
-            limit,
-            r0,
-            r1,
-            message="residuals above the upper threshold; limit not resolved",
-        )
-    return ConvergenceReport(
-        "inconclusive", limit, r0, r1, message="residuals between thresholds"
-    )

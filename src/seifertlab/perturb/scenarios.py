@@ -21,10 +21,6 @@ Z0 for restricted-index computations.
       leading term -((1+w)^2/4 + w^2/8) + w^2 has a unique nondegenerate
       minimum at w = 2/5.  The w-axis is noncompact and S1|Z0 = 0 is not
       proper, so the signed-count identity is only declared for eps > 0.
-
-  escape (not exposed on the command line): S0 = -log(1 + x^2)/2, S1 = x on
-      the real line.  S_eps has a near root ~eps and a far root ~1/eps; the
-      far branch leaves every bounded set as eps -> 0.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "circle_scenario",
     "sphere_scenario",
     "linear_scenario",
-    "escape_scenario",
     "scenario_names",
     "scenario_by_name",
 ]
@@ -291,26 +286,6 @@ def linear_scenario() -> Scenario:
         sampler,
         chi_c_count_valid=False,
     )
-
-
-def escape_scenario() -> Scenario:
-    s0 = ScalarField(
-        1,
-        lambda x: -0.5 * math.log1p(x[0] ** 2),
-        lambda x: (-x[0] / (1.0 + x[0] ** 2),),
-        lambda x: (((x[0] ** 2 - 1.0) / (1.0 + x[0] ** 2) ** 2,),),
-    )
-    s1 = ScalarField(1, lambda x: x[0], lambda x: (1.0,), lambda x: ((0.0,),))
-    family = PerturbationFamily(s0, s1, ScalarField.zero(1))
-    comp = Z0Component(name="origin", chi=1, chi_c=1, morse_bott_index=1)
-    sites = (
-        Z1Site((0.0,), comp, lambda t: (0.0,), z0_dim=0),
-    )
-
-    def sampler(n):
-        return [(0.0,)] * n
-
-    return Scenario("escape", family, (comp,), sites, sampler)
 
 
 _REGISTRY: dict[str, Callable[[], Scenario]] = {

@@ -737,11 +737,21 @@ def test_perturb_rejects_non_finite_numbers(capsys):
         (["--eps=0.1", "--basin-radius=-1"], "field 'basin_radius' must be positive, got -1.0"),
         (["--eps=0.1", "--c-bound=-1"], "field 'c_bound' must be positive, got -1.0"),
         (["--eps=0.1", "--basin-radius=0"], "field 'basin_radius' must be positive, got 0.0"),
+        (["--eps=0.1,,0.2"], "bad --eps list"),
+        (["--eps="], "field 'eps' must be a non-empty list"),
     ):
         code, out = run(capsys, "perturb", "--scenario", "circle", *options)
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "validation" and message in error["message"]
+
+
+@pytest.mark.parametrize("eps", ["0.1,,0.2", ",0.1", "0.1,"])
+def test_perturb_rejects_an_empty_eps_entry(capsys, eps):
+    code, out = run(capsys, "perturb", "--scenario", "circle", f"--eps={eps}")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation" and f"bad --eps list {eps!r}" in error["message"]
 
 
 def test_eps_whose_square_overflows_is_a_validation_error(capsys, tmp_path):

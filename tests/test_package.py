@@ -39,15 +39,14 @@ EXPORTS = {
 PERTURB_EXPORTS = {
     "fields": ("ScalarField", "PerturbationFamily"),
     "scenarios": (
-        "Scenario", "Z0Component", "Z1Site", "circle_scenario", "escape_scenario",
-        "linear_scenario", "scenario_by_name", "scenario_names", "sphere_scenario",
+        "Scenario", "Z0Component", "Z1Site", "circle_scenario", "linear_scenario",
+        "scenario_by_name", "scenario_names", "sphere_scenario",
     ),
     "lab": (
-        "ConvergenceReport", "DegenerateCriticalPointError", "ExperimentReport", "FoundPoint",
-        "MultiplierError", "NewtonResult", "PredictedPoint", "convergence_filter",
-        "lagrange_multiplier", "leading_term", "leading_term_kernel_drift", "morse_bott_index",
-        "morse_index", "newton_critical_point", "predicted_critical_points",
-        "run_localisation", "spectral_gap",
+        "DegenerateCriticalPointError", "ExperimentReport", "FoundPoint", "MultiplierError",
+        "NewtonResult", "PredictedPoint", "lagrange_multiplier", "leading_term", "morse_index",
+        "newton_critical_point", "predicted_critical_points", "run_localisation",
+        "spectral_gap",
     ),
 }
 SRC = os.path.dirname(os.path.dirname(seifertlab.__file__))
@@ -83,7 +82,7 @@ def test_perturb_public_names_are_the_exported_set():
     import seifertlab.perturb as perturb
 
     names = [name for names in PERTURB_EXPORTS.values() for name in names]
-    assert len(names) == 28
+    assert len(names) == 23
     assert sorted(perturb.__all__) == sorted(names)
 
 

@@ -20,13 +20,9 @@ from seifertlab.perturb import (
     PerturbationFamily,
     ScalarField,
     circle_scenario,
-    convergence_filter,
-    escape_scenario,
     lagrange_multiplier,
     leading_term,
-    leading_term_kernel_drift,
     linear_scenario,
-    morse_bott_index,
     morse_index,
     newton_critical_point,
     predicted_critical_points,
@@ -36,9 +32,10 @@ from seifertlab.perturb import (
     spectral_gap,
     sphere_scenario,
 )
-from seifertlab.perturb.linalg import _norm, eigh
+from seifertlab.perturb import lab, scenarios
+from seifertlab.perturb.linalg import _norm, eigh, pinv_solve
 
-ALL_SCENARIOS = [circle_scenario, sphere_scenario, linear_scenario, escape_scenario]
+ALL_SCENARIOS = [circle_scenario, sphere_scenario, linear_scenario]
 
 
 def bisect_root(g, lo, hi, tol=1e-14):
@@ -252,6 +249,41 @@ def test_newton_backtracks_over_a_domain_error():
     assert res.point[0] == pytest.approx(4.0, abs=1e-12)
 
 
+def test_newton_steps_by_the_pseudo_inverse_on_a_singular_hessian(monkeypatch):
+    # Hess S = diag(2, 12 y^2) is singular at y = 0: the first step is the
+    # pseudo-inverse one, the second finds only a kernel gradient and descends
+    calls = []
+
+    def spy(H, b, rtol):
+        calls.append(rtol)
+        return pinv_solve(H, b, rtol=rtol)
+
+    monkeypatch.setattr(lab, "pinv_solve", spy)
+    S = ScalarField(
+        2,
+        lambda x: x[0] ** 2 + x[1] ** 4 - x[1],
+        lambda x: (2.0 * x[0], 4.0 * x[1] ** 3 - 1.0),
+        lambda x: ((2.0, 0.0), (0.0, 12.0 * x[1] ** 2)),
+    )
+    res = newton_critical_point(S, [1.0, 0.0])
+    assert res.converged
+    assert res.point == pytest.approx((0.0, 0.25 ** (1 / 3)), abs=1e-12)
+    assert calls == [lab.NEWTON_PINV_RTOL] * 2
+
+
+@pytest.mark.parametrize("build", [circle_scenario, sphere_scenario])
+def test_newton_branches_from_z1_sites_move_by_eps_over_8(build):
+    # near x = +-1 the reduced equation 4x(x^2-1) + eps = 0 moves the root by
+    # -eps/8 + O(eps^2), so each branch reaches its Z1 site linearly in eps
+    sc = build()
+    for site in sc.z1_sites:
+        for eps in (0.02, 0.01, 0.005, -0.02, -0.01, -0.005):
+            res = newton_critical_point(sc.family.at(eps), site.point)
+            assert res.converged
+            moved = _norm([a - b for a, b in zip(res.point, site.point)])
+            assert moved / abs(eps) == pytest.approx(0.125, abs=0.04 * abs(eps))
+
+
 def test_newton_rejects_non_finite_seed():
     S = ScalarField(1, lambda x: x[0] ** 2)
     with pytest.raises(ValueError):
@@ -305,13 +337,6 @@ def test_leading_term_linear_model_closed_form():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_leading_term_kernel_invariance():
-    for build in (circle_scenario, sphere_scenario, linear_scenario):
-        sc = build()
-        for site in sc.z1_sites:
-            assert leading_term_kernel_drift(sc.family, site.point) < 1e-8
-
-
 # ---------------------------------------------------------------- indices
 
 
@@ -319,7 +344,6 @@ def test_morse_index_degenerate_detection():
     sc = circle_scenario()
     with pytest.raises(DegenerateCriticalPointError):
         morse_index(sc.family.s0, [1.0, 0.0, 0.0])  # eigenvalues (8, 0, 2)
-    assert morse_bott_index(sc.family.s0, [1.0, 0.0, 0.0]) == 0
 
 
 def test_morse_index_restricted_to_z0():
@@ -667,58 +691,11 @@ def test_localisation_rejects_zero_eps():
         run_localisation(circle_scenario(), [0.0])
 
 
-# ------------------------------------------------------- convergence filter
-
-
-def test_convergence_filter_circle_trajectories():
-    sc = circle_scenario()
-    for seed in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]):
-        pairs = []
-        for eps in (0.02, 0.01, 0.005):
-            res = newton_critical_point(sc.family.at(eps), seed)
-            assert res.converged
-            pairs.append((eps, res.point))
-        rep = convergence_filter(sc, pairs)
-        assert rep.classification == "localises"
-        site_dists = [np.linalg.norm(np.subtract(rep.limit_point, s.point)) for s in sc.z1_sites]
-        assert min(site_dists) < 1e-5
-
-
-def test_convergence_filter_constant_sequence_at_z1():
-    sc = circle_scenario()
-    rep = convergence_filter(sc, [(0.0, [1.0, 0.0, 0.0]), (0.0, [1.0, 0.0, 0.0])])
-    assert rep.classification == "localises"
-
-
-def test_convergence_filter_escaping_branch():
-    sc = escape_scenario()
-    # S_eps = -log(1+x^2)/2 + eps*x has roots at (1 +- sqrt(1-4 eps^2))/(2 eps)
-    far, near = [], []
-    for eps in (0.01, 0.005, 0.0025):
-        disc = np.sqrt(1 - 4 * eps**2)
-        far.append((eps, [(1 + disc) / (2 * eps)]))
-        near.append((eps, [(1 - disc) / (2 * eps)]))
-    rep = convergence_filter(sc, far, c_bound=3.0)
-    assert rep.classification == "escapes"
-    rep = convergence_filter(sc, near, c_bound=3.0)
-    assert rep.classification == "localises"
-    assert abs(rep.limit_point[0]) < 1e-5
-
-
-def test_convergence_filter_rejects_non_critical_points():
-    sc = circle_scenario()
-    with pytest.raises(ValueError):
-        convergence_filter(sc, [(0.01, [0.5, 0.5, 0.5])])
-
-
 def test_tangential_s1_flags_a_point_of_z0_off_z1():
     # (0, 1, 0) lies on the unit circle, where grad S1 = (1, 0, 0) is tangent
     sc = circle_scenario()
     off = (0.0, 1.0, 0.0)
-    assert leading_term_kernel_drift(sc.family, off) == 0.5
-    rep = convergence_filter(sc, [(0.0, off)])
-    assert rep.classification == "inconclusive"
-    assert (rep.grad_s0_residual, rep.tangential_s1_residual) == (0.0, 1.0)
+    assert _norm(scenarios._tangential_s1(sc.family, off)) == 1.0
     sc.z1_sites = (Z1Site(off, sc.components[0], lambda t: off, z0_dim=1),)
     assert sc.validate() == ["site [0.0, 1.0, 0.0]: tangential |grad S1| = 1.000e+00"]
 
@@ -733,6 +710,8 @@ def test_builtin_scenarios_validate():
 
 def test_scenario_registry():
     assert scenario_names() == ["circle", "linear", "sphere"]
+    builders = [n for n in scenarios.__all__ if n.endswith("_scenario")]
+    assert sorted(n.removesuffix("_scenario") for n in builders) == scenario_names()
     assert scenario_by_name("circle").name == "circle"
     with pytest.raises(ValueError) as err:
         scenario_by_name("nosuch")
