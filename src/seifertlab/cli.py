@@ -9,21 +9,22 @@ stderr as one line and the exit code is 2.
 
 Each mode imports only its own side: ``brieskorn`` and ``seifert`` load the
 exact stack (reports, seifert, moduli, exact, ...), ``verify`` only the
-identity chain (reports, singularity, seifert, orbifold; no moduli, exact or
+identity chain (singularity, seifert, orbifold; no reports, moduli, exact or
 fractions), and ``perturb`` loads ``seifertlab.perturb`` and never the exact
 stack.  Neither side needs anything beyond the standard library.
 
 JSON goes out indented (``--json``) or one line per request (``batch``).
-``json`` encodes every report but a fibration report's components, which
-are written straight from their integer records: one template per CP^e
-component, spliced in at a placeholder that must occur exactly once.
+``json`` is imported where JSON is read or written, so a call that prints a
+table never loads it.  It encodes every report but a fibration report's
+components, which are written straight from their integer records: one
+template per CP^e component, spliced in at a placeholder that must occur
+exactly once.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -124,18 +125,19 @@ def _compact(n: int) -> tuple[str, str, str]:
 # json encodes a fibration report with this string in place of its
 # components, which are written from their records where it lands
 _SLOT = "\0z_components"
-_SLOT_TEXT = json.dumps(_SLOT)
 
 
 def _splice(report: dict, form, **options) -> str:
     """json.dumps(report, sort_keys=True, **options), with the records of
     ``report["z_components"]`` (see ``moduli._components``) written in the
     list ``form(n)`` frames, n being the vector's number of residues."""
+    import json
+
     records = report.get("z_components")
     if records is None:
         return json.dumps(report, sort_keys=True, **options)
     parts = json.dumps({**report, "z_components": _SLOT}, sort_keys=True, **options).split(
-        _SLOT_TEXT
+        json.dumps(_SLOT)
     )
     if len(parts) != 2:
         raise ConsistencyError(f"component placeholder found {len(parts) - 1} times, not once")
@@ -297,7 +299,7 @@ def run_request(req: dict) -> tuple[dict, bool]:
         report = seifert_report(S, echo, casson=casson, su2_poly=su2)
         return report, all(report["checks"].values())
     if mode == "verify":
-        from .reports import verify_sweep_report
+        from .singularity import verify_sweep_report
 
         report = verify_sweep_report(_typed(req, "max", int))
         return report, report["all_ok"]
@@ -337,6 +339,8 @@ def run_request(req: dict) -> tuple[dict, bool]:
 
 
 def _parse_line(line: str):
+    import json
+
     try:
         return json.loads(line)
     except RecursionError:  # json's decoder recurses once per nesting level

@@ -55,10 +55,9 @@ Reports, which print every vector, still enumerate them.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import repeat
 from operator import add, floordiv, mul
-from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
@@ -95,7 +94,7 @@ __all__ = [
 ]
 
 
-class EVector(NamedTuple):
+class EVector(namedtuple("EVector", "e betas exponent", defaults=(None,))):
     """Lattice vector (e; beta_1..beta_n) of degree e + sum beta_i/alpha_i.
 
     ``exponent`` is the Morse-Bott half-index m, which
@@ -103,9 +102,7 @@ class EVector(NamedTuple):
     is None on a vector built by hand.
     """
 
-    e: int
-    betas: tuple[int, ...]
-    exponent: int | None = None
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.e,) + self.betas
@@ -290,11 +287,10 @@ def sl2c_euler(S: SeifertData, casson: int) -> int:
     return -2 * casson + _excess_euler(S)
 
 
-class AssembledPoly(NamedTuple):
+class AssembledPoly(namedtuple("AssembledPoly", "poly partial")):
     """A polynomial that may still be missing its external SU(2) summand."""
 
-    poly: LaurentPoly
-    partial: bool
+    __slots__ = ()
 
 
 def sl2c_poincare(S: SeifertData, su2_poly: LaurentPoly | None = None) -> AssembledPoly:
@@ -322,14 +318,19 @@ def hp_poincare(S: SeifertData, su2_hat_poly: LaurentPoly | None = None) -> Asse
     return AssembledPoly(poly=su2_hat_poly + total, partial=False)
 
 
-class ModuliReport(NamedTuple):
-    """Assembled moduli-side quantities for one fibration."""
+class ModuliReport(
+    namedtuple(
+        "ModuliReport",
+        "z_components excess_poincare pg hp_excess pg_divisors",
+        defaults=(None,),
+    )
+):
+    """Assembled moduli-side quantities for one fibration.
 
-    z_components: list[tuple]  # one record per CP^e component
-    excess_poincare: LaurentPoly
-    pg: int
-    hp_excess: LaurentPoly
-    pg_divisors: int | None = None
+    ``z_components`` holds one record per CP^e component.
+    """
+
+    __slots__ = ()
 
 
 def moduli_report(S: SeifertData) -> ModuliReport:

@@ -10,7 +10,7 @@ basin_radius and c_bound; the command line sets the last two.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .fields import PerturbationFamily, ScalarField, Vector
 from .linalg import (
@@ -70,13 +70,12 @@ class MultiplierError(RuntimeError):
     """The Lagrange-multiplier system is inconsistent at the given point."""
 
 
-class NewtonResult(NamedTuple):
-    point: Vector
-    grad_norm: float
-    value: float
-    iterations: int
-    converged: bool
-    message: str = ""
+class NewtonResult(
+    namedtuple(
+        "NewtonResult", "point grad_norm value iterations converged message", defaults=("",)
+    )
+):
+    __slots__ = ()
 
 
 def _or_nan(evaluate, x: Vector, nan):
@@ -205,7 +204,7 @@ def leading_term(family: PerturbationFamily, x) -> float:
     return 0.5 * _dot(family.s1.gradient(x), lam) + family.s2.value(x)
 
 
-class PredictedPoint(NamedTuple):
+class PredictedPoint(namedtuple("PredictedPoint", "point site indices")):
     """A critical point of the leading term, tagged with its Z1 site.
 
     ``indices`` maps the sign of eps to the predicted Morse index
@@ -213,9 +212,7 @@ class PredictedPoint(NamedTuple):
     continues this one.
     """
 
-    point: Vector
-    site: Z1Site
-    indices: dict[int, int]
+    __slots__ = ()
 
 
 def _f_chart_field(family: PerturbationFamily, site: Z1Site) -> ScalarField:
@@ -266,15 +263,17 @@ def predicted_critical_points(scenario: Scenario) -> list[PredictedPoint]:
     return out
 
 
-class FoundPoint(NamedTuple):
-    point: Vector
-    value: float
-    grad_residual: float
-    index: int | None
-    predicted_index: int | None
-    matched_prediction: int | None  # position in the predicted list
-    min_abs_hessian_eig: float
-    outside_basin: bool = False
+class FoundPoint(
+    namedtuple(
+        "FoundPoint",
+        "point value grad_residual index predicted_index matched_prediction"
+        " min_abs_hessian_eig outside_basin",
+        defaults=(False,),
+    )
+):
+    """``matched_prediction`` is the point's position in the predicted list."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

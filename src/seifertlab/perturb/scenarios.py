@@ -26,7 +26,8 @@ Z0 for restricted-index computations.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from .fields import PerturbationFamily, ScalarField, Vector
 from .linalg import RANK_RTOL, _dot, _norm, kernel_basis
@@ -68,13 +69,10 @@ def _tangential_s1(family: PerturbationFamily, x) -> list[float]:
     return [_dot(k, g1) for k in basis]
 
 
-class Z0Component(NamedTuple):
+class Z0Component(namedtuple("Z0Component", "name chi chi_c morse_bott_index")):
     """Declared metadata for one connected component of Crit(S0)."""
 
-    name: str
-    chi: int
-    chi_c: int
-    morse_bott_index: int
+    __slots__ = ()
 
 
 class Z1Site(_Record):

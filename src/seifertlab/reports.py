@@ -9,16 +9,15 @@ report's ``"z_components"``: it holds one integer record per CP^e component
 ``cli._dump_line`` and :func:`report_table`, print the SU(2) piece first and
 each record from one template, with no dict per component.
 
-Only the sweep's needs are imported up front: :func:`verify_sweep_report`
-runs the identity chain alone, so a ``verify`` call never loads ``moduli``,
-``exact`` or ``fractions``.  :func:`seifert_report` and :func:`parse_poly`
-import the moduli side and ``LaurentPoly`` when they are called.
+``verify_sweep_report`` lives beside the identity chain in ``singularity``
+and is re-exported here; a ``verify`` call imports it from there and never
+loads this module.  :func:`seifert_report` and :func:`parse_poly` import the
+moduli side and ``LaurentPoly`` when they are called.
 """
 
 from __future__ import annotations
 
 from itertools import starmap
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .orbifold import orbifold_euler_char
@@ -27,7 +26,7 @@ from .singularity import (
     _check_lattice_limit,
     _identity_chain,
     geometric_genus_pd,
-    verify_identity_chain,
+    verify_sweep_report,
 )
 
 if TYPE_CHECKING:
@@ -202,30 +201,6 @@ def brieskorn_report(
     if casson is not None:
         echo["casson"] = casson
     return seifert_report(S, echo, casson=casson, su2_poly=su2_poly)
-
-
-def verify_sweep_report(max_exponent: int) -> dict:
-    """Identity-chain sweep over all pairwise-coprime triples p < q < r <= max."""
-    if max_exponent > 30:
-        raise ValueError("sweep limit is 30 (desk scale)")
-    rows = []
-    all_ok = True
-    for p in range(2, max_exponent + 1):
-        for q in range(p + 1, max_exponent + 1):
-            if gcd(p, q) != 1:
-                continue
-            for r in range(q + 1, max_exponent + 1):
-                if gcd(p, r) != 1 or gcd(q, r) != 1:
-                    continue
-                chain = verify_identity_chain(p, q, r)
-                rows.append(chain.as_dict())
-                all_ok = all_ok and chain.ok
-    return {
-        "input": {"mode": "verify", "max": max_exponent},
-        "triples": rows,
-        "count": len(rows),
-        "all_ok": all_ok,
-    }
 
 
 def report_table(report: dict) -> str:

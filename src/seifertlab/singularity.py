@@ -15,11 +15,16 @@ module computes, for pairwise-coprime exponents:
   * the Euler characteristic of the stable SL(2,C) character variety,
     -2*lambda + p_g, which must equal mu/4.
 
-``verify_identity_chain`` runs every cross-check at exact integer precision.
-Its moduli-side term, the excess Euler characteristic, comes from the
-count-only scan ``_excess_euler`` here, over ``orbifold._prefixes``; the
-moduli module reads the same scan, and this module imports nothing from it,
-so a sweep loads neither ``moduli`` nor ``exact`` nor ``fractions``.
+``verify_identity_chain`` runs every cross-check at exact integer precision,
+and ``verify_sweep_report`` runs it over every triple up to a bound: the
+``verify`` command.  The chain's moduli-side term, the excess Euler
+characteristic, comes from the count-only scan ``_excess_euler`` here, over
+``orbifold._prefixes``; the moduli module reads the same scan, and this
+module imports nothing from it, so a sweep loads neither ``moduli`` nor
+``exact`` nor ``fractions``, nor ``reports``, which re-exports the sweep.
+The Pinkham-Dolgachev sum and the lattice count step through C-level
+iterators (``map``, ``accumulate``, ``cycle``) over integer tables and
+ranges, and the report record is a ``collections.namedtuple`` subclass.
 For four or more exponents (complete intersections, not hypersurfaces) mu
 and sigma are out of scope; only the Seifert-side quantities exist here.
 """
@@ -27,9 +32,9 @@ and sigma are out of scope; only the Seifert-side quantities exist here.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, cycle, islice
-from operator import add
-from typing import NamedTuple
+from collections import namedtuple
+from itertools import accumulate, cycle, islice, repeat
+from operator import add, floordiv
 
 from .errors import ConsistencyError
 from .orbifold import _exponent, _h0_sum, _prefixes, _walk, power
@@ -50,6 +55,7 @@ __all__ = [
     "signature_lattice_oracle",
     "casson_invariant",
     "verify_identity_chain",
+    "verify_sweep_report",
 ]
 
 _LATTICE_LIMIT = 10**6
@@ -110,14 +116,22 @@ def geometric_genus_pd(S: SeifertData) -> int:
     Successive terms differ by b + sum_i (ceil((l+1)*gamma_i/alpha_i) -
     ceil(l*gamma_i/alpha_i)), and each fiber's ceiling step is periodic in l
     with period alpha_i.  The steps are tabled once per period, b folded
-    into the first fiber's, and the terms run as a stream of C-level
-    iterators, never a list of length A*deg K.  Only the Seifert invariants
-    enter, never a line bundle, so this route stays independent of
-    :func:`geometric_genus_divisors`.
+    into the first fiber's; when the first two periods' product
+    alpha_1*alpha_2 is below A*deg K, their tables merge into one of that
+    period, one addition per term fewer.  The terms run as a stream of
+    C-level iterators, never a list of length A*deg K.  Only the Seifert
+    invariants enter, never a line bundle, so this route stays independent
+    of :func:`geometric_genus_divisors`.
     """
     bound = _link_bound(S)
     ceiling_steps = [[(-j * g) // a - (-(j + 1) * g) // a for j in range(a)] for a, g in S.fibers]
-    steps = cycle([S.b + c for c in ceiling_steps[0]])
+    ceiling_steps[0] = [S.b + c for c in ceiling_steps[0]]
+    if len(ceiling_steps) >= 2:
+        period = len(ceiling_steps[0]) * len(ceiling_steps[1])
+        if period < bound:
+            pair = map(add, cycle(ceiling_steps[0]), cycle(ceiling_steps[1]))
+            ceiling_steps[:2] = [list(islice(pair, period))]
+    steps = cycle(ceiling_steps[0])
     for table in ceiling_steps[1:]:
         steps = map(add, steps, cycle(table))
     steps = islice(steps, max(bound, 0))
@@ -176,27 +190,34 @@ def _lattice_signature(p: int, q: int, r: int) -> int:
     base + k*pq < t number min(max((t - base) // pq, 0), r - 1) for t = m
     and t = 2m, unless base + k*pq = t for such a k: that is a boundary
     value, a ConsistencyError.
+
+    Write x = m - base, in (-m, m), so that (2m - base) // pq = x // pq + r.
+    Off the boundary the k with s < 1 number max(x // pq, 0), the k with
+    s < 2 number min(x // pq + r, r - 1), and the point (i, j) adds
+    2*(|x| // pq) - (r - 1) to the count: one C-level ``map`` over a range
+    per row i, where x = c - j*pr with c = m - i*qr.  The boundary values
+    are the x = k*pq with 0 < |k| < r, at k (s = 1) or k + r (s = 2); a row
+    can hold one only if gcd(pr, pq) = p*gcd(q, r) divides c, which never
+    happens on pairwise-coprime exponents, and such a row is scanned for
+    them in j order, so the first boundary point is named.
     """
     m = p * q * r
     qr, pr, pq = q * r, p * r, p * q
-    plus = minus = 0
+    g = p * math.gcd(q, r)  # gcd(pr, pq)
+    total = 0
     for i in range(1, p):
-        for j in range(1, q):
-            base = i * qr + j * pr
-            k1, rem1 = divmod(m - base, pq)
-            k2, rem2 = divmod(2 * m - base, pq)
-            if not (rem1 and rem2):  # base + k*pq may hit m or 2m
-                for k, rem, t in ((k1, rem1, m), (k2, rem2, 2 * m)):
-                    if rem == 0 and 0 < k < r:
-                        raise ConsistencyError(
-                            f"boundary lattice value s = {t}/{m} at (i,j,k)=({i},{j},{k})"
-                        )
-            below1 = min(max(k1, 0), r - 1)  # k with s < 1
-            below2 = min(max(k2, 0), r - 1)  # k with s < 2
-            # s in (0,1) and s in (2,3) count +1, s in (1,2) counts -1
-            plus += below1 + (r - 1 - below2)
-            minus += below2 - below1
-    return plus - minus
+        c = m - i * qr  # x = c - j*pr on row i
+        if c % g == 0:  # pq may divide an x on this row
+            for j in range(1, q):
+                k, rem = divmod(c - j * pr, pq)
+                if rem == 0 and k:
+                    t, k = (m, k) if k > 0 else (2 * m, k + r)
+                    raise ConsistencyError(
+                        f"boundary lattice value s = {t}/{m} at (i,j,k)=({i},{j},{k})"
+                    )
+        total += sum(map(floordiv, map(abs, range(c - pr, c - q * pr, -pr)), repeat(pq)))
+    # s in (0,1) and s in (2,3) count +1, s in (1,2) counts -1
+    return 2 * total - (p - 1) * (q - 1) * (r - 1)
 
 
 def casson_invariant(p: int, q: int, r: int) -> int:
@@ -245,23 +266,16 @@ def _excess_euler(S: SeifertData) -> int:
     return total
 
 
-class IdentityChainReport(NamedTuple):
+class IdentityChainReport(
+    namedtuple(
+        "IdentityChainReport",
+        "p q r milnor pg_pd pg_divisors excess_euler sigma_durfee sigma_lattice casson"
+        " euler_sl2c pg_routes_ok sigma_routes_ok milnor_quarter_ok",
+    )
+):
     """Every intermediate value of the cross-check chain for one triple."""
 
-    p: int
-    q: int
-    r: int
-    milnor: int
-    pg_pd: int
-    pg_divisors: int
-    excess_euler: int
-    sigma_durfee: int
-    sigma_lattice: int
-    casson: int
-    euler_sl2c: int
-    pg_routes_ok: bool
-    sigma_routes_ok: bool
-    milnor_quarter_ok: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -345,3 +359,27 @@ def _identity_chain(
         sigma_routes_ok=sigma_ok,
         milnor_quarter_ok=quarter_ok,
     )
+
+
+def verify_sweep_report(max_exponent: int) -> dict:
+    """Identity-chain sweep over all pairwise-coprime triples p < q < r <= max."""
+    if max_exponent > 30:
+        raise ValueError("sweep limit is 30 (desk scale)")
+    rows = []
+    all_ok = True
+    for p in range(2, max_exponent + 1):
+        for q in range(p + 1, max_exponent + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for r in range(q + 1, max_exponent + 1):
+                if math.gcd(p, r) != 1 or math.gcd(q, r) != 1:
+                    continue
+                chain = verify_identity_chain(p, q, r)
+                rows.append(chain.as_dict())
+                all_ok = all_ok and chain.ok
+    return {
+        "input": {"mode": "verify", "max": max_exponent},
+        "triples": rows,
+        "count": len(rows),
+        "all_ok": all_ok,
+    }

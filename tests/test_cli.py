@@ -546,6 +546,7 @@ def test_verify_calls_load_only_the_identity_chain(tmp_path):
     batch = tmp_path / "requests.ndjson"
     batch.write_text('{"mode": "verify", "max": 5}\n{"mode": "verify", "max": 7}\n')
     unused = (
+        "seifertlab.reports",
         "seifertlab.moduli",
         "seifertlab.exact",
         "seifertlab.perturb",
@@ -553,11 +554,16 @@ def test_verify_calls_load_only_the_identity_chain(tmp_path):
         "decimal",
         "numbers",
     )
-    script = (
-        "import sys\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n"
-        f"sys.stderr.write('loaded: %s' % [m for m in {unused!r} if m in sys.modules])\n"
-    )
-    for argv in (["verify", "--max", "5"], ["verify", "--max", "5", "--json"], ["batch", str(batch)]):
+    # a table call writes no JSON, so it does not load json either
+    for argv, extra in (
+        (["verify", "--max", "5"], ("json",)),
+        (["verify", "--max", "5", "--json"], ()),
+        (["batch", str(batch)], ()),
+    ):
+        script = (
+            "import sys\nfrom seifertlab.cli import main\nmain(sys.argv[1:])\n"
+            f"sys.stderr.write('loaded: %s' % [m for m in {unused + extra!r} if m in sys.modules])\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv],
             capture_output=True, text=True, env=env, timeout=60,
@@ -883,7 +889,7 @@ def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatc
     def failing(max_exponent):
         raise ConsistencyError("routes disagree")
 
-    monkeypatch.setattr("seifertlab.reports.verify_sweep_report", failing)
+    monkeypatch.setattr("seifertlab.singularity.verify_sweep_report", failing)
     code, outputs = _batch(
         capsys, tmp_path,
         '{"mode": "brieskorn", "exponents": [2, 3, 7]}',

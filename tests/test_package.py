@@ -152,3 +152,85 @@ def test_every_private_definition_is_used_in_the_package():
         if not any(ref == name and owner != (path, name) for ref, owner in references)
     ]
     assert unused == []
+
+
+def test_no_module_imports_typing_named_tuple():
+    # typing.NamedTuple compiles one ForwardRef per annotated field at import
+    # time; the records are collections.namedtuple subclasses instead
+    package = os.path.join(SRC, "seifertlab")
+    found = []
+    for folder, _, files in os.walk(package):
+        for file in sorted(files):
+            if not file.endswith(".py"):
+                continue
+            path = os.path.join(folder, file)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                    found += [
+                        os.path.relpath(path, package)
+                        for alias in node.names
+                        if alias.name == "NamedTuple"
+                    ]
+                elif isinstance(node, ast.Attribute) and node.attr == "NamedTuple":
+                    found.append(os.path.relpath(path, package))
+    assert found == []
+
+
+# each record: its module, its fields and its defaults by field
+RECORDS = {
+    ("seifertlab.singularity", "IdentityChainReport"): (
+        (
+            "p", "q", "r", "milnor", "pg_pd", "pg_divisors", "excess_euler", "sigma_durfee",
+            "sigma_lattice", "casson", "euler_sl2c", "pg_routes_ok", "sigma_routes_ok",
+            "milnor_quarter_ok",
+        ),
+        {},
+    ),
+    ("seifertlab.moduli", "EVector"): (("e", "betas", "exponent"), {"exponent": None}),
+    ("seifertlab.moduli", "AssembledPoly"): (("poly", "partial"), {}),
+    ("seifertlab.moduli", "ModuliReport"): (
+        ("z_components", "excess_poincare", "pg", "hp_excess", "pg_divisors"),
+        {"pg_divisors": None},
+    ),
+    ("seifertlab.perturb.lab", "NewtonResult"): (
+        ("point", "grad_norm", "value", "iterations", "converged", "message"),
+        {"message": ""},
+    ),
+    ("seifertlab.perturb.lab", "PredictedPoint"): (("point", "site", "indices"), {}),
+    ("seifertlab.perturb.lab", "FoundPoint"): (
+        (
+            "point", "value", "grad_residual", "index", "predicted_index",
+            "matched_prediction", "min_abs_hessian_eig", "outside_basin",
+        ),
+        {"outside_basin": False},
+    ),
+    ("seifertlab.perturb.scenarios", "Z0Component"): (
+        ("name", "chi", "chi_c", "morse_bott_index"),
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(RECORDS))
+def test_records_keep_their_fields_and_defaults(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    fields, defaults = RECORDS[module, name]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    assert cls.__slots__ == ()  # no per-instance dict
+    required = [object()] * (len(fields) - len(defaults))
+    record = cls(*required)
+    assert tuple(record) == (*required, *defaults.values())
+    assert repr(record).startswith(f"{name}(")
+    assert record._replace().__class__ is cls
+
+
+def test_record_defaults_read_as_before():
+    from seifertlab.moduli import EVector
+    from seifertlab.perturb.lab import FoundPoint, NewtonResult
+
+    assert EVector(0, (1,)).exponent is None
+    assert NewtonResult((0.0,), 0.0, 0.0, 0, True).message == ""
+    assert FoundPoint((0.0,), 0.0, 0.0, 0, 0, 0, 1.0).outside_basin is False

@@ -122,6 +122,22 @@ def test_pg_routes_on_non_positive_bounds(S, bound):
     assert geometric_genus_divisors(S) == geometric_genus_pd(S) == 0
 
 
+@pytest.mark.parametrize(
+    "alphas, bound",
+    [(order, 1) for order in permutations((2, 3, 7))]
+    + [(order, 5) for order in permutations((2, 3, 11))]
+    + [(order, 7) for order in permutations((2, 3, 13))],
+)
+def test_pg_routes_at_the_edge_of_the_merged_pd_table(alphas, bound):
+    # the PD route merges the first two fibers' steps into one table of
+    # period alpha_1*alpha_2 only when that is below A*deg K: never on
+    # (2,3,7); on (2,3,11) and (2,3,13) the period is one above the bound,
+    # or one below it, in the orders that lead with 2 and 3
+    S = brieskorn_seifert_data(alphas)
+    assert S.orbifold.scaled_deg_k == bound
+    assert (geometric_genus_divisors(S), geometric_genus_pd(S)) == _per_l_definitions(S)
+
+
 def test_pd_route_streams():
     # A*deg K = 46256 terms; a list of them would take ~400 KB
     S = brieskorn_seifert_data((29, 37, 47))
