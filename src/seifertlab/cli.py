@@ -16,9 +16,10 @@ stack.  Neither side needs anything beyond the standard library.
 JSON goes out indented (``--json``) or one line per request (``batch``).
 ``json`` is imported where JSON is read or written, so a call that prints a
 table never loads it.  It encodes every report but a fibration report's
-components, which are written straight from their integer records: one
-template per CP^e component, spliced in at a placeholder that must occur
-exactly once.
+components, which are written straight from their integer records, and the
+rows of an indented sweep, which its encoder would write in pure Python:
+one template per CP^e component or per row, spliced in at a placeholder
+that must occur exactly once.  Compact sweep lines stay on its C encoder.
 """
 
 from __future__ import annotations
@@ -92,57 +93,93 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump(report: dict) -> str:
-    return _splice(report, _indented, indent=2)
+    if "triples" in report:  # a sweep
+        return _splice(report, "triples", _rows, indent=2)
+    return _splice(report, "z_components", _indented, indent=2)
 
 
 def _dump_line(report: dict) -> str:
     # reports are trees built fresh per request, so no cycle check is needed
-    return _splice(report, _compact, separators=(",", ":"), check_circular=False)
+    return _splice(
+        report, "z_components", _compact, separators=(",", ":"), check_circular=False
+    )
 
 
-def _indented(n: int) -> tuple[str, str, str]:
-    """The indented components list at depth 1: its opening with the SU(2)
-    piece, the template of one CP^e record with n residues, and its closing."""
-    return (
-        '[\n    {\n      "kind": "su2"\n    }',
+def _indented(records: list) -> str:
+    """The indented components list at depth 1: the SU(2) piece, then one
+    template per CP^e record (see ``moduli._components``) with n residues."""
+    n = len(records[0]) - 5 if records else 0
+    record = (
         ',\n    {\n      "ambient_dim_c": %d,\n      "e": %d,\n      "k": %d,\n'
         '      "kind": "cpe",\n      "l0_power": %d,\n      "morse_index": %d,\n'
-        '      "vector": [\n' + ",\n".join(["        %d"] * n) + "\n      ]\n    }",
-        "\n  ]",
+        '      "vector": [\n' + ",\n".join(["        %d"] * n) + "\n      ]\n    }"
     )
+    return "".join(['[\n    {\n      "kind": "su2"\n    }', *map(record.__mod__, records), "\n  ]"])
 
 
-def _compact(n: int) -> tuple[str, str, str]:
+def _compact(records: list) -> str:
     """The compact components list: as :func:`_indented`, without whitespace."""
-    return (
-        '[{"kind":"su2"}',
+    n = len(records[0]) - 5 if records else 0
+    record = (
         ',{"ambient_dim_c":%d,"e":%d,"k":%d,"kind":"cpe","l0_power":%d,"morse_index":%d,'
-        '"vector":[' + ",".join(["%d"] * n) + "]}",
-        "]",
+        '"vector":[' + ",".join(["%d"] * n) + "]}"
     )
+    return "".join(['[{"kind":"su2"}', *map(record.__mod__, records), "]"])
 
 
-# json encodes a fibration report with this string in place of its
-# components, which are written from their records where it lands
-_SLOT = "\0z_components"
+# one sweep row, ``IdentityChainReport.as_dict``, indented at depth 2
+_ROW = (
+    '\n    {\n      "casson": %d,\n      "checks": {\n        "milnor_quarter": %s,\n'
+    '        "pg_routes": %s,\n        "sigma_routes": %s\n      },\n'
+    '      "euler_sl2c": %d,\n      "excess_euler": %d,\n      "milnor": %d,\n'
+    '      "ok": %s,\n      "pg_divisors": %d,\n      "pg_pd": %d,\n'
+    '      "sigma_durfee": %d,\n      "sigma_lattice": %d,\n'
+    '      "triple": [\n        %d,\n        %d,\n        %d\n      ]\n    }'
+)
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _splice(report: dict, form, **options) -> str:
-    """json.dumps(report, sort_keys=True, **options), with the records of
-    ``report["z_components"]`` (see ``moduli._components``) written in the
-    list ``form(n)`` frames, n being the vector's number of residues."""
+def _rows(rows: list) -> str:
+    """The indented rows list of a sweep at depth 1, each row from ``_ROW``."""
+    if not rows:
+        return "[]"
+    texts = []
+    for row in rows:
+        checks = row["checks"]
+        texts.append(
+            _ROW
+            % (
+                row["casson"],
+                _JSON_BOOL[checks["milnor_quarter"]],
+                _JSON_BOOL[checks["pg_routes"]],
+                _JSON_BOOL[checks["sigma_routes"]],
+                row["euler_sl2c"],
+                row["excess_euler"],
+                row["milnor"],
+                _JSON_BOOL[row["ok"]],
+                row["pg_divisors"],
+                row["pg_pd"],
+                row["sigma_durfee"],
+                row["sigma_lattice"],
+                *row["triple"],
+            )
+        )
+    return "[" + ",".join(texts) + "\n  ]"
+
+
+def _splice(report: dict, key: str, write, **options) -> str:
+    """json.dumps(report, sort_keys=True, **options), with ``report[key]``
+    written by ``write`` where a placeholder for it lands, exactly once."""
     import json
 
-    records = report.get("z_components")
+    records = report.get(key)
     if records is None:
         return json.dumps(report, sort_keys=True, **options)
-    parts = json.dumps({**report, "z_components": _SLOT}, sort_keys=True, **options).split(
-        json.dumps(_SLOT)
-    )
+    slot = "\0" + key  # stands in for report[key]; json writes it as one token
+    parts = json.dumps({**report, key: slot}, sort_keys=True, **options).split(json.dumps(slot))
     if len(parts) != 2:
-        raise ConsistencyError(f"component placeholder found {len(parts) - 1} times, not once")
-    opening, template, closing = form(len(records[0]) - 5 if records else 0)
-    return "".join([parts[0], opening, *map(template.__mod__, records), closing, parts[1]])
+        raise ConsistencyError(f"{key} placeholder found {len(parts) - 1} times, not once")
+    return write(records).join(parts)
 
 
 def _error(exc: Exception, where: str = "") -> tuple[dict, int]:

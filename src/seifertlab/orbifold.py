@@ -219,8 +219,11 @@ def _walk(
     The residue of G^l at fiber i is l*beta_i mod alpha_i, periodic in l
     with period alpha_i, and so is the carry (l*beta_i mod alpha_i +
     beta_i) // alpha_i into e.  Both are tabled once per period, G's own e
-    folded into the first fiber's steps; the per-l sums run in C-level
-    iterators.
+    folded into the first fiber's carries; when the first two periods'
+    product alpha_1*alpha_2 is below ``count``, their carry tables merge
+    into one of that period, one addition per power fewer.  The per-l sums
+    run in C-level iterators, and the degrees are one list of ``count``
+    integers, which the divisor p_g and the moduli side both read.
     """
     if count <= 0:
         return [], {}
@@ -231,7 +234,13 @@ def _walk(
         [(r + b) // a for r in table]
         for a, b, table in zip(G.orbifold.alphas, G.betas, residue_tables)
     ]
-    steps = cycle([G.e + c for c in carries[0]])
+    carries[0] = [G.e + c for c in carries[0]]
+    if len(carries) >= 2:
+        period = len(carries[0]) * len(carries[1])
+        if period < count:  # the first two tables merge into one of their period
+            pair = map(add, cycle(carries[0]), cycle(carries[1]))
+            carries[:2] = [list(islice(pair, period))]
+    steps = cycle(carries[0])
     for carry in carries[1:]:
         steps = map(add, steps, cycle(carry))
     degrees = list(accumulate(islice(steps, count - 1), initial=0))  # G^0 is trivial

@@ -22,9 +22,12 @@ characteristic, comes from the count-only scan ``_excess_euler`` here, over
 ``orbifold._prefixes``; the moduli module reads the same scan, and this
 module imports nothing from it, so a sweep loads neither ``moduli`` nor
 ``exact`` nor ``fractions``, nor ``reports``, which re-exports the sweep.
-The Pinkham-Dolgachev sum and the lattice count step through C-level
-iterators (``map``, ``accumulate``, ``cycle``) over integer tables and
-ranges, and the report record is a ``collections.namedtuple`` subclass.
+The Pinkham-Dolgachev sum and the scan each sum along one fiber in closed
+form, with no formula or table in common: the sum takes one step per
+residue class of l modulo A/alpha for the largest alpha, and the scan one
+per prefix of residues before the last fiber.  The lattice count runs each
+row in one C-level ``map`` over a range, and the report record is a
+``collections.namedtuple`` subclass.
 For four or more exponents (complete intersections, not hypersurfaces) mu
 and sigma are out of scope; only the Seifert-side quantities exist here.
 """
@@ -73,11 +76,13 @@ def _check_lattice_limit(*alphas: int) -> None:
     """ValueError when A*(n-2), A = prod alpha_i, exceeds _LATTICE_LIMIT.
 
     On three fibers A*(n-2) = p*q*r.  On every fiber count it bounds the
-    moduli side's vector count, which is below A*deg K < A*(n-2), and the
-    A*deg K steps of each p_g route.  :func:`verify_identity_chain` calls it
-    before any other work on a triple, and report assembly on the alphas of
-    every fibration, in either orientation, before its moduli side and the
-    chain it runs on the same data.
+    moduli side's vector count, which is below A*deg K < A*(n-2), the
+    A*deg K powers of the divisor route's walk, and the at most A/2
+    residue classes of the Pinkham-Dolgachev sum.
+    :func:`verify_identity_chain` calls it before any other work on a
+    triple, and report assembly on the alphas of every fibration, in
+    either orientation, before its moduli side and the chain it runs on the
+    same data.
     """
     m = math.prod(alphas) * (len(alphas) - 2)
     if m > _LATTICE_LIMIT:
@@ -108,36 +113,51 @@ def _link_bound(S: SeifertData) -> int:
 def geometric_genus_pd(S: SeifertData) -> int:
     """Geometric genus by the Pinkham-Dolgachev sum.
 
-    p_g = sum_{l >= 0} max(0, -N(l) - 1) with
+    p_g = sum_{l >= 0} max(0, T(l)) with T(l) = -N(l) - 1 and
     N(l) = -l*b - sum_i ceil(l*gamma_i / alpha_i).  Terms vanish once the
     orbifold degree of K tensor N^l drops below zero, i.e. beyond
     l = deg K / (-deg N) = A * deg K, so the sum is finite.
 
-    Successive terms differ by b + sum_i (ceil((l+1)*gamma_i/alpha_i) -
-    ceil(l*gamma_i/alpha_i)), and each fiber's ceiling step is periodic in l
-    with period alpha_i.  The steps are tabled once per period, b folded
-    into the first fiber's; when the first two periods' product
-    alpha_1*alpha_2 is below A*deg K, their tables merge into one of that
-    period, one addition per term fewer.  The terms run as a stream of
-    C-level iterators, never a list of length A*deg K.  Only the Seifert
+    The sum runs by residue class modulo P = A/alpha, alpha the largest
+    isotropy order and gamma its invariant.  Every other alpha_i divides P,
+    so along l = l0 + k*P the other fibers' ceilings grow linearly in k,
+    and A*e(Y) = -1 turns the whole term into T(l0 + k*P) =
+    ceil((c0 - k)/alpha), with c0 = alpha*T'(l0) + l0*gamma and T' the
+    term without the largest fiber.  The K = (A*deg K - l0) // P + 1
+    values of k then add F(c0) - F(c0 - min(K, c0)) when c0 > 0, where
+    F(m) = sum_{j <= m} ceil(j/alpha) = (alpha*q + 2*r)(q + 1)/2 for
+    m = q*alpha + r: one step per class, min(P, A*deg K + 1) of them.  On a
+    link T(l) <= deg K + 1 - l/A, so c0 <= K and the min never cuts; it
+    keeps the sum to l <= A*deg K all the same.  The c0 run through C-level
+    iterators over each other fiber's ceiling steps, which are periodic in
+    l with period alpha_i and tabled once per period.  Only the Seifert
     invariants enter, never a line bundle, so this route stays independent
     of :func:`geometric_genus_divisors`.
     """
     bound = _link_bound(S)
-    ceiling_steps = [[(-j * g) // a - (-(j + 1) * g) // a for j in range(a)] for a, g in S.fibers]
-    ceiling_steps[0] = [S.b + c for c in ceiling_steps[0]]
-    if len(ceiling_steps) >= 2:
-        period = len(ceiling_steps[0]) * len(ceiling_steps[1])
-        if period < bound:
-            pair = map(add, cycle(ceiling_steps[0]), cycle(ceiling_steps[1]))
-            ceiling_steps[:2] = [list(islice(pair, period))]
-    steps = cycle(ceiling_steps[0])
-    for table in ceiling_steps[1:]:
+    alpha, gamma = max(S.fibers)  # a homology sphere's alphas are pairwise coprime
+    others = [(a, g) for a, g in S.fibers if a != alpha]
+    period = S.orbifold.scale // alpha
+    # c0 = alpha*T'(l0) + l0*gamma steps by alpha times each other fiber's
+    # ceiling step, plus alpha*b + gamma, folded into the first table
+    c0_steps = [
+        [alpha * ((-j * g) // a - (-(j + 1) * g) // a) for j in range(a)] for a, g in others
+    ] or [[0]]
+    c0_steps[0] = [alpha * S.b + gamma + c for c in c0_steps[0]]
+    steps = cycle(c0_steps[0])
+    for table in c0_steps[1:]:
         steps = map(add, steps, cycle(table))
-    steps = islice(steps, max(bound, 0))
-    # -N(l) - 1 = l*b + sum_i ceil(l*gamma_i/alpha_i) - 1 for l = 0, 1, ..., A*deg K
-    terms = accumulate(steps, initial=-1)
-    return sum(filter((0).__lt__, terms))
+    heads = accumulate(islice(steps, max(min(period, bound + 1) - 1, 0)), initial=-alpha)
+    full, rest = divmod(bound, period)  # K = full + 1 on the classes l0 <= rest, else full
+    total = 0  # twice the sum, since F(m) is a product over 2
+    for k, c0s in ((full + 1, islice(heads, rest + 1)), (full, heads)):
+        for c0 in filter((0).__lt__, c0s):
+            q, r = divmod(c0, alpha)
+            total += (alpha * q + 2 * r) * (q + 1)
+            if k < c0:
+                q, r = divmod(c0 - k, alpha)
+                total -= (alpha * q + 2 * r) * (q + 1)
+    return total // 2
 
 
 def geometric_genus_divisors(S: SeifertData) -> int:
@@ -247,13 +267,31 @@ def _excess_euler(S: SeifertData) -> int:
     t(t + 1)/2.  This is the excess polynomial's Euler characteristic,
     ``euler_eval(moduli.excess_poincare(S))``, and on a link the geometric
     genus.
+
+    Each prefix of the first n - 1 residues sums its last-fiber leaves in
+    closed form.  With q, rho = divmod(A*deg K - 1 - acc, A) and step =
+    A/alpha_n, the first k1 = min(alpha_n, rho // step + 1) residues have
+    t = q + 1 and the rest t = q, so the prefix adds
+    (k1*(q + 2) + (alpha_n - k1)*q)(q + 1)/2.  A leaf's least m*A is
+    low = rho + 1 - A + frac + step when t = q + 1 and low + A when t = q,
+    less A at the last residue; so all are multiples of A when low is, and
+    the least of them is low - A when k1 = alpha_n and low otherwise.  When
+    step*alpha_n != A or that test fails, the prefix runs its leaves one by
+    one, and ``_exponent`` names the first failing vector.
     """
     require_homology_sphere(S)
     C = S.orbifold
     A, limit = C.scale, C.scaled_deg_k
     a, step = C.alphas[-1], C.cofactors[-1]
-    total = 0
+    exact_step = step * a == A
+    total = 0  # twice the sum
     for acc, frac, betas in _prefixes(C):
+        q, rho = divmod(limit - 1 - acc, A)
+        k1 = min(a, rho // step + 1)
+        low = rho + 1 - A + frac + step
+        if exact_step and low % A == 0 and low >= (A if k1 == a else 0):
+            total += (k1 * (q + 2) + (a - k1) * q) * (q + 1)
+            continue
         for beta in range(a):
             nxt = acc + beta * step
             if nxt >= limit:
@@ -262,8 +300,8 @@ def _excess_euler(S: SeifertData) -> int:
             least = limit - nxt - t * A + frac + (beta + 1) % a * step
             if least % A or least < 0:  # _exponent names the failing vector
                 _exponent(least, A, (t - 1,) + betas + (beta,))
-            total += t * (t + 1) // 2
-    return total
+            total += t * (t + 1)
+    return total // 2
 
 
 class IdentityChainReport(

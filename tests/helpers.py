@@ -8,7 +8,8 @@ from math import gcd
 
 from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly
-from seifertlab.orbifold import LineBundleData, Orbifold, normalize
+from seifertlab.orbifold import LineBundleData, Orbifold, _exponent, _prefixes, normalize
+from seifertlab.seifert import SeifertData, require_homology_sphere
 
 
 def coprime_tuples(n: int, limit: int) -> list[tuple[int, ...]]:
@@ -72,6 +73,33 @@ def signature_per_point(p: int, q: int, r: int) -> int:
                 else:
                     minus += 1
     return plus - minus
+
+
+def excess_euler_per_leaf(S: SeifertData) -> int:
+    """The count-only scan by its definition: one step per leaf.
+
+    The reference for ``singularity._excess_euler``, which sums each
+    prefix's leaves in closed form: a leaf with scaled partial degree acc
+    takes t = (A*deg K - 1 - acc) // A + 1 vectors, whose e + 1 sum to
+    t(t + 1)/2, and each leaf's least m*A is checked to be a non-negative
+    multiple of A.
+    """
+    require_homology_sphere(S)
+    C = S.orbifold
+    A, limit = C.scale, C.scaled_deg_k
+    a, step = C.alphas[-1], C.cofactors[-1]
+    total = 0
+    for acc, frac, betas in _prefixes(C):
+        for beta in range(a):
+            nxt = acc + beta * step
+            if nxt >= limit:
+                break
+            t = (limit - 1 - nxt) // A + 1
+            least = limit - nxt - t * A + frac + (beta + 1) % a * step
+            if least % A or least < 0:  # _exponent names the failing vector
+                _exponent(least, A, (t - 1,) + betas + (beta,))
+            total += t * (t + 1) // 2
+    return total
 
 
 def part_by_part(family, eps: float):

@@ -430,6 +430,18 @@ def test_default_output_matches_recorded_bytes(capsys):
             0,
             "1a838697a7d551c64592d8e0c53b136a73dadebf02abde782fa98625f356ae90",
         ),
+        # before a sweep's rows were written from one template: no row, and
+        # the largest sweep (1037 rows)
+        (
+            ("verify", "--max", "2", "--json"),
+            0,
+            "464799fb62d42364abb726fff580d3146545454d4c7d13c2b4333708beaba83e",
+        ),
+        (
+            ("verify", "--max", "30", "--json"),
+            0,
+            "668c302350066aadd2df934c81cefe10853d412d0f7739e38c96a5fce0474d28",
+        ),
     ]:
         code, out = run(capsys, *argv)
         assert code == exit_code
@@ -457,6 +469,21 @@ def test_batch_output_matches_recorded_bytes(capsys, tmp_path):
     assert (
         hashlib.sha256(out.encode()).hexdigest()
         == "2645665d20f5c65b84fe2f875761abd641142e4a2a5a62070573bb5e87cae06e"
+    )
+
+
+def test_batch_of_sweeps_matches_recorded_bytes(capsys, tmp_path):
+    # sha256 of the output before an indented sweep's rows were written from
+    # one template; batch lines stay on json's compact encoder
+    path = tmp_path / "sweeps.ndjson"
+    path.write_text(
+        "".join(f'{{"mode": "verify", "max": {m}}}\n' for m in (2, 16, 31, 30, 16))
+    )
+    code, out = run(capsys, "batch", str(path))
+    assert code == 1  # --max 31 is an error line
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "32a61f6eb23bb719e268f45e6f60c0e6a3071d2ab9ccb53913badfb9d0f27ed6"
     )
 
 
@@ -1161,3 +1188,25 @@ def test_component_placeholder_must_occur_once():
     for dump in (cli._dump, cli._dump_line):
         with pytest.raises(ConsistencyError, match="placeholder found 2 times"):
             dump(report)
+
+
+@pytest.mark.parametrize("max_exponent", [2, 5, 11])
+def test_sweep_rows_are_written_as_json_writes_them(max_exponent):
+    from seifertlab import cli
+    from seifertlab.singularity import verify_sweep_report
+
+    report = verify_sweep_report(max_exponent)
+    assert cli._dump(report) == json.dumps(report, sort_keys=True, indent=2)
+    if report["triples"]:  # a failed check is written false, a negative value signed
+        row = report["triples"][-1]
+        row["checks"]["sigma_routes"] = row["ok"] = report["all_ok"] = False
+        row["pg_pd"] = -row["pg_pd"] - 1
+        assert cli._dump(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_sweep_placeholder_must_occur_once():
+    from seifertlab import cli
+
+    report = {"input": {"mode": "verify"}, "triples": [], "note": "\0triples"}
+    with pytest.raises(ConsistencyError, match="placeholder found 2 times"):
+        cli._dump(report)

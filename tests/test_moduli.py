@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coprime_tuples
+from helpers import coprime_tuples, excess_euler_per_leaf
 from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly, euler_eval
 from seifertlab.moduli import (
@@ -381,6 +381,15 @@ def test_count_only_scan_equals_the_excess_euler_characteristic(alphas, reverse)
     assert _excess_euler(S) == euler_eval(excess_poincare(S)) == sum(v.e + 1 for v in vectors)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_BASES.flatmap(st.permutations), st.booleans())
+def test_count_only_scan_equals_its_per_leaf_reference(alphas, reverse):
+    S = brieskorn_seifert_data(alphas)
+    if reverse:
+        S = SeifertData(-S.b - len(S.fibers), tuple((a, a - g) for a, g in S.fibers))
+    assert _excess_euler(S) == excess_euler_per_leaf(S)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_BASES.flatmap(st.permutations))
 def test_report_divisor_pg_equals_the_standalone_route(alphas):
@@ -437,3 +446,39 @@ def test_count_only_scan_keeps_the_integrality_check(S, message):
     for route in (lambda: enumerate_e_vectors(S.orbifold), lambda: _excess_euler(S)):
         with pytest.raises(ConsistencyError, match=message + r".*not a non-negative integer"):
             route()
+
+
+@pytest.mark.parametrize(
+    "alphas, field, change, outcome",
+    [
+        # m*A off a multiple of A on the first leaf, by a raised or lowered A*deg K
+        ((2, 3, 7), "scaled_deg_k", lambda k: k + 1, "exponent 1/42 for vector (0, 0, 0, 0)"),
+        ((7, 3, 5), "scaled_deg_k", lambda k: k - 1, "exponent -1/105 for vector (0, 0, 0, 0)"),
+        # step*alpha_n != A: no prefix takes the closed form
+        (
+            (3, 5, 7, 11),
+            "cofactors",
+            lambda c: c[:-1] + (c[-1] + 1,),
+            "exponent 1/1155 for vector (1, 0, 0, 0, 0)",
+        ),
+        # m < 0 first on a later prefix, after earlier prefixes took the closed form
+        (
+            (2, 3, 5, 7, 11),
+            "cofactors",
+            lambda c: (-c[0],) + c[1:],
+            "exponent -1 for vector (0, 0, 0, 4, 0, 10)",
+        ),
+        # step = A/alpha_n + A keeps every m*A a multiple of A, but not the
+        # closed form's t per residue: the leaves run one by one
+        ((4, 7, 3, 5), "cofactors", lambda c: c[:-1] + (c[-1] + 420,), 40),
+    ],
+)
+def test_count_only_scan_falls_back_to_its_per_leaf_loop(alphas, field, change, outcome):
+    # a prefix whose leaves fail the closed form's test runs them one by one,
+    # so the scan names the vector its per-leaf reference names
+    for route in (_excess_euler, excess_euler_per_leaf):
+        try:
+            got = route(_tampered(alphas, field, change))
+        except ConsistencyError as exc:
+            got = str(exc).removesuffix(" is not a non-negative integer")
+        assert got == outcome

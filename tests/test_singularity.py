@@ -91,13 +91,14 @@ def _per_l_definitions(S: SeifertData) -> tuple[int, int]:
     N = n_bundle(S)
     l_max = ceil(ratio) - 1
     divisors = sum(h0(power(N, -l)) for l in range(l_max + 1))
-    # Pinkham-Dolgachev route: each ceiling by a floor division
-    l_max = floor(ratio)
-    pd = sum(
-        max(0, l * S.b + sum(-(-l * g // a) for a, g in S.fibers) - 1)
-        for l in range(l_max + 1)
+    return divisors, _pd_per_l(S, floor(ratio))
+
+
+def _pd_per_l(S: SeifertData, bound: int) -> int:
+    """The Pinkham-Dolgachev sum over l = 0, ..., bound, each ceiling by a floor division."""
+    return sum(
+        max(0, l * S.b + sum(-(-l * g // a) for a, g in S.fibers) - 1) for l in range(bound + 1)
     )
-    return divisors, pd
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,13 +130,93 @@ def test_pg_routes_on_non_positive_bounds(S, bound):
     + [(order, 7) for order in permutations((2, 3, 13))],
 )
 def test_pg_routes_at_the_edge_of_the_merged_pd_table(alphas, bound):
-    # the PD route merges the first two fibers' steps into one table of
-    # period alpha_1*alpha_2 only when that is below A*deg K: never on
-    # (2,3,7); on (2,3,11) and (2,3,13) the period is one above the bound,
-    # or one below it, in the orders that lead with 2 and 3
+    # the divisor route's walk merges the first two fibers' carry tables
+    # into one of period alpha_1*alpha_2 only when that is below its count
+    # A*deg K: never on (2,3,7); on (2,3,11) and (2,3,13) the period is one
+    # above the count, or one below it, in the orders that lead with 2 and 3
     S = brieskorn_seifert_data(alphas)
     assert S.orbifold.scaled_deg_k == bound
     assert (geometric_genus_divisors(S), geometric_genus_pd(S)) == _per_l_definitions(S)
+
+
+def _pd_classes(S: SeifertData) -> tuple[int, dict[int, tuple[int, int]]]:
+    """P = A/alpha for the largest alpha, and (c0, K) of each residue class
+    l0 < min(P, A*deg K + 1) of the PD route, from the per-l terms: c0 =
+    alpha*T'(l0) + l0*gamma, T' the term without the largest fiber, and K
+    the number of l <= A*deg K in the class."""
+    alpha, gamma = max(S.fibers)
+    P = S.orbifold.scale // alpha
+    bound = S.orbifold.scaled_deg_k
+    others = [(a, g) for a, g in S.fibers if a != alpha]
+
+    def head(l):  # T'(l)
+        return l * S.b + sum(-(-l * g // a) for a, g in others) - 1
+
+    return P, {
+        l0: (alpha * head(l0) + l0 * gamma, (bound - l0) // P + 1)
+        for l0 in range(min(P, bound + 1))
+    }
+
+
+@pytest.mark.parametrize(
+    "alphas, one_l_a_class",
+    [(order, True) for order in permutations((2, 3, 7))]
+    + [(order, True) for order in permutations((2, 3, 11))]
+    + [(order, False) for order in permutations((2, 3, 13))],
+)
+def test_pd_route_when_a_class_holds_at_most_one_l(alphas, one_l_a_class):
+    # P = 6 >= A*deg K + 1 on (2,3,7) and (2,3,11): each l <= A*deg K is its
+    # own class, K = 1; on (2,3,13), A*deg K = 7, so classes 0 and 1 hold two
+    S = brieskorn_seifert_data(alphas)
+    P, classes = _pd_classes(S)
+    assert (P >= S.orbifold.scaled_deg_k + 1) is one_l_a_class
+    assert all(K == 1 for _, K in classes.values()) is one_l_a_class
+    assert geometric_genus_pd(S) == _pd_per_l(S, S.orbifold.scaled_deg_k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINK_BASES.flatmap(st.permutations))
+def test_pd_classes_end_within_the_bound_on_a_link(alphas):
+    # T(l) <= deg K + 1 - l/A, so no term past A*deg K is positive: every
+    # class has c0 <= K, and F(c0) is its whole sum
+    S = brieskorn_seifert_data(alphas)
+    _, classes = _pd_classes(S)
+    assert all(c0 <= K for c0, K in classes.values())
+    assert any(0 < c0 for c0, _ in classes.values()) is (geometric_genus_pd(S) > 0)
+    assert geometric_genus_pd(S) == _pd_per_l(S, S.orbifold.scaled_deg_k)
+
+
+@pytest.mark.parametrize("alphas", list(permutations((3, 5, 7, 11))))
+def test_pd_route_with_the_largest_fiber_in_every_position(alphas):
+    S = brieskorn_seifert_data(alphas)
+    assert geometric_genus_pd(S) == _pd_per_l(S, S.orbifold.scaled_deg_k) == 306
+
+
+@pytest.mark.parametrize("alphas", list(permutations((3, 5, 7))) + [(2, 5, 7), (7, 5, 2)])
+def test_pd_route_truncates_each_class_at_a_lower_bound(alphas):
+    # with the bound lowered below A*deg K, a class can hold fewer l than
+    # its c0 positive terms, and the sum must stop at the bound: K = Q + 1
+    # on the classes l0 <= R and Q above, for bound = Q*P + R
+    truncated = set()
+    for bound in range(brieskorn_seifert_data(alphas).orbifold.scaled_deg_k + 1):
+        S = brieskorn_seifert_data(alphas)
+        S.orbifold.scaled_deg_k = bound
+        P, classes = _pd_classes(S)
+        assert geometric_genus_pd(S) == _pd_per_l(S, bound)
+        for l0 in (bound % P, bound % P + 1):
+            c0, K = classes.get(l0, (0, 0))
+            if 0 < K < c0:
+                truncated.add(l0 - bound % P)
+    assert truncated == {0, 1}  # at l0 = R, K = Q + 1 and at l0 = R + 1, K = Q
+
+
+def test_pd_route_on_sigma_97_101_103():
+    # the lattice count #{i, j, k >= 1 : i/p + j/q + k/r <= 1} by an O(pq)
+    # loop of floor divisions gives the same p_g; the class sum takes
+    # P = 97*101 steps where the per-l sum takes 978,901
+    S = brieskorn_seifert_data((97, 101, 103))
+    assert S.orbifold.scaled_deg_k == 978_900
+    assert geometric_genus_pd(S) == 160_736
 
 
 def test_pd_route_streams():
