@@ -22,18 +22,15 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "exact": ("LaurentPoly", "Rational", "cp_poincare", "euler_eval", "hat_normalize"),
+    "exact": ("LaurentPoly", "cp_poincare", "euler_eval", "hat_normalize"),
     "orbifold": (
         "LineBundleData",
         "Orbifold",
-        "canonical_bundle",
-        "dual",
         "h0",
         "normalize",
         "orbifold_euler_char",
         "power",
         "tensor",
-        "trivial_bundle",
     ),
     "seifert": (
         "SeifertData",
@@ -46,18 +43,11 @@ _SUBMODULE_NAMES = {
         "enumerate_e_vectors",
         "excess_poincare",
         "exponent_closed_form",
-        "exponent_via_bundles",
-        "hp_poincare",
         "moduli_report",
-        "sl2c_euler",
-        "sl2c_poincare",
-        "solve_L0_k",
     ),
     "singularity": (
-        "casson_invariant",
         "geometric_genus_divisors",
         "geometric_genus_pd",
-        "milnor_number",
         "signature_durfee",
         "signature_lattice_oracle",
         "verify_identity_chain",

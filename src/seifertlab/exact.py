@@ -1,7 +1,5 @@
-"""Exact scalars and integer Laurent polynomials in the grading variable T.
+"""Integer Laurent polynomials in the grading variable T.
 
-Rational values are stdlib ``fractions.Fraction`` (arbitrary precision, kept
-in lowest terms with positive denominator), re-exported here as ``Rational``.
 No floating point enters any computation in this module.
 
 A Laurent polynomial is stored sparsely as a map from integer exponent to
@@ -11,13 +9,9 @@ so equal polynomials always print identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, Mapping
-
-Rational = Fraction
+from typing import Mapping
 
 __all__ = [
-    "Rational",
     "LaurentPoly",
     "cp_poincare",
     "hat_normalize",
@@ -55,24 +49,9 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def coefficients(self) -> dict[int, int]:
         """Copy of the sparse exponent -> coefficient map."""
         return dict(self._coeffs)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """(exponent, coefficient) pairs in ascending exponent order."""
-        return iter(sorted(self._coeffs.items()))
-
-    @property
-    def min_exponent(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
-
-    @property
-    def max_exponent(self) -> int | None:
-        return max(self._coeffs) if self._coeffs else None
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -84,6 +63,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # a constant polynomial equals its int, so it hashes as that int
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(tuple(sorted(self._coeffs.items())))
 
     def __neg__(self) -> "LaurentPoly":

@@ -45,11 +45,11 @@ every report, themselves.
 The identity chain reads only the excess Euler characteristic, the sum of
 e + 1 over the vectors.  One scan over the residues of the first n - 1
 fibers (``orbifold._prefixes``) feeds two last-fiber loops: the enumeration
-here builds every vector, and the count (``singularity._excess_euler``,
-which this module imports) stops at the residues and sums each leaf's range
-of e in closed form.  Both check the integrality of m once per leaf, through
-``orbifold._exponent``.  The count sits beside the identity chain so that a
-sweep, which reads only the count, never loads this module or ``exact``.
+here builds every vector, and the count (``singularity._excess_euler``)
+stops at the residues and sums each leaf's range of e in closed form.  Both
+check the integrality of m once per leaf, through ``orbifold._exponent``.
+The count sits beside the identity chain so that a sweep, which reads only
+the count, never loads this module or ``exact``.
 Reports, which print every vector, still enumerate them.
 """
 
@@ -61,35 +61,15 @@ from operator import add, floordiv, mul
 
 from .errors import ConsistencyError
 from .exact import LaurentPoly, cp_poincare, euler_eval, hat_normalize
-from .orbifold import (
-    LineBundleData,
-    Orbifold,
-    _exponent,
-    _h0_sum,
-    _prefixes,
-    _walk,
-    canonical_bundle,
-    dual,
-    h0,
-    normalize,
-    power,
-    tensor,
-)
-from .seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
-from .singularity import _excess_euler
+from .orbifold import Orbifold, _exponent, _h0_sum, _prefixes, _walk, power
+from .seifert import SeifertData, n_bundle, require_homology_sphere
 
 __all__ = [
     "EVector",
     "ModuliReport",
-    "AssembledPoly",
     "enumerate_e_vectors",
     "exponent_closed_form",
-    "exponent_via_bundles",
-    "solve_L0_k",
     "excess_poincare",
-    "sl2c_euler",
-    "sl2c_poincare",
-    "hp_poincare",
     "moduli_report",
 ]
 
@@ -103,9 +83,6 @@ class EVector(namedtuple("EVector", "e betas exponent", defaults=(None,))):
     """
 
     __slots__ = ()
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.e,) + self.betas
 
 
 def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
@@ -123,7 +100,7 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
     """
     A, limit = C.scale, C.scaled_deg_k
     a, step = C.alphas[-1], C.cofactors[-1]
-    # rows of (deg*A, e, betas, m); sorting them sorts by (degree, as_tuple())
+    # rows of (deg*A, e, betas, m); sorting them sorts by (degree, e, betas)
     rows: list[tuple[int, int, tuple[int, ...], int]] = []
     append = rows.append
     for acc, frac, betas in _prefixes(C):
@@ -147,12 +124,13 @@ def enumerate_e_vectors(C: Orbifold) -> list[EVector]:
 
 def _check_enumerated(C: Orbifold, v: EVector) -> None:
     """Validate v as a vector of C."""
+    vector = (v.e,) + v.betas
     if v.e < 0 or len(v.betas) != C.n:
-        raise ValueError(f"vector {v.as_tuple()} malformed for this orbifold")
+        raise ValueError(f"vector {vector} malformed for this orbifold")
     if any(not 0 <= b < a for b, a in zip(v.betas, C.alphas)):
-        raise ValueError(f"vector {v.as_tuple()} has residues out of range")
+        raise ValueError(f"vector {vector} has residues out of range")
     if v.e * C.scale + sum(b * c for b, c in zip(v.betas, C.cofactors)) >= C.scaled_deg_k:
-        raise ValueError(f"vector {v.as_tuple()} violates the degree bound")
+        raise ValueError(f"vector {vector} violates the degree bound")
 
 
 def exponent_closed_form(C: Orbifold, v: EVector) -> int:
@@ -168,36 +146,7 @@ def exponent_closed_form(C: Orbifold, v: EVector) -> int:
     A, cofactors, limit = C.scale, C.cofactors, C.scaled_deg_k
     deg_scaled = v.e * A + sum(b * c for b, c in zip(v.betas, cofactors))
     frac_scaled = sum((b + 1) % a * c for b, a, c in zip(v.betas, C.alphas, cofactors))
-    return _exponent(limit - deg_scaled - A + frac_scaled, A, v.as_tuple())
-
-
-def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
-    """Morse-Bott half-index as the section count h^0(L^(-1) K^2).
-
-    Pure bundle arithmetic on the divisor bundle L of the vector; independent
-    of :func:`exponent_closed_form`, which it must equal.
-    """
-    _check_enumerated(C, v)
-    K = canonical_bundle(C)
-    return h0(tensor(dual(normalize(v.e, v.betas, C)), tensor(K, K)))
-
-
-def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
-    """Express a divisor bundle as L0^(-2) N^k K with L0 = N^m0 and k in {0,1}.
-
-    With m_L = bundle_log(L) and m_K = bundle_log(K) the parity equation
-    -2*m0 + k + m_K = m_L forces k = (m_L - m_K) mod 2 and
-    m0 = (k + m_K - m_L) // 2.  The postcondition is re-checked on bundle data.
-    """
-    m_L = bundle_log(L, S)  # rejects a foreign bundle or a non-homology sphere
-    K = canonical_bundle(S.orbifold)
-    m_K = bundle_log(K, S)
-    k = (m_L - m_K) % 2
-    m0 = (k + m_K - m_L) // 2
-    N = n_bundle(S)
-    if tensor(tensor(power(power(N, m0), -2), power(N, k)), K) != L:
-        raise ConsistencyError(f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}")
-    return m0, k
+    return _exponent(limit - deg_scaled - A + frac_scaled, A, (v.e,) + v.betas)
 
 
 def _vectors(S: SeifertData) -> list[EVector]:
@@ -216,8 +165,10 @@ def _components(S: SeifertData, vectors: list[EVector]) -> tuple[list[tuple], li
     that of G^j, j = 2*A*deg K - l, whose desingularised degree
     j*e_G + sum_i floor(j*beta_i/alpha_i) comes in closed form from G's data
     (e_G; beta_i): it is ``normalize(power(G, j))`` without building the
-    bundle.  With L = N^(A*e(Y)*l) the label follows from the parity rule of
-    :func:`solve_L0_k`, in integers.
+    bundle.  The label expresses L = N^(A*e(Y)*l) as L0^(-2) N^k K with
+    L0 = N^l0_power: with K = N^(A*e(Y)*A*deg K), the exponents of N give
+    k = (A*deg K - l) mod 2 and l0_power = (k + A*e(Y)*(A*deg K - l)) // 2,
+    in integers.
 
     The ambient dimension 2*(h^0(L) + h^0(L^(-1) K^2) - 1) is set to
     2*(e + m) without a further check: once the walk's vectors equal the scan's,
@@ -276,46 +227,6 @@ def _hp_excess(vectors: list[EVector]) -> LaurentPoly:
 def excess_poincare(S: SeifertData) -> LaurentPoly:
     """Sum over vectors of T^(2m) * P_T(CP^e): the non-SU(2) Poincare summand."""
     return _excess(_vectors(S))
-
-
-def sl2c_euler(S: SeifertData, casson: int) -> int:
-    """chi of the stable SL(2,C) character variety: -2*casson + excess Euler.
-
-    The excess Euler characteristic comes from the count-only scan
-    ``singularity._excess_euler``; no vector is built.
-    """
-    return -2 * casson + _excess_euler(S)
-
-
-class AssembledPoly(namedtuple("AssembledPoly", "poly partial")):
-    """A polynomial that may still be missing its external SU(2) summand."""
-
-    __slots__ = ()
-
-
-def sl2c_poincare(S: SeifertData, su2_poly: LaurentPoly | None = None) -> AssembledPoly:
-    """SU(2) summand plus excess when the former is supplied; excess alone otherwise.
-
-    The SU(2) Poincare polynomial is external input here (only its Euler
-    characteristic is derivable, via the Casson invariant).
-    """
-    excess = excess_poincare(S)
-    if su2_poly is None:
-        return AssembledPoly(poly=excess, partial=True)
-    return AssembledPoly(poly=su2_poly + excess, partial=False)
-
-
-def hp_poincare(S: SeifertData, su2_hat_poly: LaurentPoly | None = None) -> AssembledPoly:
-    """Hat-normalized assembly: each CP^e enters as T^(-2e) * P_T(CP^e).
-
-    The shift by the real dimension 2e makes every summand evaluate to
-    chi(CP^e) = e + 1 at T = 1, so the total at T = 1 equals the SL(2,C)
-    Euler characteristic whenever the supplied SU(2) part does its share.
-    """
-    total = _hp_excess(_vectors(S))
-    if su2_hat_poly is None:
-        return AssembledPoly(poly=total, partial=True)
-    return AssembledPoly(poly=su2_hat_poly + total, partial=False)
 
 
 class ModuliReport(

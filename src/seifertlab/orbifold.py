@@ -35,11 +35,8 @@ __all__ = [
     "Orbifold",
     "LineBundleData",
     "orbifold_euler_char",
-    "canonical_bundle",
-    "trivial_bundle",
     "normalize",
     "tensor",
-    "dual",
     "power",
     "h0",
 ]
@@ -119,16 +116,6 @@ class LineBundleData:
     def __repr__(self):
         return f"LineBundleData(e={self.e!r}, betas={self.betas!r})"
 
-    @property
-    def degree(self) -> Fraction:
-        """Orbifold degree e + sum beta_i/alpha_i, exact: one Fraction over prod alpha_i."""
-        from fractions import Fraction
-
-        C = self.orbifold
-        return Fraction(
-            self.e * C.scale + sum(b * c for b, c in zip(self.betas, C.cofactors)), C.scale
-        )
-
     def as_dict(self) -> dict:
         return {"e": self.e, "betas": list(self.betas)}
 
@@ -140,32 +127,20 @@ def orbifold_euler_char(C: Orbifold) -> Fraction:
     return 2 - C.n + sum((Fraction(1, a) for a in C.alphas), Fraction(0))
 
 
-def canonical_bundle(C: Orbifold) -> LineBundleData:
-    """The canonical bundle K, with data (-2; alpha_1 - 1, ..., alpha_n - 1).
-
-    Its orbifold degree equals -chi(C).
-    """
-    return LineBundleData(-2, tuple(a - 1 for a in C.alphas), C)
-
-
-def trivial_bundle(C: Orbifold) -> LineBundleData:
-    return LineBundleData(0, (0,) * C.n, C)
-
-
 def normalize(e: int, raw_betas: Sequence[int], C: Orbifold) -> LineBundleData:
     """Reduce raw residues mod alpha_i into [0, alpha_i), carrying into e.
 
     The orbifold degree is preserved: each unit carried out of a residue slot
     adds exactly 1 to e.
     """
+    if len(raw_betas) != C.n:
+        raise ValueError("one raw residue per cone point required")
     carried = e
     betas = []
     for raw, a in zip(raw_betas, C.alphas):
         q, r = divmod(raw, a)
         carried += q
         betas.append(r)
-    if len(betas) != C.n:
-        raise ValueError("one raw residue per cone point required")
     return LineBundleData(carried, tuple(betas), C)
 
 
@@ -182,13 +157,9 @@ def tensor(L1: LineBundleData, L2: LineBundleData) -> LineBundleData:
 
 def power(L: LineBundleData, m: int) -> LineBundleData:
     """m-fold tensor power; negative m gives powers of the dual."""
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"power exponent must be an integer, got {m!r}")
     return normalize(m * L.e, [m * b for b in L.betas], L.orbifold)
-
-
-def dual(L: LineBundleData) -> LineBundleData:
-    return power(L, -1)
 
 
 def h0(L: LineBundleData) -> int:

@@ -130,10 +130,6 @@ class Scenario(_Record):
         self.z0_sampler = z0_sampler
         self.chi_c_count_valid = chi_c_count_valid
 
-    @property
-    def dim(self) -> int:
-        return self.family.dim
-
     def validate(self) -> list[str]:
         """Residual checks on the declared structure; empty list means valid.
 

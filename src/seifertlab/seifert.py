@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """value itself when it is an int (a bool is none); ValueError naming it otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def pairwise_coprime(values: Sequence[int]) -> bool:
     return all(
         gcd(values[i], values[j]) == 1
@@ -55,8 +62,11 @@ class SeifertData:
     def __init__(
         self, b: int, fibers: Sequence[tuple[int, int]], _orbifold: Orbifold | None = None
     ):
-        self.b = b
-        self.fibers = tuple((int(a), int(g)) for a, g in fibers)
+        self.b = _integer(b, "b")
+        self.fibers = tuple(
+            (_integer(a, "fiber multiplicity"), _integer(g, "fiber invariant"))
+            for a, g in fibers
+        )
         if not self.fibers:
             raise ValueError("at least one exceptional fiber required")
         for a, g in self.fibers:
@@ -111,7 +121,7 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
     A * e(Y) = -1 (singularity-link orientation): gamma_i is the residue of
     -(A/alpha_i)^(-1) mod alpha_i, then b = (-1 - sum gamma_i * A/alpha_i)/A.
     """
-    alphas = tuple(int(a) for a in alphas)
+    alphas = tuple(_integer(a, "multiplicity") for a in alphas)
     if len(alphas) < 3:
         raise ValueError("need at least 3 multiplicities (fewer is lens-space territory)")
     if any(a < 2 for a in alphas):

@@ -51,12 +51,10 @@ from .seifert import (
 
 __all__ = [
     "IdentityChainReport",
-    "milnor_number",
     "geometric_genus_pd",
     "geometric_genus_divisors",
     "signature_durfee",
     "signature_lattice_oracle",
-    "casson_invariant",
     "verify_identity_chain",
     "verify_sweep_report",
 ]
@@ -88,12 +86,6 @@ def _check_lattice_limit(*alphas: int) -> None:
     if m > _LATTICE_LIMIT:
         name = "p*q*r" if len(alphas) == 3 else "A*(n-2)"
         raise ValueError(f"{name} = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
-
-
-def milnor_number(p: int, q: int, r: int) -> int:
-    """mu = (p-1)(q-1)(r-1), the middle Betti number of the Milnor fiber."""
-    _check_triple(p, q, r)
-    return (p - 1) * (q - 1) * (r - 1)
 
 
 def _link_bound(S: SeifertData) -> int:
@@ -240,18 +232,13 @@ def _lattice_signature(p: int, q: int, r: int) -> int:
     return 2 * total - (p - 1) * (q - 1) * (r - 1)
 
 
-def casson_invariant(p: int, q: int, r: int) -> int:
-    """lambda(Sigma(p,q,r)) = sigma/8 via the lattice oracle.
+def _casson_from_signature(sigma: int) -> int:
+    """lambda = sigma/8 from a lattice signature, which 8 must divide.
 
     The normalization gives lambda(Sigma(2,3,5)) = -1.  The signature of a
     homology-sphere link is divisible by 8 (unimodular even form); a
     remainder signals an oracle bug.
     """
-    return _casson_from_signature(signature_lattice_oracle(p, q, r))
-
-
-def _casson_from_signature(sigma: int) -> int:
-    """lambda = sigma/8 from a lattice signature, which 8 must divide."""
     if sigma % 8 != 0:
         raise ConsistencyError(f"lattice signature {sigma} is not divisible by 8")
     return sigma // 8
@@ -265,8 +252,8 @@ def _excess_euler(S: SeifertData) -> int:
     with scaled partial degree acc takes every e with e*A + acc < A*deg K,
     that is t = (A*deg K - 1 - acc) // A + 1 vectors, whose e + 1 sum to
     t(t + 1)/2.  This is the excess polynomial's Euler characteristic,
-    ``euler_eval(moduli.excess_poincare(S))``, and on a link the geometric
-    genus.
+    ``euler_eval`` of ``moduli.moduli_report(S).excess_poincare``, and on a
+    link the geometric genus.
 
     Each prefix of the first n - 1 residues sums its last-fiber leaves in
     closed form.  With q, rho = divmod(A*deg K - 1 - acc, A) and step =

@@ -6,10 +6,22 @@ import random
 from itertools import combinations
 from math import gcd
 
+from fractions import Fraction
+
 from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly
-from seifertlab.orbifold import LineBundleData, Orbifold, _exponent, _prefixes, normalize
-from seifertlab.seifert import SeifertData, require_homology_sphere
+from seifertlab.moduli import EVector, _check_enumerated
+from seifertlab.orbifold import (
+    LineBundleData,
+    Orbifold,
+    _exponent,
+    _prefixes,
+    h0,
+    normalize,
+    power,
+    tensor,
+)
+from seifertlab.seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 
 def coprime_tuples(n: int, limit: int) -> list[tuple[int, ...]]:
@@ -45,6 +57,57 @@ def random_bundle(rng: random.Random, C: Orbifold) -> LineBundleData:
         [rng.randint(-15, 15) for _ in C.alphas],
         C,
     )
+
+
+def degree(L: LineBundleData) -> Fraction:
+    """Orbifold degree e + sum beta_i/alpha_i, exact: one Fraction over prod alpha_i."""
+    C = L.orbifold
+    return Fraction(L.e * C.scale + sum(b * c for b, c in zip(L.betas, C.cofactors)), C.scale)
+
+
+def canonical_bundle(C: Orbifold) -> LineBundleData:
+    """The canonical bundle K, with data (-2; alpha_1 - 1, ..., alpha_n - 1).
+
+    Its orbifold degree equals -chi(C).
+    """
+    return LineBundleData(-2, tuple(a - 1 for a in C.alphas), C)
+
+
+def trivial_bundle(C: Orbifold) -> LineBundleData:
+    return LineBundleData(0, (0,) * C.n, C)
+
+
+def dual(L: LineBundleData) -> LineBundleData:
+    return power(L, -1)
+
+
+def exponent_via_bundles(C: Orbifold, v: EVector) -> int:
+    """Morse-Bott half-index as the section count h^0(L^(-1) K^2).
+
+    Pure bundle arithmetic on the divisor bundle L of the vector; independent
+    of ``moduli.exponent_closed_form``, which it must equal.
+    """
+    _check_enumerated(C, v)
+    K = canonical_bundle(C)
+    return h0(tensor(dual(normalize(v.e, v.betas, C)), tensor(K, K)))
+
+
+def solve_L0_k(L: LineBundleData, S: SeifertData) -> tuple[int, int]:
+    """Express a divisor bundle as L0^(-2) N^k K with L0 = N^m0 and k in {0,1}.
+
+    With m_L = bundle_log(L) and m_K = bundle_log(K) the parity equation
+    -2*m0 + k + m_K = m_L forces k = (m_L - m_K) mod 2 and
+    m0 = (k + m_K - m_L) // 2.  The postcondition is re-checked on bundle data.
+    """
+    m_L = bundle_log(L, S)  # rejects a foreign bundle or a non-homology sphere
+    K = canonical_bundle(S.orbifold)
+    m_K = bundle_log(K, S)
+    k = (m_L - m_K) % 2
+    m0 = (k + m_K - m_L) // 2
+    N = n_bundle(S)
+    if tensor(tensor(power(power(N, m0), -2), power(N, k)), K) != L:
+        raise ConsistencyError(f"(l0_power={m0}, k={k}) fails to rebuild bundle {L.as_dict()}")
+    return m0, k
 
 
 def signature_per_point(p: int, q: int, r: int) -> int:

@@ -10,25 +10,25 @@ from __future__ import annotations
 import random
 import time
 
-from helpers import coprime_triples, coprime_tuples, random_bundle, random_orbifold, random_poly
+from helpers import (
+    coprime_triples,
+    coprime_tuples,
+    degree,
+    dual,
+    exponent_via_bundles,
+    random_bundle,
+    random_orbifold,
+    random_poly,
+    trivial_bundle,
+)
 from seifertlab.exact import LaurentPoly, euler_eval
 from seifertlab.moduli import (
     enumerate_e_vectors,
     excess_poincare,
     exponent_closed_form,
-    exponent_via_bundles,
-    hp_poincare,
     moduli_report,
-    sl2c_euler,
 )
-from seifertlab.orbifold import (
-    dual,
-    normalize,
-    orbifold_euler_char,
-    power,
-    tensor,
-    trivial_bundle,
-)
+from seifertlab.orbifold import normalize, orbifold_euler_char, power, tensor
 from seifertlab.perturb import (
     circle_scenario,
     run_localisation,
@@ -36,10 +36,8 @@ from seifertlab.perturb import (
 )
 from seifertlab.seifert import brieskorn_seifert_data, n_bundle
 from seifertlab.singularity import (
-    casson_invariant,
     geometric_genus_divisors,
     geometric_genus_pd,
-    milnor_number,
     signature_durfee,
     signature_lattice_oracle,
     verify_identity_chain,
@@ -66,14 +64,15 @@ def test_criterion_1_sigma_2_3_5():
         failures.append("p_g != 0")
     if excess_poincare(S) != LaurentPoly.zero():
         failures.append("excess polynomial != 0")
-    if milnor_number(2, 3, 5) != 8:
+    chain = verify_identity_chain(2, 3, 5)
+    if chain.milnor != 8:
         failures.append("mu != 8")
     if signature_lattice_oracle(2, 3, 5) != -8:
         failures.append("lattice sigma != -8")
-    lam = casson_invariant(2, 3, 5)
+    lam = chain.casson
     if lam != -1:
         failures.append(f"casson = {lam} != -1")
-    if sl2c_euler(S, lam) != 2:
+    if chain.euler_sl2c != 2:
         failures.append("chi(M*) != 2")
     elapsed = time.monotonic() - start
     if elapsed >= 1.0:
@@ -97,12 +96,13 @@ def test_criterion_2_sigma_2_3_7():
         failures.append("excess polynomial != 1")
     if geometric_genus_pd(S) != 1 or geometric_genus_divisors(S) != 1:
         failures.append("p_g != 1 on both routes")
-    mu = milnor_number(2, 3, 7)
+    chain = verify_identity_chain(2, 3, 7)
+    mu = chain.milnor
     if mu != 12:
         failures.append("mu != 12")
     if signature_lattice_oracle(2, 3, 7) != -8 or signature_durfee(1, mu) != -8:
         failures.append("sigma != -8 on both routes")
-    if sl2c_euler(S, casson_invariant(2, 3, 7)) != 3 or mu // 4 != 3:
+    if chain.euler_sl2c != 3 or mu // 4 != 3:
         failures.append("chi(M*) != 3 = mu/4")
     elapsed = time.monotonic() - start
     if elapsed >= 1.0:
@@ -137,7 +137,7 @@ def test_criterion_4_enumeration_bijection():
         ell = 0
         while True:
             B = power(N, -ell)
-            if B.degree >= deg_k:
+            if degree(B) >= deg_k:
                 break
             if B.e >= 0:
                 bundle_side.add((B.e, B.betas))
@@ -156,10 +156,10 @@ def test_criterion_5_exponent_integrality_and_triple_degeneracy():
             try:
                 m = exponent_closed_form(C, v)  # raises unless a non-negative integer
             except Exception as exc:
-                failures.append(f"{C.alphas} {v.as_tuple()}: {exc}")
+                failures.append(f"{C.alphas} {(v.e,) + v.betas}: {exc}")
                 continue
             if m < 0:
-                failures.append(f"{C.alphas} {v.as_tuple()}: negative exponent")
+                failures.append(f"{C.alphas} {(v.e,) + v.betas}: negative exponent")
         if C.n == 3:
             for ambient_dim_c, _, _, _, morse_index, *_ in moduli_report(S).z_components:
                 if morse_index != 0 or ambient_dim_c != 0:
@@ -171,10 +171,10 @@ def test_criterion_6_hp_consistency():
     failures = []
     for p, q, r in coprime_triples(15):
         S = brieskorn_seifert_data((p, q, r))
-        lam = casson_invariant(p, q, r)
-        chi_m = sl2c_euler(S, lam)
-        assembled = hp_poincare(S, su2_hat_poly=LaurentPoly({0: -2 * lam}))
-        if assembled.partial or euler_eval(assembled.poly) != chi_m:
+        chain = verify_identity_chain(p, q, r)
+        lam, chi_m = chain.casson, chain.euler_sl2c
+        assembled = LaurentPoly({0: -2 * lam}) + moduli_report(S).hp_excess
+        if euler_eval(assembled) != chi_m:
             failures.append(f"({p},{q},{r})")
     _report(6, "euler of assembled hp polynomial equals chi(M*) on every triple <= 15", failures)
 
@@ -257,7 +257,7 @@ def test_criterion_9_property_suites():
             tensor(tensor(L1, L2), L3) == tensor(L1, tensor(L2, L3))
             and tensor(L1, L2) == tensor(L2, L1)
             and tensor(L1, dual(L1)) == trivial_bundle(C)
-            and tensor(L1, L2).degree == L1.degree + L2.degree
+            and degree(tensor(L1, L2)) == degree(L1) + degree(L2)
         )
         if not ok:
             failures.append(f"picard law case {i}")
@@ -271,7 +271,7 @@ def test_criterion_9_property_suites():
         L = normalize(e, raw, C)
         ok = (
             normalize(L.e, L.betas, C) == L
-            and L.degree == e + sum(type(L.degree)(b, a) for b, a in zip(raw, C.alphas))
+            and degree(L) == e + sum(type(degree(L))(b, a) for b, a in zip(raw, C.alphas))
             and all(0 <= b < a for b, a in zip(L.betas, C.alphas))
         )
         if not ok:

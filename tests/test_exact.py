@@ -69,6 +69,15 @@ def test_int_coercion_and_immutability():
         LaurentPoly({0: 1.5})
 
 
+def test_equal_polynomials_and_ints_hash_alike():
+    # a constant polynomial equals its int, so sets and dicts must find one by the other
+    for c in (0, 3, -7, 2**70):
+        assert LaurentPoly({0: c}) == c and hash(LaurentPoly({0: c})) == hash(c)
+        assert c in {LaurentPoly({0: c})} and LaurentPoly({0: c}) in {c}
+    assert {LaurentPoly.zero(): "zero"}[0] == "zero"
+    assert hash(cp_poincare(1)) == hash(LaurentPoly({2: 1, 0: 1}))
+
+
 def test_pow_matches_repeated_multiplication():
     p = LaurentPoly({-1: 2, 3: -1})
     assert p**0 == LaurentPoly.one()

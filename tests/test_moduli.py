@@ -7,32 +7,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coprime_tuples, excess_euler_per_leaf
+from helpers import (
+    canonical_bundle,
+    coprime_tuples,
+    degree,
+    dual,
+    excess_euler_per_leaf,
+    exponent_via_bundles,
+    solve_L0_k,
+)
 from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly, euler_eval
 from seifertlab.moduli import (
     EVector,
-    _excess_euler,
     enumerate_e_vectors,
     excess_poincare,
     exponent_closed_form,
-    exponent_via_bundles,
-    hp_poincare,
     moduli_report,
-    sl2c_euler,
-    sl2c_poincare,
-    solve_L0_k,
 )
-from seifertlab.orbifold import (
-    Orbifold,
-    canonical_bundle,
-    dual,
-    normalize,
-    orbifold_euler_char,
-    power,
-    tensor,
-)
+from seifertlab.orbifold import Orbifold, normalize, orbifold_euler_char, power, tensor
 from seifertlab.seifert import brieskorn_seifert_data, n_bundle, SeifertData
+from seifertlab.singularity import _excess_euler, verify_identity_chain
 
 
 def vec(C: Orbifold, e: int, betas: tuple[int, ...]) -> EVector:
@@ -46,20 +41,19 @@ def test_enumeration_examples():
     C = Orbifold((2, 3, 13))
     got = enumerate_e_vectors(C)
     assert [(v.e, v.betas) for v in got] == [(0, (0, 0, 0)), (0, (0, 0, 1))]
-    assert [normalize(v.e, v.betas, C).degree for v in got] == [0, Fraction(1, 13)]
+    assert [degree(normalize(v.e, v.betas, C)) for v in got] == [0, Fraction(1, 13)]
 
 
 def test_evector_built_by_hand():
     v = EVector(0, (1,))
     assert v.exponent is None
     assert repr(v) == "EVector(e=0, betas=(1,), exponent=None)"
-    assert v.as_tuple() == (0, 1)
 
 
 def test_enumeration_sorted_by_degree_then_lex():
     C = Orbifold((3, 4, 5, 7))
     got = enumerate_e_vectors(C)
-    keys = [(normalize(v.e, v.betas, C).degree, v.as_tuple()) for v in got]
+    keys = [(degree(normalize(v.e, v.betas, C)), (v.e,) + v.betas) for v in got]
     assert keys == sorted(keys)
     assert (1, (0, 0, 0, 0)) in [(v.e, v.betas) for v in got]
 
@@ -151,37 +145,38 @@ def test_excess_poincare_examples():
 
 
 def test_sl2c_euler_examples():
-    assert sl2c_euler(brieskorn_seifert_data((2, 3, 5)), casson=-1) == 2
-    assert sl2c_euler(brieskorn_seifert_data((2, 3, 7)), casson=-1) == 3
-    assert sl2c_euler(brieskorn_seifert_data((2, 3, 13)), casson=-2) == 6
+    # chi of the character variety is -2*casson + the excess Euler characteristic
+    for alphas, casson, chi in (((2, 3, 5), -1, 2), ((2, 3, 7), -1, 3), ((2, 3, 13), -2, 6)):
+        chain = verify_identity_chain(*alphas)
+        assert (chain.casson, chain.euler_sl2c) == (casson, chi)
+        assert -2 * casson + moduli_report(brieskorn_seifert_data(alphas)).pg == chi
 
 
 def test_sl2c_poincare_assembly():
-    S = brieskorn_seifert_data((2, 3, 5))
+    from seifertlab.reports import brieskorn_report
+
     two_points = LaurentPoly({0: 2})
-    full = sl2c_poincare(S, su2_poly=two_points)
-    assert not full.partial and full.poly == two_points
-    S7 = brieskorn_seifert_data((2, 3, 7))
-    assert sl2c_poincare(S7, su2_poly=two_points).poly == LaurentPoly({0: 3})
-    partial = sl2c_poincare(S7)
-    assert partial.partial and partial.poly == LaurentPoly.one()
+    full = brieskorn_report((2, 3, 5), su2_poly=two_points)["polynomials"]
+    assert not full["sl2c_partial"] and full["sl2c"] == "2"
+    assert brieskorn_report((2, 3, 7), su2_poly=two_points)["polynomials"]["sl2c"] == "3"
+    partial = brieskorn_report((2, 3, 7))["polynomials"]
+    assert partial["sl2c_partial"] and partial["sl2c"] is None and partial["excess"] == "1"
 
 
 def test_hp_poincare_examples():
     S7 = brieskorn_seifert_data((2, 3, 7))
-    assert hp_poincare(S7).poly == LaurentPoly.one()
+    assert moduli_report(S7).hp_excess == LaurentPoly.one()
     # a CP^1 component contributes T^-2 + 1 after normalization
     S_big = brieskorn_seifert_data((3, 4, 5, 7))
-    hp = hp_poincare(S_big).poly
-    assert hp.coefficient(-2) >= 1 and hp.min_exponent == -2
-    with_su2 = hp_poincare(S7, su2_hat_poly=LaurentPoly({0: 2}))
-    assert not with_su2.partial and euler_eval(with_su2.poly) == 3
+    hp = moduli_report(S_big).hp_excess.coefficients()
+    assert hp.get(-2, 0) >= 1 and min(hp) == -2
+    assert euler_eval(LaurentPoly({0: 2}) + moduli_report(S7).hp_excess) == 3
 
 
 def test_hp_excess_euler_equals_pg_on_triples():
     for alphas in coprime_tuples(3, 15):
         S = brieskorn_seifert_data(alphas)
-        hp = hp_poincare(S).poly
+        hp = moduli_report(S).hp_excess
         assert euler_eval(hp) == euler_eval(excess_poincare(S))
 
 
@@ -206,7 +201,7 @@ def test_enumeration_bijection_with_bundle_powers():
             ell = 0
             while True:
                 B = power(N, -ell)
-                if B.degree >= deg_k:
+                if degree(B) >= deg_k:
                     break
                 if B.e >= 0:
                     bundle_side.add((B.e, B.betas))
@@ -299,16 +294,15 @@ def test_components_check_every_vector(monkeypatch):
             tampered[i] = v._replace(betas=betas)
             with pytest.raises(ConsistencyError, match="walk and scan disagree"):
                 moduli._components(S, tampered)
-    # one walk of A*deg K powers per request, and no tensor or power per vector
+    # one walk of A*deg K powers per request, and no power per vector
     walks, ops = [], []
-    original_walk, original_power, original_tensor = moduli._walk, moduli.power, moduli.tensor
+    original_walk, original_power = moduli._walk, moduli.power
     monkeypatch.setattr(
         moduli,
         "_walk",
         lambda G, count, keep: walks.append((G, count, keep)) or original_walk(G, count, keep),
     )
     monkeypatch.setattr(moduli, "power", lambda L, m: ops.append(m) or original_power(L, m))
-    monkeypatch.setattr(moduli, "tensor", lambda *a: ops.append(a) or original_tensor(*a))
     components, degrees = moduli._components(S, vectors)
     assert len(components) == len(vectors)
     top = S.orbifold.scaled_deg_k

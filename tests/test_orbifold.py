@@ -8,19 +8,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import coprime_tuples, random_bundle, random_orbifold
+from helpers import (
+    canonical_bundle,
+    coprime_tuples,
+    degree,
+    dual,
+    random_bundle,
+    random_orbifold,
+    trivial_bundle,
+)
 from seifertlab.orbifold import (
     LineBundleData,
     Orbifold,
     _walk,
-    canonical_bundle,
-    dual,
     h0,
     normalize,
     orbifold_euler_char,
     power,
     tensor,
-    trivial_bundle,
 )
 from seifertlab.seifert import SeifertData, brieskorn_seifert_data, bundle_log, n_bundle
 
@@ -44,11 +49,11 @@ def test_orbifold_validation():
 def test_canonical_bundle_examples():
     K = canonical_bundle(S237)
     assert (K.e, K.betas) == (-2, (1, 2, 6))
-    assert K.degree == Fraction(1, 42)
-    assert canonical_bundle(S235).degree == Fraction(-1, 30)
+    assert degree(K) == Fraction(1, 42)
+    assert degree(canonical_bundle(S235)) == Fraction(-1, 30)
     K3 = canonical_bundle(Orbifold((3,)))
     assert (K3.e, K3.betas) == (-2, (2,))
-    assert K3.degree == Fraction(-4, 3)
+    assert degree(K3) == Fraction(-4, 3)
 
 
 def test_normalize_examples():
@@ -57,6 +62,13 @@ def test_normalize_examples():
     KK = normalize(-4, [2, 4, 12], S237)
     assert (KK.e, KK.betas) == (-1, (0, 1, 5))
     assert normalize(0, [0, 0, 0], S235) == trivial_bundle(S235)
+
+
+@pytest.mark.parametrize("raw", [[1, 2], [1, 2, 3, 4]])
+def test_normalize_requires_one_residue_per_cone_point(raw):
+    # zip stops at the shorter input, so a fourth residue must not vanish unread
+    with pytest.raises(ValueError, match="one raw residue per cone point"):
+        normalize(0, raw, S235)
 
 
 def test_constructor_requires_normalized_data():
@@ -85,6 +97,8 @@ def test_line_bundle_value_semantics():
 def test_power_rejects_non_integer_exponent():
     with pytest.raises(ValueError):
         power(canonical_bundle(S237), 0.5)
+    with pytest.raises(ValueError, match="got True"):
+        power(canonical_bundle(S237), True)  # a bool is no int
 
 
 def test_tensor_examples():
@@ -121,7 +135,7 @@ def test_picard_laws_randomized():
     for _ in range(1500):
         C = random_orbifold(rng)
         L1, L2, L3 = (random_bundle(rng, C) for _ in range(3))
-        assert tensor(L1, L2).degree == L1.degree + L2.degree
+        assert degree(tensor(L1, L2)) == degree(L1) + degree(L2)
         assert tensor(L1, L2) == tensor(L2, L1)
         assert tensor(tensor(L1, L2), L3) == tensor(L1, tensor(L2, L3))
         assert tensor(L1, dual(L1)) == trivial_bundle(C)
@@ -133,7 +147,7 @@ def test_canonical_degree_is_minus_euler_char():
     rng = random.Random(777)
     for _ in range(500):
         C = random_orbifold(rng)
-        assert canonical_bundle(C).degree == -orbifold_euler_char(C)
+        assert degree(canonical_bundle(C)) == -orbifold_euler_char(C)
 
 
 def test_power_degree_scaling_and_h0_positivity():
@@ -142,7 +156,7 @@ def test_power_degree_scaling_and_h0_positivity():
         C = random_orbifold(rng)
         L = random_bundle(rng, C)
         for m in range(-10, 11):
-            assert power(L, m).degree == m * L.degree
+            assert degree(power(L, m)) == m * degree(L)
         assert (h0(L) > 0) == (L.e >= 0)
     assert h0(trivial_bundle(Orbifold((2, 3)))) == 1
 
@@ -233,6 +247,6 @@ def homology_sphere_bundle(draw):
 @given(homology_sphere_bundle())
 def test_bundle_log_equals_degree_ratio(data):
     S, L = data
-    ratio = L.degree / n_bundle(S).degree
+    ratio = degree(L) / degree(n_bundle(S))
     assert ratio.denominator == 1
     assert bundle_log(L, S) == ratio

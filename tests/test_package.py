@@ -1,9 +1,13 @@
-"""The package namespaces: their public names and the README library example."""
+"""The package namespaces: their public names, the README library example, and
+which functions under src/ a request runs."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import os
 import re
 import subprocess
@@ -15,23 +19,21 @@ import seifertlab
 
 # the names `seifertlab` exports, by the submodule that defines them
 EXPORTS = {
-    "exact": ("LaurentPoly", "Rational", "cp_poincare", "euler_eval", "hat_normalize"),
+    "exact": ("LaurentPoly", "cp_poincare", "euler_eval", "hat_normalize"),
     "orbifold": (
-        "LineBundleData", "Orbifold", "canonical_bundle", "dual", "h0", "normalize",
-        "orbifold_euler_char", "power", "tensor", "trivial_bundle",
+        "LineBundleData", "Orbifold", "h0", "normalize", "orbifold_euler_char", "power",
+        "tensor",
     ),
     "seifert": (
         "SeifertData", "brieskorn_seifert_data", "bundle_log", "n_bundle",
     ),
     "moduli": (
         "EVector", "enumerate_e_vectors", "excess_poincare", "exponent_closed_form",
-        "exponent_via_bundles", "hp_poincare", "moduli_report", "sl2c_euler", "sl2c_poincare",
-        "solve_L0_k",
+        "moduli_report",
     ),
     "singularity": (
-        "casson_invariant", "geometric_genus_divisors", "geometric_genus_pd",
-        "milnor_number", "signature_durfee", "signature_lattice_oracle",
-        "verify_identity_chain",
+        "geometric_genus_divisors", "geometric_genus_pd", "signature_durfee",
+        "signature_lattice_oracle", "verify_identity_chain",
     ),
     "errors": ("ConsistencyError",),
 }
@@ -55,7 +57,7 @@ README = os.path.join(os.path.dirname(SRC), "README.md")
 
 def test_public_names_are_the_exported_set():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 37
+    assert len(names) == 26
     assert sorted(seifertlab.__all__) == sorted(names)
 
 
@@ -189,7 +191,6 @@ RECORDS = {
         {},
     ),
     ("seifertlab.moduli", "EVector"): (("e", "betas", "exponent"), {"exponent": None}),
-    ("seifertlab.moduli", "AssembledPoly"): (("poly", "partial"), {}),
     ("seifertlab.moduli", "ModuliReport"): (
         ("z_components", "excess_poincare", "pg", "hp_excess", "pg_divisors"),
         {"pg_divisors": None},
@@ -234,3 +235,128 @@ def test_record_defaults_read_as_before():
     assert EVector(0, (1,)).exponent is None
     assert NewtonResult((0.0,), 0.0, 0.0, 0, True).message == ""
     assert FoundPoint((0.0,), 0.0, 0.0, 0, 0, 0, 1.0).outside_basin is False
+
+
+def _function_definitions():
+    """Every function and method under src/seifertlab, as (file, qualified name),
+    keyed by (file, code-object name, first line) as a profiler sees it."""
+    package = os.path.join(SRC, "seifertlab")
+    found = {}
+    for folder, _, files in os.walk(package):
+        for file in sorted(files):
+            if not file.endswith(".py"):
+                continue
+            path = os.path.join(folder, file)
+            rel = os.path.relpath(path, package)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            scopes = [("", tree.body)] + [
+                (f"{s.name}.", s.body) for s in tree.body if isinstance(s, ast.ClassDef)
+            ]
+            for prefix, body in scopes:
+                for s in body:
+                    if isinstance(s, ast.FunctionDef):
+                        first = min([s.lineno] + [d.lineno for d in s.decorator_list])
+                        found[rel, s.name, first] = (rel, prefix + s.name)
+    return found
+
+
+# Functions under src/ that none of _AUDIT_CALLS runs, each with its reason.
+# Every other function runs on some request: there is no library tier.
+NEVER_RUN_ON_A_REQUEST = {
+    # read by name by bench/run.py's layer metrics, through bench/spans.py
+    ("moduli.py", "exponent_closed_form"),
+    ("moduli.py", "_check_enumerated"),
+    ("moduli.py", "excess_poincare"),
+    ("orbifold.py", "tensor"),
+    ("orbifold.py", "h0"),
+    ("seifert.py", "bundle_log"),
+    ("exact.py", "LaurentPoly.__sub__"),
+    ("exact.py", "LaurentPoly.__rsub__"),
+    ("exact.py", "LaurentPoly.__neg__"),
+    ("exact.py", "LaurentPoly.__pow__"),
+    ("exact.py", "LaurentPoly.one"),
+    # value semantics: equality, hashing, repr, immutability, truth
+    ("exact.py", "LaurentPoly.__eq__"),
+    ("exact.py", "LaurentPoly.__hash__"),
+    ("exact.py", "LaurentPoly.__repr__"),
+    ("exact.py", "LaurentPoly.__setattr__"),
+    ("exact.py", "LaurentPoly.__bool__"),
+    ("orbifold.py", "Orbifold.__eq__"),
+    ("orbifold.py", "Orbifold.__hash__"),
+    ("orbifold.py", "Orbifold.__repr__"),
+    ("orbifold.py", "LineBundleData.__eq__"),
+    ("orbifold.py", "LineBundleData.__hash__"),
+    ("orbifold.py", "LineBundleData.__repr__"),
+    ("seifert.py", "SeifertData.__eq__"),
+    ("seifert.py", "SeifertData.__hash__"),
+    ("seifert.py", "SeifertData.__repr__"),
+    ("perturb/scenarios.py", "_Record.__repr__"),
+    # the lazy name map of `from seifertlab import name`
+    ("__init__.py", "__getattr__"),
+    # runs only on a fault, to name the vector whose m is no non-negative integer
+    ("orbifold.py", "_exponent"),
+}
+
+_AUDIT_BATCH = [
+    {"mode": "brieskorn", "exponents": [2, 3, 7]},
+    {"mode": "brieskorn", "exponents": [2, 3, 7]},  # a repeated line runs once
+    {"mode": "seifert", "b": -1, "fibers": [[2, 1], [3, 1], [5, 1]], "su2_poly": "2"},
+    {"mode": "verify", "max": 7},
+    {"mode": "perturb", "scenario": "circle", "eps": [0.1]},
+]
+_AUDIT_CALLS = [
+    *(
+        argv + form
+        for form in ([], ["--json"])
+        for argv in (
+            ["brieskorn", "2", "3", "13"],
+            ["brieskorn", "3", "4", "5", "7"],
+            ["seifert", "--b", "-2", "--fiber", "2/1", "--fiber", "3/2", "--fiber", "5/4"],
+            ["seifert", "--b", "-1", "--fiber", "2/1", "--fiber", "3/1", "--fiber", "5/1"],
+            ["verify", "--max", "7"],
+            ["perturb", "--scenario", "circle", "--eps", "0.1,0.01"],
+            ["perturb", "--scenario", "sphere", "--eps", "0.1"],
+            ["perturb", "--scenario", "linear", "--eps", "0.1"],
+        )
+    ),
+    ["batch", "{dir}/requests.jsonl"],
+    ["perturb", "--scenario", "nope", "--eps", "0.1"],
+    ["verify", "--max", "31"],
+    ["brieskorn", "2", "4", "6"],
+    ["brieskorn", "2", "3", "7", "--su2-poly", "2 + T^2"],
+    ["brieskorn", "2", "3", "5", "7", "--casson", "-1"],
+    ["perturb", "--scenario", "circle", "--eps", "0.1", "--csv", "{dir}/points.csv"],
+    ["brieskorn", "2", "3", "7", "--out", "{dir}/report.txt"],
+]
+
+
+def test_every_function_under_src_runs_on_a_request_or_is_kept_by_name(tmp_path):
+    from seifertlab import cli
+
+    definitions = _function_definitions()
+    package = os.path.join(SRC, "seifertlab")
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            rel = os.path.relpath(code.co_filename, package)
+            ran.add((rel, code.co_name, code.co_firstlineno))
+
+    (tmp_path / "requests.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in _AUDIT_BATCH) + "not json\n"
+    )
+    codes = []
+    for argv in _AUDIT_CALLS:
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                codes.append(cli.main(argv))
+            finally:
+                sys.setprofile(None)
+    # every exit code comes up: the error paths ran as well as the reports
+    assert set(codes) == {0, 1, 2}
+    never_run = {name for key, name in definitions.items() if key not in ran}
+    assert never_run == NEVER_RUN_ON_A_REQUEST

@@ -62,7 +62,9 @@ def test_fd_gradient_matches_analytic_on_scenarios():
     for build in ALL_SCENARIOS:
         sc = build()
         samples = list(sc.z0_sampler(8)) + [s.point for s in sc.z1_sites]
-        samples += [np.asarray(x) + rng.normal(scale=0.3, size=sc.dim) for x in samples[:4]]
+        samples += [
+            np.asarray(x) + rng.normal(scale=0.3, size=sc.family.dim) for x in samples[:4]
+        ]
         for s in (sc.family.s0, sc.family.s1, sc.family.s2):
             for x in samples:
                 an = np.asarray(s.gradient(x))

@@ -9,8 +9,8 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import coprime_tuples
-from seifertlab.orbifold import Orbifold, canonical_bundle, orbifold_euler_char, power
+from helpers import canonical_bundle, coprime_tuples, degree
+from seifertlab.orbifold import Orbifold, orbifold_euler_char, power
 from seifertlab.seifert import (
     SeifertData,
     brieskorn_seifert_data,
@@ -87,6 +87,26 @@ def test_seifert_data_validation():
         SeifertData(-1, ((2, 1), (2, 1)))  # e(Y) = 0
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # int() would truncate these to Sigma(2,3,7) and to Seifert data of it
+        (lambda: brieskorn_seifert_data((2.9, 3, 7)), "multiplicity must be an integer, got 2.9"),
+        (lambda: brieskorn_seifert_data((2, 3, "7")), "multiplicity must be an integer, got '7'"),
+        (lambda: SeifertData(-1, ((2, 1), (3, 1.0), (7, 1))), "fiber invariant .* got 1.0"),
+        (lambda: SeifertData(-1, ((2.0, 1), (3, 1), (7, 1))), "fiber multiplicity .* got 2.0"),
+        (lambda: SeifertData(-1.5, ((2, 1), (3, 1), (7, 1))), "b must be an integer, got -1.5"),
+        # a bool is no int, as on the command line and in a batch line
+        (lambda: SeifertData(True, ((2, 1), (3, 1), (7, 1))), "b must be an integer, got True"),
+        (lambda: SeifertData(-1, ((2, True), (3, 1), (7, 1))), "fiber invariant .* got True"),
+    ],
+    ids=["float", "str", "float-gamma", "float-alpha", "float-b", "bool-b", "bool-gamma"],
+)
+def test_seifert_data_rejects_values_that_are_not_ints(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_require_homology_sphere_examples():
     assert require_homology_sphere(brieskorn_seifert_data((2, 3, 5))) == -1
     with pytest.raises(ValueError, match=r"A\*e\(Y\) = -2$"):
@@ -98,11 +118,11 @@ def test_require_homology_sphere_examples():
 def test_n_bundle_examples():
     N7 = n_bundle(brieskorn_seifert_data((2, 3, 7)))
     assert (N7.e, N7.betas) == (-1, (1, 1, 1))
-    assert N7.degree == Fraction(-1, 42)
+    assert degree(N7) == Fraction(-1, 42)
     S5 = brieskorn_seifert_data((2, 3, 5))
     N5 = n_bundle(S5)
     assert (N5.e, N5.betas) == (-2, (1, 2, 4))
-    assert N5.degree == Fraction(-1, 30)
+    assert degree(N5) == Fraction(-1, 30)
     # for this orbifold K and N coincide: deg K = -chi = -1/30 = deg N
     assert N5 == canonical_bundle(Orbifold((2, 3, 5)))
 
@@ -142,7 +162,7 @@ def test_brieskorn_sweep_is_homology_sphere_with_negative_degree():
         assert S.euler_number < 0
         # deg K / deg N is the integer power expressing K through N
         K = canonical_bundle(S.orbifold)
-        ratio = K.degree / S.euler_number
+        ratio = degree(K) / S.euler_number
         assert ratio.denominator == 1
         assert bundle_log(K, S) == ratio
 

@@ -15,10 +15,8 @@ from seifertlab.errors import ConsistencyError
 from seifertlab.orbifold import h0, orbifold_euler_char, power
 from seifertlab.seifert import SeifertData, brieskorn_seifert_data, n_bundle
 from seifertlab.singularity import (
-    casson_invariant,
     geometric_genus_divisors,
     geometric_genus_pd,
-    milnor_number,
     signature_durfee,
     signature_lattice_oracle,
     verify_identity_chain,
@@ -26,11 +24,11 @@ from seifertlab.singularity import (
 
 
 def test_milnor_number_examples():
-    assert milnor_number(2, 3, 5) == 8
-    assert milnor_number(2, 3, 7) == 12
-    assert milnor_number(3, 4, 5) == 24
+    assert verify_identity_chain(2, 3, 5).milnor == 8
+    assert verify_identity_chain(2, 3, 7).milnor == 12
+    assert verify_identity_chain(3, 4, 5).milnor == 24
     with pytest.raises(ValueError):
-        milnor_number(2, 4, 5)
+        verify_identity_chain(2, 4, 5)
 
 
 def test_geometric_genus_pd_examples():
@@ -294,9 +292,9 @@ def test_lattice_counter_equals_the_per_point_count_off_the_boundary():
 
 
 def test_casson_invariant_examples():
-    assert casson_invariant(2, 3, 5) == -1
-    assert casson_invariant(2, 3, 7) == -1
-    assert casson_invariant(2, 3, 11) == -2
+    assert verify_identity_chain(2, 3, 5).casson == -1
+    assert verify_identity_chain(2, 3, 7).casson == -1
+    assert verify_identity_chain(2, 3, 11).casson == -2
 
 
 def test_identity_chain_examples():
@@ -363,7 +361,7 @@ def test_identity_chain_runs_lattice_oracle_once(monkeypatch):
     monkeypatch.setattr(singularity, "signature_lattice_oracle", counting)
     chain = verify_identity_chain(2, 3, 13)
     assert calls == [(2, 3, 13)]
-    assert chain.casson == casson_invariant(2, 3, 13) == chain.sigma_lattice // 8
+    assert chain.casson == -2 == chain.sigma_lattice // 8
     # the divisibility check still guards the derived lambda
     monkeypatch.setattr(singularity, "signature_lattice_oracle", lambda p, q, r: -12)
     with pytest.raises(ConsistencyError, match="not divisible by 8"):
