@@ -99,8 +99,10 @@ class LineBundleData:
         if len(betas) != orbifold.n:
             raise ValueError("one residue per cone point required")
         for b, a in zip(betas, orbifold.alphas):
-            if not isinstance(b, int) or not 0 <= b < a:
+            if not isinstance(b, int) or isinstance(b, bool) or not 0 <= b < a:
                 raise ValueError(f"residue {b!r} not normalized for isotropy order {a}")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"degree e must be an integer, got {e!r}")
         self.e = e
         self.betas = betas
         self.orbifold = orbifold

@@ -21,12 +21,6 @@ def _mat(rows) -> Matrix:
     return tuple([tuple(map(float, row)) for row in rows])
 
 
-def _combine(eps: float, v0, v1, v2) -> Vector:
-    """v0 + eps*v1 + eps^2*v2, entry by entry."""
-    e2 = eps**2
-    return tuple([a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)])
-
-
 def _shift(x: Vector, i: int, h: float) -> Vector:
     """x with h added to its i-th coordinate."""
     return x[:i] + (x[i] + h,) + x[i + 1:]
@@ -143,36 +137,28 @@ class PerturbationFamily:
             float(self.s0._f(x)) + eps * float(self.s1._f(x)) + eps**2 * float(self.s2._f(x))
         )
 
-    def gradient(self, x, eps: float) -> Vector:
-        x = _vec(x)
-        return _combine(eps, *[
-            map(float, s._grad(x)) if s._grad is not None else s.fd_gradient(x)
-            for s in (self.s0, self.s1, self.s2)
-        ])
-
-    def hessian(self, x, eps: float) -> Matrix:
-        x = _vec(x)
-        h0, h1, h2 = [
-            s._hess(x) if s._hess is not None else s.fd_hessian(x)
-            for s in (self.s0, self.s1, self.s2)
-        ]
-        return tuple([
-            _combine(eps, map(float, r0), map(float, r1), map(float, r2))
-            for r0, r1, r2 in zip(h0, h1, h2)
-        ])
-
     def at(self, eps: float) -> ScalarField:
         """S_eps as a single field; derivatives stay analytic if the parts are.
 
-        Its value, gradient and Hessian are :meth:`value`, :meth:`gradient`
-        and :meth:`hessian` at this eps, which make one pass: each part's own
-        callback runs once on the point, its output is turned into floats and
-        the three are combined entry by entry as a + eps*b + eps**2*c.
+        One pass per derivative: each part's callback runs once on the point,
+        in the order s0, s1, s2, its output becomes floats, and the three are
+        summed entry by entry as a + eps*b + e2*c, with e2 = eps**2 computed
+        here once (so OverflowError comes from here).  The floats are those of
+        summing the parts' own ``gradient``/``hessian``.  If a part has no
+        analytic gradient (Hessian), S_eps differences its value instead.
         """
-        grad = None
-        hess = None
-        if all(s._grad is not None for s in (self.s0, self.s1, self.s2)):
-            grad = lambda x: self.gradient(x, eps)
-        if all(s._hess is not None for s in (self.s0, self.s1, self.s2)):
-            hess = lambda x: self.hessian(x, eps)
+        parts = (self.s0, self.s1, self.s2)
+        e2 = eps**2
+
+        def combine(v0, v1, v2):
+            v0, v1, v2 = map(float, v0), map(float, v1), map(float, v2)
+            return [a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)]
+
+        grad = hess = None
+        if all(s._grad is not None for s in parts):
+            g0, g1, g2 = [s._grad for s in parts]
+            grad = lambda x: combine(g0(x), g1(x), g2(x))
+        if all(s._hess is not None for s in parts):
+            h0, h1, h2 = [s._hess for s in parts]
+            hess = lambda x: [combine(*rows) for rows in zip(h0(x), h1(x), h2(x))]
         return ScalarField(self.dim, f=lambda x: self.value(x, eps), grad=grad, hess=hess)

@@ -10,8 +10,11 @@ off-diagonal entry counts as negligible when
 a sweep that finds every entry negligible.  This cutoff is the one under
 which Jacobi resolves tiny eigenvalues with high relative accuracy (Demmel &
 Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
-Appl. 13, 1992).  ``solve`` is LU with partial pivoting.  Like LAPACK's
-``gesv``, it fails only on an exactly zero pivot.
+Appl. 13, 1992).  Its cyclic (p, q) order is built once per dimension.
+``solve`` is LU with partial pivoting on the rows of [A | b], in place and
+by index.  Like LAPACK's ``gesv``, it fails only on an exactly zero pivot.
+Both keep a fixed order of float operations: the tests hold ``solve`` bit
+for bit to an LU on slice copies of the rows.
 """
 
 from __future__ import annotations
@@ -61,13 +64,9 @@ def _matvec(A, x) -> tuple:
     return tuple(_dot(row, x) for row in A)
 
 
-def _rotation_pairs(n: int) -> list[tuple[int, int, list[int]]]:
-    """Jacobi's cyclic order: each (p, q) with p < q, and the other indices."""
-    return [
-        (p, q, [r for r in range(n) if r != p and r != q])
-        for p in range(n)
-        for q in range(p + 1, n)
-    ]
+# Jacobi's cyclic order for each dimension met so far: each (p, q) with
+# p < q, and the other indices
+_ROTATION_PAIRS: dict[int, tuple[tuple[int, int, tuple[int, ...]], ...]] = {}
 
 
 def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -87,7 +86,13 @@ def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     if not all(math.isfinite(v) for row in a for v in row):
         return (math.nan,) * n, tuple(map(tuple, w))
     sqrt = math.sqrt
-    pairs = _rotation_pairs(n)
+    pairs = _ROTATION_PAIRS.get(n)
+    if pairs is None:
+        pairs = _ROTATION_PAIRS[n] = tuple([
+            (p, q, tuple([r for r in range(n) if r != p and r != q]))
+            for p in range(n)
+            for q in range(p + 1, n)
+        ])
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p, q, others in pairs:
@@ -137,10 +142,13 @@ def solve(A, b) -> tuple[float, ...]:
         if big == 0.0:
             raise LinAlgError("Singular matrix")
         a[k], a[p] = a[p], a[k]
-        pivot, tail = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
+        ak = a[k]
+        pivot = ak[k]
+        for i in range(k + 1, n):
+            row = a[i]
             m = row[k] / pivot
-            row[k + 1:] = [v - m * u for v, u in zip(row[k + 1:], tail)]
+            for j in range(k + 1, n + 1):
+                row[j] -= m * ak[j]
     x = [row[n] for row in a]
     for k in range(n - 1, -1, -1):  # back substitution, column by column
         xk = x[k] = x[k] / a[k][k]

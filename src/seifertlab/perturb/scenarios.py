@@ -201,10 +201,13 @@ def sphere_scenario() -> Scenario:
         return (c * x[0], c * x[1], c * x[2])
 
     def s0_hess(x):
+        # c*I + 8 x x^T; the 0.0 + turns a -0.0 off-diagonal entry into 0.0
         c = 4.0 * (_dot(x, x) - 1.0)
-        return tuple(
-            tuple([(c if i == j else 0.0) + 8.0 * (xi * xj) for j, xj in enumerate(x)])
-            for i, xi in enumerate(x)
+        x0, x1, x2 = x
+        return (
+            (c + 8.0 * (x0 * x0), 0.0 + 8.0 * (x0 * x1), 0.0 + 8.0 * (x0 * x2)),
+            (0.0 + 8.0 * (x1 * x0), c + 8.0 * (x1 * x1), 0.0 + 8.0 * (x1 * x2)),
+            (0.0 + 8.0 * (x2 * x0), 0.0 + 8.0 * (x2 * x1), c + 8.0 * (x2 * x2)),
         )
 
     s0 = ScalarField(3, s0_f, s0_grad, s0_hess)

@@ -21,6 +21,7 @@ from seifertlab.orbifold import (
     power,
     tensor,
 )
+from seifertlab.perturb.linalg import LinAlgError
 from seifertlab.seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 
@@ -168,8 +169,8 @@ def excess_euler_per_leaf(S: SeifertData) -> int:
 def part_by_part(family, eps: float):
     """S_eps's value, gradient and Hessian, each part taken through its own field.
 
-    The reference for ``PerturbationFamily.value/gradient/hessian``, which
-    call the parts' callbacks directly and must agree bit for bit.
+    The reference for ``PerturbationFamily.at``, whose field calls the
+    parts' callbacks directly in one pass and must agree bit for bit.
     """
     s0, s1, s2 = family.s0, family.s1, family.s2
 
@@ -187,3 +188,31 @@ def part_by_part(family, eps: float):
         return tuple([combine(r0, r1, r2) for r0, r1, r2 in zip(h0, h1, h2)])
 
     return value, gradient, hessian
+
+
+def solve_by_slices(A, b) -> tuple[float, ...]:
+    """LU with partial pivoting on slice copies of the augmented rows.
+
+    The reference for ``linalg.solve``, which runs the same float operations
+    in the same order by index and must agree bit for bit.
+    """
+    n = len(A)
+    a = [[*map(float, row), float(bi)] for row, bi in zip(A, b)]  # [A | b]
+    for k in range(n):
+        p, big = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > big:
+                p, big = i, abs(a[i][k])
+        if big == 0.0:
+            raise LinAlgError("Singular matrix")
+        a[k], a[p] = a[p], a[k]
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            m = row[k] / pivot
+            row[k + 1:] = [v - m * u for v, u in zip(row[k + 1:], tail)]
+    x = [row[n] for row in a]
+    for k in range(n - 1, -1, -1):  # back substitution, column by column
+        xk = x[k] = x[k] / a[k][k]
+        for i in range(k):
+            x[i] -= xk * a[i][k]
+    return tuple(x)

@@ -510,6 +510,46 @@ def test_perturb_output_matches_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# 30 eps per scenario, |eps| log-uniform in [1e-3, 0.2] with a random sign and
+# three digits, as a benchmark batch file draws them (random.Random(97))
+WORKLOAD_EPS = {
+    "circle": [
+        -0.0028, 0.129, 0.021, -0.00109, 0.00703, -0.0292, -0.0353, -0.00361, -0.00263,
+        0.0171, 0.0967, 0.0203, 0.00141, 0.00178, -0.0176, 0.122, -0.0513, 0.0015, 0.00261,
+        0.0147, 0.00688, 0.00106, 0.176, -0.0138, 0.00113, -0.019, 0.0492, 0.00127, 0.0848,
+        0.0169,
+    ],
+    "sphere": [
+        -0.0182, 0.00668, -0.0103, -0.0244, 0.0061, 0.183, -0.0809, 0.00478, 0.0212, 0.0599,
+        -0.106, -0.00111, 0.0155, 0.0173, -0.00169, 0.00852, 0.00724, 0.0159, 0.00775, -0.099,
+        -0.00295, 0.00102, -0.00275, 0.00255, -0.0837, 0.0549, 0.0027, 0.121, 0.105, 0.0444,
+    ],
+    "linear": [
+        -0.0605, 0.00416, -0.00137, 0.02, 0.00187, -0.00998, 0.00194, 0.124, 0.0686, 0.00232,
+        0.00224, -0.0126, -0.0195, -0.158, -0.0909, -0.121, -0.00936, 0.0168, -0.0708,
+        0.00471, -0.182, -0.0139, 0.00234, -0.00301, 0.00332, 0.00322, -0.00674, 0.00212,
+        0.0289, 0.1,
+    ],
+}
+
+
+def test_perturb_batch_at_workload_scale_matches_recorded_bytes(capsys, tmp_path):
+    # sha256 of the output before S_eps combined its parts inside `at()` and
+    # the LU and Jacobi loops stopped rebuilding their slices and pairs
+    path = tmp_path / "requests.ndjson"
+    path.write_text("".join(
+        json.dumps({"mode": "perturb", "scenario": name, "eps": eps}) + "\n"
+        for name, eps in WORKLOAD_EPS.items()
+    ))
+    code, out = run(capsys, "batch", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9a47f7a8a5efdae8226e0cb4a9b99b127b71ed9fabafc3dbd2645b5ff31f3b29"
+    )
+
+
 def test_exact_only_calls_do_not_load_numpy():
     src = os.path.dirname(os.path.dirname(seifertlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from helpers import solve_by_slices
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seifertlab.perturb.linalg import LinAlgError, eigh, kernel_basis, pinv_solve, solve
 
@@ -123,6 +125,42 @@ def test_solve_raises_on_an_exactly_singular_matrix(n, values, zero_row):
         A[:, -1] = A[:, 0]
     with pytest.raises(LinAlgError):
         solve(_rows(A), [1.0] * n)
+
+
+# exact zeros of both signs are drawn often, so zero pivots and row swaps come up
+lu_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """Square systems of size 1-3, not necessarily symmetric."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(lu_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return tuple(map(tuple, rows)), tuple(draw(st.lists(lu_entries, min_size=n, max_size=n)))
+
+
+def _solve_outcome(solver, A, b):
+    """The bits of every float of the solution, or the error's type and message."""
+    try:
+        return [struct.pack("<d", v) for v in solver(A, b)]
+    except Exception as exc:  # both must fail the same way, not just both fail
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(linear_systems())
+@example(((((0.0, 1.0), (2.0, 3.0))), (1.0, -0.0)))  # row swap at the first pivot
+@example(((((1.0, 2.0), (2.0, 4.0))), (1.0, 1.0)))  # second pivot exactly zero
+@example(((((-0.0, 0.0), (0.0, -0.0))), (0.0, 0.0)))  # signed zeros only
+@example(((((1e300, 1.0), (1.0, 1e-300))), (math.inf, 1.0)))
+@example(((((math.nan, 1.0, 0.0), (0.0, 2.0, 1.0), (3.0, 0.0, -0.0))), (1.0, 2.0, 3.0)))
+def test_solve_matches_the_slicing_lu_bit_for_bit(system):
+    A, b = system
+    assert _solve_outcome(solve, A, b) == _solve_outcome(solve_by_slices, A, b)
 
 
 def _reference_kernel(A, rtol: float):

@@ -101,6 +101,24 @@ def test_power_rejects_non_integer_exponent():
         power(canonical_bundle(S237), True)  # a bool is no int
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # accepted before, and h0 of it read 1.5
+        (lambda: LineBundleData(0.5, (0, 0, 0), S235), "degree e must be an integer, got 0.5"),
+        (lambda: LineBundleData(True, (0, 0, 0), S235), "degree e must be an integer, got True"),
+        (lambda: LineBundleData(0, (True, 0, 0), S235), "residue True not normalized"),
+        # normalize carries the float e through to the record
+        (lambda: normalize(0.5, [1, 2, 3], S235), "degree e must be an integer, got 0.5"),
+        (lambda: normalize(0, [1.0, 2, 3], S235), "residue 1.0 not normalized"),
+    ],
+    ids=["float-e", "bool-e", "bool-residue", "normalize-float-e", "normalize-float-residue"],
+)
+def test_line_bundle_data_rejects_values_that_are_not_ints(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_tensor_examples():
     K = canonical_bundle(S237)
     KK = tensor(K, K)
