@@ -328,7 +328,10 @@ def run_request(req: dict) -> tuple[dict, bool]:
         from .seifert import SeifertData
 
         pairs = [_ints(f, "each fiber") for f in _typed(req, "fibers", list)]
-        fibers = tuple((a, g) for a, g in pairs)  # unpacking rejects a non-pair
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"each fiber must be a pair [alpha, gamma], got {pair!r}")
+        fibers = tuple(map(tuple, pairs))
         S = SeifertData(_typed(req, "b", int), fibers)
         echo = {"mode": "seifert", "b": S.b, "fibers": [list(f) for f in fibers]}
         if casson is not None:
@@ -388,13 +391,14 @@ def _run_batch(args) -> int:
     """Run a batch file, one JSON request a line; exit 1 if any line fails.
 
     Lines break at newlines only (read as universal newlines), since a JSON
-    string may hold U+2028, U+2029 or U+0085 raw.  A line whose exact text
-    comes again later runs once: its printed line and its ok flag are kept
-    until its last occurrence, and the copies print the same bytes.  Error
-    lines are not kept, because their message names their own line number.
+    string may hold U+2028, U+2029 or U+0085 raw; a leading UTF-8 byte-order
+    mark is dropped.  A line whose exact text comes again later runs once:
+    its printed line and its ok flag are kept until its last occurrence, and
+    the copies print the same bytes.  Error lines are not kept, because
+    their message names their own line number.
     """
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        with open(args.path, encoding="utf-8-sig") as fh:
             raw_lines = fh.read().split("\n")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         error, code = _error(exc)

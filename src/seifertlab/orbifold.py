@@ -22,6 +22,7 @@ label the critical locus (see ``moduli``).  Neither builds a Fraction; a
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate, compress, cycle, islice
 from operator import add
 from typing import TYPE_CHECKING, Sequence
@@ -42,19 +43,21 @@ __all__ = [
 ]
 
 
-class Orbifold:
+class Orbifold(namedtuple("Orbifold", "alphas scale cofactors scaled_deg_k")):
     """Genus-zero 2-orbifold with cone points of orders alphas (each >= 2).
 
     Every orbifold degree lies in (1/A)Z with A = prod alpha_i, so degrees
     are handled as integers scaled by A.  The orbifold carries that scale:
     ``scale`` is A, ``cofactors`` are the A/alpha_i and ``scaled_deg_k`` is
-    A*deg K = -chi(C)*A = (n - 2)*A - sum_i A/alpha_i.  They are derived from
-    the alphas, so equality, hashing and repr ignore them.
+    A*deg K = -chi(C)*A = (n - 2)*A - sum_i A/alpha_i.  The constructor takes
+    the alphas alone and computes the other three fields, which the repr
+    shows too; two orbifolds are equal, and hash equal, exactly when their
+    alphas are.
     """
 
-    __slots__ = ("alphas", "scale", "cofactors", "scaled_deg_k")
+    __slots__ = ()
 
-    def __init__(self, alphas: Sequence[int]):
+    def __new__(cls, alphas: Sequence[int]):
         alphas = tuple(alphas)
         if len(alphas) < 1:
             raise ValueError("an orbifold needs at least one cone point here")
@@ -62,39 +65,26 @@ class Orbifold:
             if not isinstance(a, int) or a < 2:
                 raise ValueError(f"isotropy orders must be integers >= 2, got {a!r}")
         A = math.prod(alphas)
-        self.alphas = alphas
-        self.scale = A
-        self.cofactors = tuple(A // a for a in alphas)
-        self.scaled_deg_k = (len(alphas) - 2) * A - sum(self.cofactors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alphas == other.alphas
-
-    def __hash__(self):
-        return hash((self.alphas,))
-
-    def __repr__(self):
-        return f"Orbifold(alphas={self.alphas!r})"
+        cofactors = tuple(A // a for a in alphas)
+        return tuple.__new__(cls, (alphas, A, cofactors, (len(alphas) - 2) * A - sum(cofactors)))
 
     @property
     def n(self) -> int:
         return len(self.alphas)
 
 
-class LineBundleData:
+class LineBundleData(namedtuple("LineBundleData", "e betas orbifold")):
     """Normalized classification data (e; beta_1, ..., beta_n) of a line bundle.
 
     The constructor insists on normalized residues; use :func:`normalize` to
-    canonicalize raw data.  Values are never mutated after construction and
-    are safe to share.  Equality and hashing include the orbifold; the repr
-    leaves it out.
+    canonicalize raw data.  Values are immutable and safe to share.
+    Equality and hashing include the orbifold, so bundles with the same data
+    on different orbifolds differ.
     """
 
-    __slots__ = ("e", "betas", "orbifold")
+    __slots__ = ()
 
-    def __init__(self, e: int, betas: Sequence[int], orbifold: Orbifold):
+    def __new__(cls, e: int, betas: Sequence[int], orbifold: Orbifold):
         betas = tuple(betas)
         if len(betas) != orbifold.n:
             raise ValueError("one residue per cone point required")
@@ -103,20 +93,7 @@ class LineBundleData:
                 raise ValueError(f"residue {b!r} not normalized for isotropy order {a}")
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"degree e must be an integer, got {e!r}")
-        self.e = e
-        self.betas = betas
-        self.orbifold = orbifold
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.e, self.betas, self.orbifold) == (other.e, other.betas, other.orbifold)
-
-    def __hash__(self):
-        return hash((self.e, self.betas, self.orbifold))
-
-    def __repr__(self):
-        return f"LineBundleData(e={self.e!r}, betas={self.betas!r})"
+        return tuple.__new__(cls, (e, betas, orbifold))
 
     def as_dict(self) -> dict:
         return {"e": self.e, "betas": list(self.betas)}

@@ -28,7 +28,7 @@ from .linalg import (
     pinv_solve,
     solve,
 )
-from .scenarios import Scenario, Z1Site, _Record
+from .scenarios import Scenario, Z1Site
 
 __all__ = [
     "NewtonResult",
@@ -288,51 +288,21 @@ class FoundPoint(
         }
 
 
-class ExperimentReport(_Record):
-    """The outcome of one eps in a localisation run; run_localisation fills it in.
+class ExperimentReport(
+    namedtuple(
+        "ExperimentReport",
+        "scenario epsilon degenerate_abstained found predicted_count bijection_ok"
+        " indices_ok signed_count expected_signed_count signed_count_ok messages",
+        defaults=((), 0, None, None, None, None, None, ()),
+    )
+):
+    """The outcome of one eps in a localisation run.
 
-    ``found`` and ``messages`` default to new empty lists for every report.
+    ``found`` holds the FoundPoints and ``messages`` the notes of the run;
+    both default to empty.
     """
 
-    __slots__ = (
-        "scenario",
-        "epsilon",
-        "degenerate_abstained",
-        "found",
-        "predicted_count",
-        "bijection_ok",
-        "indices_ok",
-        "signed_count",
-        "expected_signed_count",
-        "signed_count_ok",
-        "messages",
-    )
-
-    def __init__(
-        self,
-        scenario: str,
-        epsilon: float,
-        degenerate_abstained: bool,
-        found: list[FoundPoint] | None = None,
-        predicted_count: int = 0,
-        bijection_ok: bool | None = None,
-        indices_ok: bool | None = None,
-        signed_count: int | None = None,
-        expected_signed_count: int | None = None,
-        signed_count_ok: bool | None = None,
-        messages: list[str] | None = None,
-    ):
-        self.scenario = scenario
-        self.epsilon = epsilon
-        self.degenerate_abstained = degenerate_abstained
-        self.found = [] if found is None else found
-        self.predicted_count = predicted_count
-        self.bijection_ok = bijection_ok
-        self.indices_ok = indices_ok
-        self.signed_count = signed_count
-        self.expected_signed_count = expected_signed_count
-        self.signed_count_ok = signed_count_ok
-        self.messages = [] if messages is None else messages
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -422,19 +392,13 @@ def run_localisation(
             continue
         sign = 1 if eps > 0 else -1
         S_eps = family.at(eps)
-        report = ExperimentReport(
-            scenario=scenario.name,
-            epsilon=eps,
-            degenerate_abstained=False,
-            predicted_count=len(preds),
-        )
+        found: list[FoundPoint] = []
+        messages: list[str] = []
         results: list[NewtonResult] = []
         for i, pred in enumerate(preds):
             res = newton_critical_point(S_eps, pred.point)
             if not res.converged:
-                report.messages.append(
-                    f"newton failed from prediction {i}: {res.message}"
-                )
+                messages.append(f"newton failed from prediction {i}: {res.message}")
                 continue
             if all(_norm(_sub(res.point, r.point)) >= DEDUPE_RADIUS for r in results):
                 results.append(res)
@@ -461,8 +425,8 @@ def run_localisation(
                 index = _index(evals, spectral_gap(scenario, eps, max(abs_evals)))
             except DegenerateCriticalPointError as exc:
                 index = None
-                report.messages.append(str(exc))
-            report.found.append(
+                messages.append(str(exc))
+            found.append(
                 FoundPoint(
                     point=x,
                     value=res.value,
@@ -474,24 +438,31 @@ def run_localisation(
                     outside_basin=outside,
                 )
             )
-        inside = [f for f in report.found if not f.outside_basin]
-        report.bijection_ok = bijection and len(used) == len(preds) == len(inside)
-        report.indices_ok = bool(inside) and all(
+        inside = [f for f in found if not f.outside_basin]
+        indices_ok = bool(inside) and all(
             f.index is not None and f.index == f.predicted_index for f in inside
         )
-        report.signed_count = sum(
-            (-1) ** f.index for f in inside if f.index is not None
-        )
-        report.expected_signed_count = _expected_signed_count(scenario, sign)
+        signed_count = sum((-1) ** f.index for f in inside if f.index is not None)
+        expected = _expected_signed_count(scenario, sign)
+        signed_count_ok = None
         if sign > 0 or scenario.chi_c_count_valid:
-            report.signed_count_ok = (
-                report.signed_count == report.expected_signed_count
-            )
+            signed_count_ok = signed_count == expected
         else:
-            report.signed_count_ok = None
-            report.messages.append(
-                "eps < 0 signed-count check skipped: S1|Z0 not declared proper"
+            messages.append("eps < 0 signed-count check skipped: S1|Z0 not declared proper")
+        reports.append(
+            ExperimentReport(
+                scenario=scenario.name,
+                epsilon=eps,
+                degenerate_abstained=False,
+                found=found,
+                predicted_count=len(preds),
+                bijection_ok=bijection and len(used) == len(preds) == len(inside),
+                indices_ok=indices_ok,
+                signed_count=signed_count,
+                expected_signed_count=expected,
+                signed_count_ok=signed_count_ok,
+                messages=messages,
             )
-        reports.append(report)
+        )
     return reports
 

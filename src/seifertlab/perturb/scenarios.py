@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from typing import Callable
 
-from .fields import PerturbationFamily, ScalarField, Vector
+from .fields import PerturbationFamily, ScalarField
 from .linalg import RANK_RTOL, _dot, _norm, kernel_basis
 
 __all__ = [
@@ -49,16 +49,6 @@ VALIDATE_TOL = 1e-8  # a residual Scenario.validate reads as zero lies below thi
 VALIDATE_SAMPLES = 32  # Z0 points Scenario.validate checks
 
 
-class _Record:
-    """Base of the mutable records: a repr over the fields named in __slots__."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 def _tangential_s1(family: PerturbationFamily, x) -> list[float]:
     """grad S1(x) on an orthonormal basis of Ker Hess S0(x), the tangent space of Z0.
 
@@ -75,36 +65,31 @@ class Z0Component(namedtuple("Z0Component", "name chi chi_c morse_bott_index")):
     __slots__ = ()
 
 
-class Z1Site(_Record):
+class Z1Site(
+    namedtuple(
+        "Z1Site",
+        "point component z0_chart z0_dim flat flat_seeds",
+        defaults=(False, ()),
+    )
+):
     """One charted piece of Z1 = Crit(S1|Z0).
 
     ``z0_chart`` parametrizes Z0 near ``point`` (chart(0) = point) and is
     used to compute the index of S1 restricted to Z0.  When ``flat`` is set,
     S1|Z0 is constant along the chart, Z1 fills the whole chart, and the
     leading-term function is minimized over it starting from ``flat_seeds``.
-    ``point`` is stored as a tuple of floats.
     """
 
-    __slots__ = ("point", "component", "z0_chart", "z0_dim", "flat", "flat_seeds")
-
-    def __init__(
-        self,
-        point,
-        component: Z0Component,
-        z0_chart: Callable[[Vector], Vector],
-        z0_dim: int,
-        flat: bool = False,
-        flat_seeds: tuple = (),
-    ):
-        self.point = tuple(map(float, point))
-        self.component = component
-        self.z0_chart = z0_chart
-        self.z0_dim = z0_dim
-        self.flat = flat
-        self.flat_seeds = flat_seeds
+    __slots__ = ()
 
 
-class Scenario(_Record):
+class Scenario(
+    namedtuple(
+        "Scenario",
+        "name family components z1_sites z0_sampler chi_c_count_valid",
+        defaults=(True,),
+    )
+):
     """A perturbation family with its declared critical structure.
 
     ``z0_sampler(n)`` returns n evenly spaced points of Z0;
@@ -112,23 +97,7 @@ class Scenario(_Record):
     eps < 0 signed count needs.
     """
 
-    __slots__ = ("name", "family", "components", "z1_sites", "z0_sampler", "chi_c_count_valid")
-
-    def __init__(
-        self,
-        name: str,
-        family: PerturbationFamily,
-        components: tuple[Z0Component, ...],
-        z1_sites: tuple[Z1Site, ...],
-        z0_sampler: Callable[[int], list[Vector]],
-        chi_c_count_valid: bool = True,
-    ):
-        self.name = name
-        self.family = family
-        self.components = components
-        self.z1_sites = z1_sites
-        self.z0_sampler = z0_sampler
-        self.chi_c_count_valid = chi_c_count_valid
+    __slots__ = ()
 
     def validate(self) -> list[str]:
         """Residual checks on the declared structure; empty list means valid.

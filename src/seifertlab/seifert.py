@@ -13,6 +13,7 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
@@ -47,53 +48,45 @@ def pairwise_coprime(values: Sequence[int]) -> bool:
     )
 
 
-class SeifertData:
+class SeifertData(namedtuple("SeifertData", "b fibers orbifold a_times_e")):
     """Seifert invariants (b; (alpha_i, gamma_i)) of an oriented fibration over S^2.
 
-    The base ``orbifold`` is built once, with the fibration, and
-    ``a_times_e`` is the integer A*e(Y) = b*A + sum gamma_i*A/alpha_i.  Both
-    are derived from (b, fibers), so equality, hashing and repr ignore them.
-    ``_orbifold`` lets :func:`brieskorn_seifert_data` hand over the orbifold
-    it solved on instead of building a second one.
+    The constructor takes (b, fibers) and computes the other two fields: the
+    base ``orbifold``, built once with the fibration, and ``a_times_e``, the
+    integer A*e(Y) = b*A + sum gamma_i*A/alpha_i.  Both are functions of
+    (b, fibers), so two fibrations are equal, and hash equal, exactly when
+    their (b, fibers) are; the repr shows all four fields.  ``_orbifold``
+    lets :func:`brieskorn_seifert_data` hand over the orbifold it solved on
+    instead of building a second one.
     """
 
-    __slots__ = ("b", "fibers", "orbifold", "a_times_e")
+    __slots__ = ()
 
-    def __init__(
-        self, b: int, fibers: Sequence[tuple[int, int]], _orbifold: Orbifold | None = None
+    def __new__(
+        cls, b: int, fibers: Sequence[tuple[int, int]], _orbifold: Orbifold | None = None
     ):
-        self.b = _integer(b, "b")
-        self.fibers = tuple(
+        b = _integer(b, "b")
+        fibers = tuple(
             (_integer(a, "fiber multiplicity"), _integer(g, "fiber invariant"))
             for a, g in fibers
         )
-        if not self.fibers:
+        if not fibers:
             raise ValueError("at least one exceptional fiber required")
-        for a, g in self.fibers:
+        for a, g in fibers:
             if a < 2:
                 raise ValueError(f"fiber multiplicity {a} must be >= 2")
             if not 0 < g < a:
                 raise ValueError(f"fiber pair ({a},{g}) violates 0 < gamma < alpha")
             if gcd(a, g) != 1:
                 raise ValueError(f"fiber pair ({a},{g}) is not coprime")
-        C = Orbifold(self.alphas) if _orbifold is None else _orbifold
-        if C.alphas != self.alphas:
-            raise ValueError(f"orbifold {C.alphas} does not match the fibers {self.alphas}")
-        self.orbifold = C
-        self.a_times_e = self.b * C.scale + sum(g * c for g, c in zip(self.gammas, C.cofactors))
-        if self.a_times_e == 0:
+        alphas = tuple(a for a, _ in fibers)
+        C = Orbifold(alphas) if _orbifold is None else _orbifold
+        if C.alphas != alphas:
+            raise ValueError(f"orbifold {C.alphas} does not match the fibers {alphas}")
+        a_times_e = b * C.scale + sum(g * c for (_, g), c in zip(fibers, C.cofactors))
+        if a_times_e == 0:
             raise ValueError("Euler number e(Y) must be nonzero")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.b, self.fibers) == (other.b, other.fibers)
-
-    def __hash__(self):
-        return hash((self.b, self.fibers))
-
-    def __repr__(self):
-        return f"SeifertData(b={self.b!r}, fibers={self.fibers!r})"
+        return tuple.__new__(cls, (b, fibers, C, a_times_e))
 
     @property
     def alphas(self) -> tuple[int, ...]:

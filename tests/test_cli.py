@@ -952,6 +952,30 @@ def test_batch_line_without_a_required_field_names_it(capsys, tmp_path, line, fi
     }
 
 
+@pytest.mark.parametrize("fiber", [[2, 1, 0], [2], []])
+def test_batch_fiber_that_is_not_a_pair_names_the_field(capsys, tmp_path, fiber):
+    line = json.dumps({"mode": "seifert", "b": -1, "fibers": [[3, 1], fiber]})
+    code, outputs = _batch(capsys, tmp_path, line)
+    assert code == 1
+    assert outputs == [
+        {
+            "error": {
+                "kind": "validation",
+                "message": f"line 1: each fiber must be a pair [alpha, gamma], got {fiber}",
+            }
+        }
+    ]
+
+
+def test_batch_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    lines = b'{"mode": "verify", "max": 3}\n{"mode": "brieskorn", "exponents": [2, 3, 7]}\n'
+    outputs = []
+    for name, data in (("plain.ndjson", lines), ("bom.ndjson", b"\xef\xbb\xbf" + lines)):
+        (tmp_path / name).write_bytes(data)
+        outputs.append(run(capsys, "batch", str(tmp_path / name)))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
 def test_batch_consistency_error_gives_error_object(capsys, tmp_path, monkeypatch):
     def failing(max_exponent):
         raise ConsistencyError("routes disagree")

@@ -423,8 +423,7 @@ def test_a_tampered_walk_degree_fails_pg_routes(monkeypatch, alphas):
 def _tampered(alphas, field, change):
     S = brieskorn_seifert_data(alphas)
     C = S.orbifold
-    object.__setattr__(C, field, change(getattr(C, field)))
-    return S
+    return S._replace(orbifold=C._replace(**{field: change(getattr(C, field))}))
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,39 @@ RECORDS = {
         ("name", "chi", "chi_c", "morse_bott_index"),
         {},
     ),
+    ("seifertlab.orbifold", "Orbifold"): (("alphas", "scale", "cofactors", "scaled_deg_k"), {}),
+    ("seifertlab.orbifold", "LineBundleData"): (("e", "betas", "orbifold"), {}),
+    ("seifertlab.seifert", "SeifertData"): (("b", "fibers", "orbifold", "a_times_e"), {}),
+    ("seifertlab.perturb.scenarios", "Z1Site"): (
+        ("point", "component", "z0_chart", "z0_dim", "flat", "flat_seeds"),
+        {"flat": False, "flat_seeds": ()},
+    ),
+    ("seifertlab.perturb.scenarios", "Scenario"): (
+        ("name", "family", "components", "z1_sites", "z0_sampler", "chi_c_count_valid"),
+        {"chi_c_count_valid": True},
+    ),
+    ("seifertlab.perturb.lab", "ExperimentReport"): (
+        (
+            "scenario", "epsilon", "degenerate_abstained", "found", "predicted_count",
+            "bijection_ok", "indices_ok", "signed_count", "expected_signed_count",
+            "signed_count_ok", "messages",
+        ),
+        {
+            "found": (), "predicted_count": 0, "bijection_ok": None, "indices_ok": None,
+            "signed_count": None, "expected_signed_count": None, "signed_count_ok": None,
+            "messages": (),
+        },
+    ),
+}
+# the classes under src/ that carry behaviour and are no records
+NOT_RECORDS = {
+    ("exact.py", "LaurentPoly"),
+    ("perturb/fields.py", "ScalarField"),
+    ("perturb/fields.py", "PerturbationFamily"),
+    ("errors.py", "ConsistencyError"),
+    ("perturb/lab.py", "DegenerateCriticalPointError"),
+    ("perturb/lab.py", "MultiplierError"),
+    ("perturb/linalg.py", "LinAlgError"),
 }
 
 
@@ -222,10 +255,45 @@ def test_records_keep_their_fields_and_defaults(module, name):
     assert cls._field_defaults == defaults
     assert cls.__slots__ == ()  # no per-instance dict
     required = [object()] * (len(fields) - len(defaults))
-    record = cls(*required)
+    # a record whose __new__ validates and derives fields is built unchecked
+    record = cls._make(required) if "__new__" in vars(cls) else cls(*required)
     assert tuple(record) == (*required, *defaults.values())
     assert repr(record).startswith(f"{name}(")
     assert record._replace().__class__ is cls
+
+
+def test_every_class_under_src_is_a_namedtuple_record():
+    # a value class is a collections.namedtuple subclass with __slots__ = ();
+    # only the classes that carry behaviour are written by hand
+    package = os.path.join(SRC, "seifertlab")
+    kept, hand_rolled = set(), []
+    for folder, _, files in os.walk(package):
+        for file in sorted(files):
+            if not file.endswith(".py"):
+                continue
+            path = os.path.join(folder, file)
+            rel = os.path.relpath(path, package).replace(os.sep, "/")
+            parts = ["seifertlab", *rel.removesuffix(".py").split("/")]
+            module = importlib.import_module(".".join(parts).removesuffix(".__init__"))
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                if (rel, node.name) in NOT_RECORDS:
+                    kept.add((rel, node.name))
+                    continue
+                cls = getattr(module, node.name, None)  # None: a class nested in a body
+                bases = getattr(cls, "__bases__", ())
+                if not (
+                    len(bases) == 1
+                    and issubclass(bases[0], tuple)
+                    and hasattr(bases[0], "_fields")
+                    and vars(cls).get("__slots__") == ()
+                ):
+                    hand_rolled.append(f"{rel}:{node.name}")
+    assert hand_rolled == []
+    assert kept == NOT_RECORDS  # the allow-list names only classes that exist
 
 
 def test_record_defaults_read_as_before():
@@ -282,16 +350,6 @@ NEVER_RUN_ON_A_REQUEST = {
     ("exact.py", "LaurentPoly.__repr__"),
     ("exact.py", "LaurentPoly.__setattr__"),
     ("exact.py", "LaurentPoly.__bool__"),
-    ("orbifold.py", "Orbifold.__eq__"),
-    ("orbifold.py", "Orbifold.__hash__"),
-    ("orbifold.py", "Orbifold.__repr__"),
-    ("orbifold.py", "LineBundleData.__eq__"),
-    ("orbifold.py", "LineBundleData.__hash__"),
-    ("orbifold.py", "LineBundleData.__repr__"),
-    ("seifert.py", "SeifertData.__eq__"),
-    ("seifert.py", "SeifertData.__hash__"),
-    ("seifert.py", "SeifertData.__repr__"),
-    ("perturb/scenarios.py", "_Record.__repr__"),
     # the lazy name map of `from seifertlab import name`
     ("__init__.py", "__getattr__"),
     # runs only on a fault, to name the vector whose m is no non-negative integer

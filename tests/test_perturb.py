@@ -664,9 +664,8 @@ def test_spectral_gap_follows_predicted_eigenvalue_order():
 
 def test_localisation_abstains_on_degenerate_family():
     sc = circle_scenario()
-    degenerate = circle_scenario()
-    degenerate.family = PerturbationFamily(
-        sc.family.s0, ScalarField.zero(3), ScalarField.zero(3)
+    degenerate = sc._replace(
+        family=PerturbationFamily(sc.family.s0, ScalarField.zero(3), ScalarField.zero(3))
     )
     rep = run_localisation(degenerate, [0.1])[0]
     assert rep.degenerate_abstained and not rep.ok
@@ -674,14 +673,15 @@ def test_localisation_abstains_on_degenerate_family():
 
 def test_record_construction_semantics():
     comp = Z0Component("point", 1, 1, 0)
-    site = Z1Site([1, 0, 0], comp, lambda t: np.zeros(3), z0_dim=0)
-    assert isinstance(site.point, tuple) and all(type(v) is float for v in site.point)
+    site = Z1Site((1.0, 0.0, 0.0), comp, lambda t: np.zeros(3), z0_dim=0)
     assert site.point == (1.0, 0.0, 0.0)
     assert not site.flat and site.flat_seeds == ()
-    first, second = ExperimentReport("a", 0.1, False), ExperimentReport("b", 0.2, False)
-    assert first.found is not second.found and first.messages is not second.messages
-    first.messages.append("note")
-    assert second.messages == [] and first.as_dict()["messages"] == ["note"]
+    report = ExperimentReport("a", 0.1, False)
+    assert report.as_dict()["found"] == [] and report.as_dict()["messages"] == []
+    # records are immutable: a report is built once, with its found points and notes
+    for record, field in ((site, "point"), (report, "found"), (report, "messages")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, [])
     result = NewtonResult(np.zeros(1), 0.0, 0.0, 0, True)
     assert result.message == ""
     assert result._fields == ("point", "grad_norm", "value", "iterations", "converged", "message")
@@ -697,7 +697,7 @@ def test_tangential_s1_flags_a_point_of_z0_off_z1():
     sc = circle_scenario()
     off = (0.0, 1.0, 0.0)
     assert _norm(scenarios._tangential_s1(sc.family, off)) == 1.0
-    sc.z1_sites = (Z1Site(off, sc.components[0], lambda t: off, z0_dim=1),)
+    sc = sc._replace(z1_sites=(Z1Site(off, sc.components[0], lambda t: off, z0_dim=1),))
     assert sc.validate() == ["site [0.0, 1.0, 0.0]: tangential |grad S1| = 1.000e+00"]
 
 

@@ -198,7 +198,7 @@ def test_pd_route_truncates_each_class_at_a_lower_bound(alphas):
     truncated = set()
     for bound in range(brieskorn_seifert_data(alphas).orbifold.scaled_deg_k + 1):
         S = brieskorn_seifert_data(alphas)
-        S.orbifold.scaled_deg_k = bound
+        S = S._replace(orbifold=S.orbifold._replace(scaled_deg_k=bound))
         P, classes = _pd_classes(S)
         assert geometric_genus_pd(S) == _pd_per_l(S, bound)
         for l0 in (bound % P, bound % P + 1):
