@@ -95,36 +95,41 @@ def _emit(text: str, out_path: str | None) -> None:
 def _dump(report: dict) -> str:
     if "triples" in report:  # a sweep
         return _splice(report, "triples", _rows, indent=2)
-    return _splice(report, "z_components", _indented, indent=2)
+    return _splice(report, "z_components", _components, indent=2)
 
 
 def _dump_line(report: dict) -> str:
     # reports are trees built fresh per request, so no cycle check is needed
     return _splice(
-        report, "z_components", _compact, separators=(",", ":"), check_circular=False
+        report, "z_components", lambda records: _components(records, _COMPACT),
+        separators=(",", ":"), check_circular=False,
     )
 
 
-def _indented(records: list) -> str:
-    """The indented components list at depth 1: the SU(2) piece, then one
-    template per CP^e record (see ``moduli._components``) with n residues."""
+# the components list at depth 1, indented: its head (the SU(2) piece), a
+# CP^e record's start, one residue, the residue separator, the record's end,
+# and the list's tail
+_INDENTED = (
+    '[\n    {\n      "kind": "su2"\n    }',
+    ',\n    {\n      "ambient_dim_c": %d,\n      "e": %d,\n      "k": %d,\n'
+    '      "kind": "cpe",\n      "l0_power": %d,\n      "morse_index": %d,\n'
+    '      "vector": [\n',
+    "        %d",
+    ",\n",
+    "\n      ]\n    }",
+    "\n  ]",
+)
+# the same list on one line: no string in a component holds whitespace
+_COMPACT = tuple("".join(part.split()) for part in _INDENTED)
+
+
+def _components(records: list, template: tuple = _INDENTED) -> str:
+    """The components list: the SU(2) piece, then one record template per CP^e
+    record (see ``moduli._components``) with n residues."""
+    head, start, residue, separator, end, tail = template
     n = len(records[0]) - 5 if records else 0
-    record = (
-        ',\n    {\n      "ambient_dim_c": %d,\n      "e": %d,\n      "k": %d,\n'
-        '      "kind": "cpe",\n      "l0_power": %d,\n      "morse_index": %d,\n'
-        '      "vector": [\n' + ",\n".join(["        %d"] * n) + "\n      ]\n    }"
-    )
-    return "".join(['[\n    {\n      "kind": "su2"\n    }', *map(record.__mod__, records), "\n  ]"])
-
-
-def _compact(records: list) -> str:
-    """The compact components list: as :func:`_indented`, without whitespace."""
-    n = len(records[0]) - 5 if records else 0
-    record = (
-        ',{"ambient_dim_c":%d,"e":%d,"k":%d,"kind":"cpe","l0_power":%d,"morse_index":%d,'
-        '"vector":[' + ",".join(["%d"] * n) + "]}"
-    )
-    return "".join(['[{"kind":"su2"}', *map(record.__mod__, records), "]"])
+    record = start + separator.join([residue] * n) + end
+    return "".join([head, *map(record.__mod__, records), tail])
 
 
 # one sweep row, ``IdentityChainReport.as_dict``, indented at depth 2
@@ -365,11 +370,7 @@ def run_request(req: dict) -> tuple[dict, bool]:
                 raise ValueError(f"field {key!r} must be positive, got {value!r}")
         from .perturb import run_localisation, scenario_by_name
 
-        scenario = scenario_by_name(name)
-        problems = scenario.validate()
-        if problems:
-            raise ConsistencyError("scenario failed validation: " + "; ".join(problems))
-        reports = run_localisation(scenario, eps, **limits)
+        reports = run_localisation(scenario_by_name(name), eps, **limits)
         payload = {
             "input": {"mode": "perturb", "scenario": name, "eps": eps},
             "reports": [rep.as_dict() for rep in reports],

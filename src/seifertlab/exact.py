@@ -41,6 +41,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the polynomial through the constructor's checks
+        return LaurentPoly, (self._coeffs,)
+
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()

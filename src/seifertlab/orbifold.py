@@ -68,6 +68,10 @@ class Orbifold(namedtuple("Orbifold", "alphas scale cofactors scaled_deg_k")):
         cofactors = tuple(A // a for a in alphas)
         return tuple.__new__(cls, (alphas, A, cofactors, (len(alphas) - 2) * A - sum(cofactors)))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild the record through the constructor's checks
+        return (self.alphas,)
+
     @property
     def n(self) -> int:
         return len(self.alphas)

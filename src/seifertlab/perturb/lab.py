@@ -1,10 +1,10 @@
 """Newton continuation, Morse indices, leading terms, and localisation runs.
 
 The tolerances are module constants, each with a comment on what it bounds:
-the block below, RANK_RTOL in linalg.py, the validation thresholds in
-scenarios.py and the finite-difference steps in fields.py.  A call passes
-only newton_critical_point's tol, morse_index's gap, and run_localisation's
-basin_radius and c_bound; the command line sets the last two.
+the block below, RANK_RTOL in linalg.py and the finite-difference steps
+in fields.py.  A call passes only newton_critical_point's tol,
+morse_index's gap, and run_localisation's basin_radius and c_bound; the
+command line sets the last two.
 """
 
 from __future__ import annotations
@@ -275,18 +275,6 @@ class FoundPoint(
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "point": [float(v) for v in self.point],
-            "value": self.value,
-            "grad_residual": self.grad_residual,
-            "index": self.index,
-            "predicted_index": self.predicted_index,
-            "matched_prediction": self.matched_prediction,
-            "min_abs_hessian_eig": self.min_abs_hessian_eig,
-            "outside_basin": self.outside_basin,
-        }
-
 
 class ExperimentReport(
     namedtuple(
@@ -318,7 +306,7 @@ class ExperimentReport(
             "scenario": self.scenario,
             "epsilon": self.epsilon,
             "degenerate_abstained": self.degenerate_abstained,
-            "found": [f.as_dict() for f in self.found],
+            "found": [f._asdict() for f in self.found],
             "predicted_count": self.predicted_count,
             "checks": {
                 "bijection": self.bijection_ok,

@@ -23,7 +23,7 @@ import math
 import sys
 from operator import add, mul, neg, sub
 
-__all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "kernel_basis", "pinv_solve"]
+__all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "pinv_solve"]
 
 _EPS = sys.float_info.epsilon
 _MAX_SWEEPS = 64  # Jacobi converges quadratically; finite input needs a handful
@@ -165,32 +165,15 @@ def inertia_counts(evals, gap: float) -> tuple[int, int, int]:
     return neg, null, pos
 
 
-def _cutoff(evals, rtol: float) -> float:
-    """rtol times the largest |eigenvalue|, floored at rtol * 1e-300."""
-    scale = max(map(abs, evals), default=0.0)
-    return rtol * max(scale, 1e-300)
-
-
-def kernel_basis(H, rtol: float = RANK_RTOL) -> tuple[tuple[float, ...], ...]:
-    """Orthonormal basis of the numerical kernel of symmetric H, as k vectors.
-
-    The cutoff is relative: eigenvalues of magnitude <= rtol * max|eig| count
-    as zero.  Returns a tuple of k vectors of length d, possibly with k = 0.
-    """
-    evals, vecs = eigh(H)
-    cutoff = _cutoff(evals, rtol)
-    return tuple(v for lam, v in zip(evals, vecs) if abs(lam) <= cutoff)
-
-
 def pinv_solve(H, b, rtol: float = RANK_RTOL) -> tuple[float, ...]:
     """Minimal-norm least-squares solution of H x = b for symmetric H.
 
-    Spectral pseudo-inverse with relative rank cutoff rtol * max|eig|; kernel
-    directions receive no component, which is what makes the solution
-    minimal-norm.
+    Spectral pseudo-inverse with relative rank cutoff rtol * max|eig|, the
+    max floored at 1e-300; kernel directions receive no component, which is
+    what makes the solution minimal-norm.
     """
     evals, vecs = eigh(H)
-    cutoff = _cutoff(evals, rtol)
+    cutoff = rtol * max(max(map(abs, evals), default=0.0), 1e-300)
     x = (0.0,) * len(evals)
     for lam, v in zip(evals, vecs):
         if abs(lam) > cutoff:

@@ -30,7 +30,7 @@ from collections import namedtuple
 from typing import Callable
 
 from .fields import PerturbationFamily, ScalarField
-from .linalg import RANK_RTOL, _dot, _norm, kernel_basis
+from .linalg import _dot
 
 __all__ = [
     "Z0Component",
@@ -45,18 +45,6 @@ __all__ = [
 
 
 _ZERO3 = ((0.0, 0.0, 0.0),) * 3
-VALIDATE_TOL = 1e-8  # a residual Scenario.validate reads as zero lies below this
-VALIDATE_SAMPLES = 32  # Z0 points Scenario.validate checks
-
-
-def _tangential_s1(family: PerturbationFamily, x) -> list[float]:
-    """grad S1(x) on an orthonormal basis of Ker Hess S0(x), the tangent space of Z0.
-
-    It vanishes exactly where a point of Z0 lies on Z1 = Crit(S1|Z0).
-    """
-    basis = kernel_basis(family.s0.hessian(x), rtol=RANK_RTOL)
-    g1 = family.s1.gradient(x)
-    return [_dot(k, g1) for k in basis]
 
 
 class Z0Component(namedtuple("Z0Component", "name chi chi_c morse_bott_index")):
@@ -86,41 +74,17 @@ class Z1Site(
 class Scenario(
     namedtuple(
         "Scenario",
-        "name family components z1_sites z0_sampler chi_c_count_valid",
+        "name family components z1_sites chi_c_count_valid",
         defaults=(True,),
     )
 ):
     """A perturbation family with its declared critical structure.
 
-    ``z0_sampler(n)`` returns n evenly spaced points of Z0;
     ``chi_c_count_valid`` declares S1|Z0 proper and bounded below, which the
     eps < 0 signed count needs.
     """
 
     __slots__ = ()
-
-    def validate(self) -> list[str]:
-        """Residual checks on the declared structure; empty list means valid.
-
-        Every Z1 point must kill grad S0 and the component of grad S1
-        tangent to Z0; VALIDATE_SAMPLES sampled Z0 points must kill grad S0.
-        The samples are deterministic, so validation draws no random numbers.
-        """
-        problems = []
-        for site in self.z1_sites:
-            g0 = _norm(self.family.s0.gradient(site.point))
-            if g0 >= VALIDATE_TOL:
-                problems.append(f"site {list(site.point)}: |grad S0| = {g0:.3e}")
-            tang_part = _norm(_tangential_s1(self.family, site.point))
-            if tang_part >= VALIDATE_TOL:
-                problems.append(
-                    f"site {list(site.point)}: tangential |grad S1| = {tang_part:.3e}"
-                )
-        for x in self.z0_sampler(VALIDATE_SAMPLES):
-            g0 = _norm(self.family.s0.gradient(x))
-            if g0 >= VALIDATE_TOL:
-                problems.append(f"sampled {list(x)}: |grad S0| = {g0:.3e}")
-        return problems
 
 
 def circle_scenario() -> Scenario:
@@ -152,12 +116,7 @@ def circle_scenario() -> Scenario:
         Z1Site((1.0, 0.0, 0.0), comp, chart_at(0.0), z0_dim=1),
         Z1Site((-1.0, 0.0, 0.0), comp, chart_at(math.pi), z0_dim=1),
     )
-
-    def sampler(n):
-        thetas = [i * (2 * math.pi / n) for i in range(n)]
-        return [(math.cos(th), math.sin(th), 0.0) for th in thetas]
-
-    return Scenario("circle", family, (comp,), sites, sampler)
+    return Scenario("circle", family, (comp,), sites)
 
 
 def sphere_scenario() -> Scenario:
@@ -192,19 +151,7 @@ def sphere_scenario() -> Scenario:
         Z1Site((0.0, 0.0, 1.0), comp, chart_pole(1.0), z0_dim=2),
         Z1Site((0.0, 0.0, -1.0), comp, chart_pole(-1.0), z0_dim=2),
     )
-
-    def sampler(n):
-        # Fibonacci lattice: equal-area bands in z, golden-angle steps in longitude
-        out = []
-        for k in range(n):
-            i = k + 0.5
-            z = 1.0 - 2.0 * i / n
-            r = math.sqrt(1.0 - z * z)
-            phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-            out.append((r * math.cos(phi), r * math.sin(phi), z))
-        return out
-
-    return Scenario("sphere", family, (comp,), sites, sampler)
+    return Scenario("sphere", family, (comp,), sites)
 
 
 def linear_scenario() -> Scenario:
@@ -239,19 +186,7 @@ def linear_scenario() -> Scenario:
             flat_seeds=((0.0,),),
         ),
     )
-
-    def sampler(n):
-        step = 4.0 / max(n - 1, 1)
-        return [(0.0, 0.0, -2.0 + k * step) for k in range(n)]
-
-    return Scenario(
-        "linear",
-        family,
-        (comp,),
-        sites,
-        sampler,
-        chi_c_count_valid=False,
-    )
+    return Scenario("linear", family, (comp,), sites, chi_c_count_valid=False)
 
 
 _REGISTRY: dict[str, Callable[[], Scenario]] = {

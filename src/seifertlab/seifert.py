@@ -14,7 +14,7 @@ so every line bundle is a power of N; ``bundle_log`` inverts that power map.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConsistencyError
@@ -55,16 +55,12 @@ class SeifertData(namedtuple("SeifertData", "b fibers orbifold a_times_e")):
     base ``orbifold``, built once with the fibration, and ``a_times_e``, the
     integer A*e(Y) = b*A + sum gamma_i*A/alpha_i.  Both are functions of
     (b, fibers), so two fibrations are equal, and hash equal, exactly when
-    their (b, fibers) are; the repr shows all four fields.  ``_orbifold``
-    lets :func:`brieskorn_seifert_data` hand over the orbifold it solved on
-    instead of building a second one.
+    their (b, fibers) are; the repr shows all four fields.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, b: int, fibers: Sequence[tuple[int, int]], _orbifold: Orbifold | None = None
-    ):
+    def __new__(cls, b: int, fibers: Sequence[tuple[int, int]]):
         b = _integer(b, "b")
         fibers = tuple(
             (_integer(a, "fiber multiplicity"), _integer(g, "fiber invariant"))
@@ -79,14 +75,15 @@ class SeifertData(namedtuple("SeifertData", "b fibers orbifold a_times_e")):
                 raise ValueError(f"fiber pair ({a},{g}) violates 0 < gamma < alpha")
             if gcd(a, g) != 1:
                 raise ValueError(f"fiber pair ({a},{g}) is not coprime")
-        alphas = tuple(a for a, _ in fibers)
-        C = Orbifold(alphas) if _orbifold is None else _orbifold
-        if C.alphas != alphas:
-            raise ValueError(f"orbifold {C.alphas} does not match the fibers {alphas}")
+        C = Orbifold(tuple(a for a, _ in fibers))
         a_times_e = b * C.scale + sum(g * c for (_, g), c in zip(fibers, C.cofactors))
         if a_times_e == 0:
             raise ValueError("Euler number e(Y) must be nonzero")
         return tuple.__new__(cls, (b, fibers, C, a_times_e))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the record through the constructor's checks
+        return self.b, self.fibers
 
     @property
     def alphas(self) -> tuple[int, ...]:
@@ -121,14 +118,14 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
         raise ValueError("multiplicities must be >= 2")
     if not pairwise_coprime(alphas):
         raise ValueError(f"multiplicities {alphas} are not pairwise coprime")
-    C = Orbifold(alphas)
-    A = C.scale
-    gammas = [(-pow(c, -1, a)) % a for a, c in zip(alphas, C.cofactors)]
-    weighted = sum(g * c for g, c in zip(gammas, C.cofactors))
+    A = prod(alphas)
+    cofactors = [A // a for a in alphas]
+    gammas = [(-pow(c, -1, a)) % a for a, c in zip(alphas, cofactors)]
+    weighted = sum(g * c for g, c in zip(gammas, cofactors))
     if (-1 - weighted) % A != 0:
         raise ConsistencyError("congruence solution failed to make A*e(Y) = -1")
     b = (-1 - weighted) // A
-    return SeifertData(b, tuple(zip(alphas, gammas)), _orbifold=C)
+    return SeifertData(b, tuple(zip(alphas, gammas)))
 
 
 def require_homology_sphere(S: SeifertData) -> int:

@@ -263,20 +263,19 @@ def _excess_euler(S: SeifertData) -> int:
     low = rho + 1 - A + frac + step when t = q + 1 and low + A when t = q,
     less A at the last residue; so all are multiples of A when low is, and
     the least of them is low - A when k1 = alpha_n and low otherwise.  When
-    step*alpha_n != A or that test fails, the prefix runs its leaves one by
-    one, and ``_exponent`` names the first failing vector.
+    that test fails, the prefix runs its leaves one by one, and
+    ``_exponent`` names the first failing vector.
     """
     require_homology_sphere(S)
     C = S.orbifold
     A, limit = C.scale, C.scaled_deg_k
     a, step = C.alphas[-1], C.cofactors[-1]
-    exact_step = step * a == A
     total = 0  # twice the sum
     for acc, frac, betas in _prefixes(C):
         q, rho = divmod(limit - 1 - acc, A)
         k1 = min(a, rho // step + 1)
         low = rho + 1 - A + frac + step
-        if exact_step and low % A == 0 and low >= (A if k1 == a else 0):
+        if low % A == 0 and low >= (A if k1 == a else 0):
             total += (k1 * (q + 2) + (a - k1) * q) * (q + 1)
             continue
         for beta in range(a):

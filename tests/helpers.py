@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from math import gcd
 
 from fractions import Fraction
+
+import numpy as np
 
 from seifertlab.errors import ConsistencyError
 from seifertlab.exact import LaurentPoly
@@ -21,7 +24,7 @@ from seifertlab.orbifold import (
     power,
     tensor,
 )
-from seifertlab.perturb.linalg import LinAlgError
+from seifertlab.perturb.linalg import RANK_RTOL, LinAlgError
 from seifertlab.seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 
@@ -216,3 +219,71 @@ def solve_by_slices(A, b) -> tuple[float, ...]:
         for i in range(k):
             x[i] -= xk * a[i][k]
     return tuple(x)
+
+
+VALIDATE_TOL = 1e-8  # a residual scenario_problems reads as zero lies below this
+VALIDATE_SAMPLES = 32  # Z0 points scenario_problems checks
+
+
+def circle_z0(n: int) -> list[tuple[float, float, float]]:
+    """n evenly spaced points of the unit circle in the z = 0 plane."""
+    thetas = [i * (2 * math.pi / n) for i in range(n)]
+    return [(math.cos(th), math.sin(th), 0.0) for th in thetas]
+
+
+def sphere_z0(n: int) -> list[tuple[float, float, float]]:
+    """n points of the unit sphere on a Fibonacci lattice."""
+    # equal-area bands in z, golden-angle steps in longitude
+    out = []
+    for k in range(n):
+        i = k + 0.5
+        z = 1.0 - 2.0 * i / n
+        r = math.sqrt(1.0 - z * z)
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+        out.append((r * math.cos(phi), r * math.sin(phi), z))
+    return out
+
+
+def linear_z0(n: int) -> list[tuple[float, float, float]]:
+    """n evenly spaced points of the w-axis from w = -2 to w = 2."""
+    step = 4.0 / max(n - 1, 1)
+    return [(0.0, 0.0, -2.0 + k * step) for k in range(n)]
+
+
+# each registered scenario's sampler of Z0, by name
+Z0_SAMPLERS = {"circle": circle_z0, "sphere": sphere_z0, "linear": linear_z0}
+
+
+def tangential_s1(family, x) -> np.ndarray:
+    """grad S1(x) on an orthonormal basis of Ker Hess S0(x), the tangent space of Z0.
+
+    The basis is numpy's eigenvectors whose eigenvalues lie within RANK_RTOL
+    times the largest |eigenvalue|.  The vector vanishes exactly where a
+    point of Z0 lies on Z1 = Crit(S1|Z0).
+    """
+    evals, vecs = np.linalg.eigh(np.array(family.s0.hessian(x), dtype=float))
+    cutoff = RANK_RTOL * max(float(np.max(np.abs(evals))), 1e-300)
+    basis = vecs[:, np.abs(evals) <= cutoff]
+    return basis.T @ np.array(family.s1.gradient(x), dtype=float)
+
+
+def scenario_problems(scenario) -> list[str]:
+    """Residual checks on a scenario's declared structure; empty means valid.
+
+    Every Z1 point must kill grad S0 and the component of grad S1 tangent to
+    Z0; VALIDATE_SAMPLES deterministic points of Z0 must kill grad S0.
+    """
+    family = scenario.family
+    problems = []
+    for site in scenario.z1_sites:
+        g0 = float(np.linalg.norm(family.s0.gradient(site.point)))
+        if g0 >= VALIDATE_TOL:
+            problems.append(f"site {list(site.point)}: |grad S0| = {g0:.3e}")
+        tang_part = float(np.linalg.norm(tangential_s1(family, site.point)))
+        if tang_part >= VALIDATE_TOL:
+            problems.append(f"site {list(site.point)}: tangential |grad S1| = {tang_part:.3e}")
+    for x in Z0_SAMPLERS[scenario.name](VALIDATE_SAMPLES):
+        g0 = float(np.linalg.norm(family.s0.gradient(x)))
+        if g0 >= VALIDATE_TOL:
+            problems.append(f"sampled {list(x)}: |grad S0| = {g0:.3e}")
+    return problems

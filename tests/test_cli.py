@@ -763,7 +763,7 @@ def test_closed_stdout_gives_error_object_on_stderr(tmp_path, unbuffered):
     _assert_stdout_failure(returncode, stderr, "Broken pipe")
 
 
-def test_perturb_lines_validate_without_numpy_random(tmp_path):
+def test_perturb_calls_exit_0_without_loading_numpy(tmp_path):
     src = os.path.dirname(os.path.dirname(seifertlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "requests.ndjson"
@@ -771,12 +771,8 @@ def test_perturb_lines_validate_without_numpy_random(tmp_path):
     script = (
         "import sys\n"
         "from seifertlab.cli import main\n"
-        "import seifertlab.perturb.scenarios as scenarios\n"
-        "calls = []\n"
-        "validate = scenarios.Scenario.validate\n"
-        "scenarios.Scenario.validate = lambda self: calls.append(self.name) or validate(self)\n"
         "code = main(sys.argv[1:])\n"
-        "sys.stderr.write('%d %s %s' % (code, calls, 'numpy' in sys.modules))\n"
+        "sys.stderr.write('%d %s' % (code, 'numpy' in sys.modules))\n"
     )
     # --assert: the linear scenario's O(eps^2) eigenvalue must read as index 0
     perturb = ["perturb", "--scenario", "linear", "--eps=1e-5,-1e-5", "--assert"]
@@ -786,20 +782,7 @@ def test_perturb_lines_validate_without_numpy_random(tmp_path):
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        name = "sphere" if argv[0] == "batch" else "linear"
-        assert proc.stderr.endswith(f"0 ['{name}'] False"), proc.stderr
-
-
-def test_batch_perturb_reports_invalid_scenario(capsys, tmp_path, monkeypatch):
-    from seifertlab.perturb import Scenario
-
-    monkeypatch.setattr(Scenario, "validate", lambda self: ["declared Z1 point is not critical"])
-    code, outputs = _batch(
-        capsys, tmp_path, '{"mode": "perturb", "scenario": "circle", "eps": [0.1]}'
-    )
-    assert code == 1
-    assert outputs[0]["error"]["kind"] == "consistency"
-    assert "declared Z1 point is not critical" in outputs[0]["error"]["message"]
+        assert proc.stderr.endswith("0 False"), proc.stderr
 
 
 def test_perturb_rejects_non_finite_numbers(capsys):

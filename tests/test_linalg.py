@@ -10,7 +10,7 @@ import pytest
 from helpers import solve_by_slices
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seifertlab.perturb.linalg import LinAlgError, eigh, kernel_basis, pinv_solve, solve
+from seifertlab.perturb.linalg import LinAlgError, eigh, pinv_solve, solve
 
 EIG_RTOL = 1e-12  # eigenvalues agree within this times max|eig|
 
@@ -172,22 +172,6 @@ def _reference_kernel(A, rtol: float):
     outside = np.abs(evals[~mask])
     gap = (min(outside) if outside.size else math.inf) - (max(inside) if inside.size else 0.0)
     return evals, vecs, mask, cutoff, gap
-
-
-@settings(max_examples=300, deadline=None)
-@given(symmetric(), st.sampled_from([1e-8, 1e-12]))
-def test_kernel_basis_spans_lapack_kernel(A, rtol):
-    evals, vecs, mask, cutoff, gap = _reference_kernel(A, rtol)
-    scale = float(np.max(np.abs(evals)))
-    # an eigenvalue at the cutoff could fall either side of it
-    assume(all(abs(abs(v) - cutoff) > 1e-12 * scale for v in evals))
-    assume(gap > 1e-6 * scale)
-    basis = np.array(kernel_basis(A, rtol=rtol)).reshape(-1, len(A))
-    assert basis.shape[0] == int(mask.sum())
-    assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]), rtol=0.0, atol=1e-13)
-    reference = vecs[:, mask]
-    # the same subspace: equal orthogonal projectors
-    assert np.allclose(basis.T @ basis, reference @ reference.T, rtol=0.0, atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None)

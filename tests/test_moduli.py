@@ -447,7 +447,7 @@ def test_count_only_scan_keeps_the_integrality_check(S, message):
         # m*A off a multiple of A on the first leaf, by a raised or lowered A*deg K
         ((2, 3, 7), "scaled_deg_k", lambda k: k + 1, "exponent 1/42 for vector (0, 0, 0, 0)"),
         ((7, 3, 5), "scaled_deg_k", lambda k: k - 1, "exponent -1/105 for vector (0, 0, 0, 0)"),
-        # step*alpha_n != A: no prefix takes the closed form
+        # a last cofactor one above A/alpha_n fails the closed form's test
         (
             (3, 5, 7, 11),
             "cofactors",
@@ -461,9 +461,6 @@ def test_count_only_scan_keeps_the_integrality_check(S, message):
             lambda c: (-c[0],) + c[1:],
             "exponent -1 for vector (0, 0, 0, 4, 0, 10)",
         ),
-        # step = A/alpha_n + A keeps every m*A a multiple of A, but not the
-        # closed form's t per residue: the leaves run one by one
-        ((4, 7, 3, 5), "cofactors", lambda c: c[:-1] + (c[-1] + 420,), 40),
     ],
 )
 def test_count_only_scan_falls_back_to_its_per_leaf_loop(alphas, field, change, outcome):

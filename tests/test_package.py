@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import importlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -219,7 +221,7 @@ RECORDS = {
         {"flat": False, "flat_seeds": ()},
     ),
     ("seifertlab.perturb.scenarios", "Scenario"): (
-        ("name", "family", "components", "z1_sites", "z0_sampler", "chi_c_count_valid"),
+        ("name", "family", "components", "z1_sites", "chi_c_count_valid"),
         {"chi_c_count_valid": True},
     ),
     ("seifertlab.perturb.lab", "ExperimentReport"): (
@@ -296,6 +298,24 @@ def test_every_class_under_src_is_a_namedtuple_record():
     assert kept == NOT_RECORDS  # the allow-list names only classes that exist
 
 
+@pytest.mark.parametrize(
+    "route",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_records_and_polynomials_survive_copy_and_pickle(route):
+    # a value whose constructor takes fewer arguments than it has fields is
+    # rebuilt from those arguments, through the constructor's checks
+    from seifertlab.moduli import moduli_report
+    from seifertlab.seifert import brieskorn_seifert_data, n_bundle
+
+    S = brieskorn_seifert_data((2, 3, 7))
+    report = moduli_report(S)
+    for value in (S.orbifold, S, n_bundle(S), report.hp_excess, report):
+        twin = route(value)
+        assert type(twin) is type(value) and twin == value
+
+
 def test_record_defaults_read_as_before():
     from seifertlab.moduli import EVector
     from seifertlab.perturb.lab import FoundPoint, NewtonResult
@@ -344,12 +364,15 @@ NEVER_RUN_ON_A_REQUEST = {
     ("exact.py", "LaurentPoly.__neg__"),
     ("exact.py", "LaurentPoly.__pow__"),
     ("exact.py", "LaurentPoly.one"),
-    # value semantics: equality, hashing, repr, immutability, truth
+    # value semantics: equality, hashing, repr, immutability, truth, copy and pickle
     ("exact.py", "LaurentPoly.__eq__"),
     ("exact.py", "LaurentPoly.__hash__"),
     ("exact.py", "LaurentPoly.__repr__"),
     ("exact.py", "LaurentPoly.__setattr__"),
     ("exact.py", "LaurentPoly.__bool__"),
+    ("exact.py", "LaurentPoly.__reduce__"),
+    ("orbifold.py", "Orbifold.__getnewargs__"),
+    ("seifert.py", "SeifertData.__getnewargs__"),
     # the lazy name map of `from seifertlab import name`
     ("__init__.py", "__getattr__"),
     # runs only on a fault, to name the vector whose m is no non-negative integer

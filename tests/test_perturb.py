@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import part_by_part
+from helpers import Z0_SAMPLERS, part_by_part, scenario_problems, tangential_s1
 from hypothesis import given, settings, strategies as st
 
 from seifertlab.perturb import (
@@ -61,7 +61,7 @@ def test_fd_gradient_matches_analytic_on_scenarios():
     rng = np.random.default_rng(11)
     for build in ALL_SCENARIOS:
         sc = build()
-        samples = list(sc.z0_sampler(8)) + [s.point for s in sc.z1_sites]
+        samples = Z0_SAMPLERS[sc.name](8) + [s.point for s in sc.z1_sites]
         samples += [
             np.asarray(x) + rng.normal(scale=0.3, size=sc.family.dim) for x in samples[:4]
         ]
@@ -75,7 +75,7 @@ def test_fd_gradient_matches_analytic_on_scenarios():
 def test_fd_hessian_matches_analytic_on_scenarios():
     for build in ALL_SCENARIOS:
         sc = build()
-        for x in sc.z0_sampler(4):
+        for x in Z0_SAMPLERS[sc.name](4):
             for s in (sc.family.s0, sc.family.s1, sc.family.s2):
                 an = np.asarray(s.hessian(x))
                 fd = np.asarray(s.fd_hessian(x))
@@ -696,17 +696,18 @@ def test_tangential_s1_flags_a_point_of_z0_off_z1():
     # (0, 1, 0) lies on the unit circle, where grad S1 = (1, 0, 0) is tangent
     sc = circle_scenario()
     off = (0.0, 1.0, 0.0)
-    assert _norm(scenarios._tangential_s1(sc.family, off)) == 1.0
+    assert np.linalg.norm(tangential_s1(sc.family, off)) == 1.0
     sc = sc._replace(z1_sites=(Z1Site(off, sc.components[0], lambda t: off, z0_dim=1),))
-    assert sc.validate() == ["site [0.0, 1.0, 0.0]: tangential |grad S1| = 1.000e+00"]
+    assert scenario_problems(sc) == ["site [0.0, 1.0, 0.0]: tangential |grad S1| = 1.000e+00"]
 
 
 # ---------------------------------------------------------------- scenarios
 
 
 def test_builtin_scenarios_validate():
-    for build in ALL_SCENARIOS:
-        assert build().validate() == []
+    # every registered scenario, so one registered later is checked as well
+    for name in scenario_names():
+        assert scenario_problems(scenario_by_name(name)) == [], name
 
 
 def test_scenario_registry():
