@@ -31,12 +31,17 @@ class ScalarField:
 
     Points are handed to the callbacks as tuples of floats; the gradient and
     Hessian callbacks may return any float sequences (rows, for a Hessian),
-    numpy arrays included, and come back as tuples.  When an analytic
+    numpy arrays included, which ``gradient`` and ``hessian`` convert to
+    tuples of floats.  The field that ``PerturbationFamily.at`` builds skips
+    that conversion: its callbacks already return tuples of floats, converted
+    once from the parts' outputs.  When an analytic
     evaluator is absent, central finite differences stand in (step
     ``GRAD_STEP`` for gradients, ``HESS_STEP`` for Hessians).  Where both
     exist they must agree within finite-difference accuracy; the test suite
     checks this on every built-in scenario.
     """
+
+    _floats = False  # True: the callbacks return tuples of floats, kept as they are
 
     def __init__(
         self,
@@ -69,14 +74,16 @@ class ScalarField:
         return float(self._f(_vec(x)))
 
     def gradient(self, x) -> Vector:
-        if self._grad is not None:
-            return _vec(self._grad(_vec(x)))
-        return self.fd_gradient(x)
+        if self._grad is None:
+            return self.fd_gradient(x)
+        g = self._grad(_vec(x))
+        return g if self._floats else _vec(g)
 
     def hessian(self, x) -> Matrix:
-        if self._hess is not None:
-            return _mat(self._hess(_vec(x)))
-        return self.fd_hessian(x)
+        if self._hess is None:
+            return self.fd_hessian(x)
+        H = self._hess(_vec(x))
+        return H if self._floats else _mat(H)
 
     def fd_gradient(self, x) -> Vector:
         """Central-difference gradient, independent of any analytic evaluator."""
@@ -141,18 +148,21 @@ class PerturbationFamily:
         """S_eps as a single field; derivatives stay analytic if the parts are.
 
         One pass per derivative: each part's callback runs once on the point,
-        in the order s0, s1, s2, its output becomes floats, and the three are
-        summed entry by entry as a + eps*b + e2*c, with e2 = eps**2 computed
-        here once (so OverflowError comes from here).  The floats are those of
-        summing the parts' own ``gradient``/``hessian``.  If a part has no
-        analytic gradient (Hessian), S_eps differences its value instead.
+        in the order s0, s1, s2, its output is converted to floats here, and
+        the three are summed entry by entry as a + eps*b + e2*c, with
+        e2 = eps**2 computed here once (so OverflowError comes from here).
+        The field's ``gradient`` returns that tuple of sums and its
+        ``hessian`` a tuple of such rows, with no second conversion.  The
+        floats are those of summing the parts' own ``gradient``/``hessian``.
+        If a part has no analytic gradient (Hessian), S_eps differences its
+        value instead.
         """
         parts = (self.s0, self.s1, self.s2)
         e2 = eps**2
 
         def combine(v0, v1, v2):
             v0, v1, v2 = map(float, v0), map(float, v1), map(float, v2)
-            return [a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)]
+            return tuple([a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)])
 
         grad = hess = None
         if all(s._grad is not None for s in parts):
@@ -160,5 +170,7 @@ class PerturbationFamily:
             grad = lambda x: combine(g0(x), g1(x), g2(x))
         if all(s._hess is not None for s in parts):
             h0, h1, h2 = [s._hess for s in parts]
-            hess = lambda x: [combine(*rows) for rows in zip(h0(x), h1(x), h2(x))]
-        return ScalarField(self.dim, f=lambda x: self.value(x, eps), grad=grad, hess=hess)
+            hess = lambda x: tuple([combine(*rows) for rows in zip(h0(x), h1(x), h2(x))])
+        field = ScalarField(self.dim, f=lambda x: self.value(x, eps), grad=grad, hess=hess)
+        field._floats = True
+        return field

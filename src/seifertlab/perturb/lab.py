@@ -72,9 +72,19 @@ class MultiplierError(RuntimeError):
 
 class NewtonResult(
     namedtuple(
-        "NewtonResult", "point grad_norm value iterations converged message", defaults=("",)
+        "NewtonResult",
+        "point grad_norm value iterations converged message hessian",
+        defaults=("", None),
     )
 ):
+    """The outcome of one Newton run.
+
+    ``hessian`` is Hess S at ``point`` when a polish round evaluated it there,
+    so a caller reads the spectrum without evaluating it again.  It is None
+    when no round did, and when that evaluation raised: a caller that
+    evaluates it then sees the error.
+    """
+
     __slots__ = ()
 
 
@@ -110,8 +120,8 @@ def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> Newt
     gnorm = _norm(g)
     for it in range(NEWTON_MAX_ITER):
         if gnorm <= tol:
-            x, g, gnorm = _polish(S, x, g, gnorm)
-            return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, True)
+            x, gnorm, H = _polish(S, x, g, gnorm)
+            return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, True, hessian=H)
         if _norm(x) > DIVERGENCE_NORM:
             return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, False, "diverged")
         H = _or_nan(S.hessian, x, nan_matrix)
@@ -142,11 +152,19 @@ def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> Newt
 
 
 def _polish(S: ScalarField, x, g, gnorm):
-    """Extra full Newton steps once converged, keeping only strict improvements."""
+    """Extra full Newton steps once converged, keeping only strict improvements.
+
+    Returns the point, its |grad| and Hess S there: the Hessian of the round
+    that stopped at the point, or None if every round moved on or the
+    evaluation there failed.
+    """
     nan_vector = (math.nan,) * len(x)
+    nan_matrix = (nan_vector,) * len(x)
+    H = None
     for _ in range(POLISH_ROUNDS):
+        H = _or_nan(S.hessian, x, nan_matrix)
         try:
-            step = solve(_or_nan(S.hessian, x, (nan_vector,) * len(x)), _neg(g))
+            step = solve(H, _neg(g))
         except LinAlgError:
             break
         xn = _add(x, step)
@@ -155,7 +173,8 @@ def _polish(S: ScalarField, x, g, gnorm):
         if not math.isfinite(gn_norm) or gn_norm >= gnorm:
             break
         x, g, gnorm = xn, gn, gn_norm
-    return x, g, gnorm
+        H = None  # evaluated at the point just left
+    return x, gnorm, None if H is nan_matrix else H
 
 
 def _index(evals, gap: float) -> int:
@@ -406,7 +425,8 @@ def run_localisation(
                 matched = None
             else:
                 used.add(matched)
-            evals = eigh(S_eps.hessian(x))[0]
+            H = res.hessian if res.hessian is not None else S_eps.hessian(x)
+            evals = eigh(H)[0]
             abs_evals = [abs(v) for v in evals]
             index: int | None
             try:

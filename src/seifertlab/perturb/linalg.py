@@ -15,6 +15,12 @@ Appl. 13, 1992).  Its cyclic (p, q) order is built once per dimension.
 by index.  Like LAPACK's ``gesv``, it fails only on an exactly zero pivot.
 Both keep a fixed order of float operations: the tests hold ``solve`` bit
 for bit to an LU on slice copies of the rows.
+
+On a 3 x 3 matrix, the size of every registered scenario's Hessians, both
+run a straight-line path instead (``_eigh3``, ``_solve3``): the same float
+operations in the same order on named entries, with no loop, list or index
+overhead.  The tests hold each bit for bit to the generic loops, which still
+serve the 1- and 2-dimensional chart problems of the predictions.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     is read.  A matrix with a non-finite entry gets nan eigenvalues.
     """
     n = len(A)
+    if n == 3:
+        return _eigh3(A)
     a = [list(map(float, row)) for row in A]
     w = [[0.0] * n for _ in range(n)]  # rows: the eigenvectors
     for i in range(n):
@@ -130,9 +138,127 @@ def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     raise LinAlgError("Eigenvalues did not converge")
 
 
+def _eigh3(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """``eigh`` of a 3 x 3 matrix, its loops written out on named entries.
+
+    d_i are the diagonal, e_pq the off-diagonal entries (p < q) and w_ij the
+    j-th entry of the i-th eigenvector row.  Each (p, q) block below is one
+    step of the generic loop, with the same float operations in the same
+    order, so both give the same bits.
+    """
+    r0, r1, r2 = A
+    d0, _, _ = map(float, r0)  # every entry becomes a float, as in the generic loop
+    e01, d1, _ = map(float, r1)
+    e02, e12, d2 = map(float, r2)
+    isfinite = math.isfinite
+    if not (
+        isfinite(d0) and isfinite(d1) and isfinite(d2)
+        and isfinite(e01) and isfinite(e02) and isfinite(e12)
+    ):
+        return (math.nan,) * 3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    sqrt, hypot = math.sqrt, math.hypot
+    w00, w01, w02 = 1.0, 0.0, 0.0
+    w10, w11, w12 = 0.0, 1.0, 0.0
+    w20, w21, w22 = 0.0, 0.0, 1.0
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        # (p, q) = (0, 1), other row 2
+        if abs(e01) <= _EPS * sqrt(abs(d0)) * sqrt(abs(d1)):
+            e01 = 0.0
+        else:
+            rotated = True
+            theta = (d1 - d0) / (2.0 * e01)
+            t = 1.0 / (abs(theta) + hypot(theta, 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * e01
+            d0 = d0 - h
+            d1 = d1 + h
+            e01 = 0.0
+            g, k = e02, e12
+            e02 = g - s * (k + g * tau)
+            e12 = k + s * (g - k * tau)
+            g, k = w00, w10
+            w00 = g - s * (k + g * tau)
+            w10 = k + s * (g - k * tau)
+            g, k = w01, w11
+            w01 = g - s * (k + g * tau)
+            w11 = k + s * (g - k * tau)
+            g, k = w02, w12
+            w02 = g - s * (k + g * tau)
+            w12 = k + s * (g - k * tau)
+        # (p, q) = (0, 2), other row 1
+        if abs(e02) <= _EPS * sqrt(abs(d0)) * sqrt(abs(d2)):
+            e02 = 0.0
+        else:
+            rotated = True
+            theta = (d2 - d0) / (2.0 * e02)
+            t = 1.0 / (abs(theta) + hypot(theta, 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * e02
+            d0 = d0 - h
+            d2 = d2 + h
+            e02 = 0.0
+            g, k = e01, e12
+            e01 = g - s * (k + g * tau)
+            e12 = k + s * (g - k * tau)
+            g, k = w00, w20
+            w00 = g - s * (k + g * tau)
+            w20 = k + s * (g - k * tau)
+            g, k = w01, w21
+            w01 = g - s * (k + g * tau)
+            w21 = k + s * (g - k * tau)
+            g, k = w02, w22
+            w02 = g - s * (k + g * tau)
+            w22 = k + s * (g - k * tau)
+        # (p, q) = (1, 2), other row 0
+        if abs(e12) <= _EPS * sqrt(abs(d1)) * sqrt(abs(d2)):
+            e12 = 0.0
+        else:
+            rotated = True
+            theta = (d2 - d1) / (2.0 * e12)
+            t = 1.0 / (abs(theta) + hypot(theta, 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * e12
+            d1 = d1 - h
+            d2 = d2 + h
+            e12 = 0.0
+            g, k = e01, e02
+            e01 = g - s * (k + g * tau)
+            e02 = k + s * (g - k * tau)
+            g, k = w10, w20
+            w10 = g - s * (k + g * tau)
+            w20 = k + s * (g - k * tau)
+            g, k = w11, w21
+            w11 = g - s * (k + g * tau)
+            w21 = k + s * (g - k * tau)
+            g, k = w12, w22
+            w12 = g - s * (k + g * tau)
+            w22 = k + s * (g - k * tau)
+        if not rotated:
+            d = (d0, d1, d2)
+            w = ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22))
+            i, j, k = sorted(range(3), key=d.__getitem__)
+            return (d[i], d[j], d[k]), (w[i], w[j], w[k])
+    raise LinAlgError("Eigenvalues did not converge")
+
+
 def solve(A, b) -> tuple[float, ...]:
     """x with A x = b, by LU with partial pivoting; raises on an exactly zero pivot."""
     n = len(A)
+    if n == 3:
+        return _solve3(A, b)
     a = [[*map(float, row), float(bi)] for row, bi in zip(A, b)]  # [A | b]
     for k in range(n):
         p, big = k, abs(a[k][k])
@@ -155,6 +281,60 @@ def solve(A, b) -> tuple[float, ...]:
         for i in range(k):
             x[i] -= xk * a[i][k]
     return tuple(x)
+
+
+def _solve3(A, b) -> tuple[float, ...]:
+    """``solve`` of a 3 x 3 system, its loops written out on named entries.
+
+    a_ij and b_i are the entries of [A | b]; a row swap swaps whole rows of
+    names.  The float operations and pivot tests are the generic loop's, in
+    its order, so both give the same bits.
+    """
+    r0, r1, r2 = A
+    b0, b1, b2 = b
+    a00, a01, a02 = map(float, r0)
+    b0 = float(b0)
+    a10, a11, a12 = map(float, r1)
+    b1 = float(b1)
+    a20, a21, a22 = map(float, r2)
+    b2 = float(b2)
+    # column 0: the strict > keeps the first of equal magnitudes
+    big = abs(a00)
+    if abs(a10) > big:
+        big = abs(a10)
+        if abs(a20) > big:
+            a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+        else:
+            a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
+    elif abs(a20) > big:
+        a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+    elif big == 0.0:
+        raise LinAlgError("Singular matrix")
+    m = a10 / a00
+    a11 -= m * a01
+    a12 -= m * a02
+    b1 -= m * b0
+    m = a20 / a00
+    a21 -= m * a01
+    a22 -= m * a02
+    b2 -= m * b0
+    # column 1
+    if abs(a21) > abs(a11):
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    elif abs(a11) == 0.0:
+        raise LinAlgError("Singular matrix")
+    m = a21 / a11
+    a22 -= m * a12
+    b2 -= m * b1
+    # column 2
+    if abs(a22) == 0.0:
+        raise LinAlgError("Singular matrix")
+    x2 = b2 / a22
+    b0 -= x2 * a02
+    b1 -= x2 * a12
+    x1 = b1 / a11
+    b0 -= x1 * a01
+    return b0 / a00, x1, x2
 
 
 def inertia_counts(evals, gap: float) -> tuple[int, int, int]:

@@ -24,7 +24,7 @@ from seifertlab.orbifold import (
     power,
     tensor,
 )
-from seifertlab.perturb.linalg import RANK_RTOL, LinAlgError
+from seifertlab.perturb.linalg import _EPS, _MAX_SWEEPS, RANK_RTOL, LinAlgError
 from seifertlab.seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 
@@ -219,6 +219,72 @@ def solve_by_slices(A, b) -> tuple[float, ...]:
         for i in range(k):
             x[i] -= xk * a[i][k]
     return tuple(x)
+
+
+# Jacobi's cyclic order for each dimension met so far: each (p, q) with
+# p < q, and the other indices
+_ROTATION_PAIRS: dict[int, tuple[tuple[int, int, tuple[int, ...]], ...]] = {}
+
+
+def eigh_by_loops(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Cyclic Jacobi with loops over the rotation pairs, rows and columns.
+
+    The reference for ``linalg.eigh`` on 3 x 3 matrices, whose written-out
+    rotations run the same float operations in the same order and must agree
+    bit for bit.  This is ``linalg.eigh``'s generic path, copied.
+    """
+    n = len(A)
+    a = [list(map(float, row)) for row in A]
+    w = [[0.0] * n for _ in range(n)]  # rows: the eigenvectors
+    for i in range(n):
+        w[i][i] = 1.0
+        for j in range(i):
+            a[j][i] = a[i][j]
+    if not all(math.isfinite(v) for row in a for v in row):
+        return (math.nan,) * n, tuple(map(tuple, w))
+    sqrt = math.sqrt
+    pairs = _ROTATION_PAIRS.get(n)
+    if pairs is None:
+        pairs = _ROTATION_PAIRS[n] = tuple([
+            (p, q, tuple([r for r in range(n) if r != p and r != q]))
+            for p in range(n)
+            for q in range(p + 1, n)
+        ])
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q, others in pairs:
+            ap, aq = a[p], a[q]
+            apq, app, aqq = ap[q], ap[p], aq[q]
+            if abs(apq) <= _EPS * sqrt(abs(app)) * sqrt(abs(aqq)):
+                ap[q] = aq[p] = 0.0
+                continue
+            rotated = True
+            theta = (aqq - app) / (2.0 * apq)
+            t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * apq
+            ap[p] = app - h
+            aq[q] = aqq + h
+            ap[q] = aq[p] = 0.0
+            for r in others:
+                ar = a[r]
+                g, k = ar[p], ar[q]
+                ar[p] = ap[r] = g - s * (k + g * tau)
+                ar[q] = aq[r] = k + s * (g - k * tau)
+            wp, wq = w[p], w[q]
+            for i in range(n):
+                g, k = wp[i], wq[i]
+                wp[i] = g - s * (k + g * tau)
+                wq[i] = k + s * (g - k * tau)
+        if not rotated:
+            d = [a[i][i] for i in range(n)]
+            order = sorted(range(n), key=d.__getitem__)
+            return tuple([d[i] for i in order]), tuple([tuple(w[i]) for i in order])
+    raise LinAlgError("Eigenvalues did not converge")
 
 
 VALIDATE_TOL = 1e-8  # a residual scenario_problems reads as zero lies below this

@@ -49,3 +49,21 @@ def test_layer_metrics_resolve_every_traced_name(bench):
         "orbifold.orbifold_euler_char_calls",
     ):
         assert layers[name][0] > 0, name
+
+
+def test_perturb_counts_each_evaluation_once(bench):
+    # counts repeat exactly, so an evaluation added back shows up here: two
+    # Newton runs, whose polish Hessians give the two found points' spectra
+    run, spans = bench
+    from seifertlab import cli
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["perturb", "--scenario", "circle", "--eps", "0.1"]) == 0
+    finally:
+        tracer.uninstall()
+    layers = run._layer_metrics(tracer.snapshot(), 0)
+    assert layers["perturb.lab.newton_calls"][0] == 2
+    assert layers["perturb.fields.hessian_calls"][0] == 10

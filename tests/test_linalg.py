@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import solve_by_slices
+from helpers import eigh_by_loops, solve_by_slices
 from hypothesis import assume, example, given, settings, strategies as st
 
 from seifertlab.perturb.linalg import LinAlgError, eigh, pinv_solve, solve
@@ -36,9 +36,9 @@ def _rows(M: np.ndarray) -> tuple:
 
 
 @st.composite
-def symmetric(draw):
-    """Symmetric matrices of size 1-3 from several families the lab meets."""
-    n = draw(st.integers(1, 3))
+def symmetric(draw, sizes=st.integers(1, 3)):
+    """Symmetric matrices of a drawn size (1-3 by default) from families the lab meets."""
+    n = draw(sizes)
     kind = draw(st.sampled_from(["dense", "diagonal", "spectrum", "rank-one", "duplicate-row"]))
     if kind == "dense":
         A = np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
@@ -143,10 +143,17 @@ def linear_systems(draw):
     return tuple(map(tuple, rows)), tuple(draw(st.lists(lu_entries, min_size=n, max_size=n)))
 
 
-def _solve_outcome(solver, A, b):
-    """The bits of every float of the solution, or the error's type and message."""
+def _bits(value):
+    """The bits of every float in nested tuples, so -0.0 and each nan tell apart."""
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return struct.pack("<d", value)
+
+
+def _outcome(fn, *args):
+    """The bits of every float of the result, or the error's type and message."""
     try:
-        return [struct.pack("<d", v) for v in solver(A, b)]
+        return _bits(fn(*args))
     except Exception as exc:  # both must fail the same way, not just both fail
         return type(exc), str(exc)
 
@@ -158,9 +165,44 @@ def _solve_outcome(solver, A, b):
 @example(((((-0.0, 0.0), (0.0, -0.0))), (0.0, 0.0)))  # signed zeros only
 @example(((((1e300, 1.0), (1.0, 1e-300))), (math.inf, 1.0)))
 @example(((((math.nan, 1.0, 0.0), (0.0, 2.0, 1.0), (3.0, 0.0, -0.0))), (1.0, 2.0, 3.0)))
+# each pivot branch of the 3 x 3 path
+@example(((((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (0.0, 1.0, 7.0))), (1.0, 2.0, 3.0)))  # k = 0: row 1
+@example(((((1.0, 0.0, 2.0), (2.0, 1.0, 0.0), (5.0, 3.0, 1.0))), (1.0, 2.0, 3.0)))  # k = 0: row 2
+@example(((((2.0, 1.0, 0.0), (1.0, 3.0, 1.0), (4.0, 0.0, 1.0))), (1.0, -0.0, 3.0)))  # k = 0: row 2
+@example(((((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 2.0, 1.0))), (1.0, 2.0, 3.0)))  # k = 1: row 2
+@example(((((0.0, 1.0, 2.0), (0.0, 3.0, 4.0), (-0.0, 5.0, 6.0))), (1.0, 2.0, 3.0)))  # k = 0: zero
+@example(((((4.0, 8.0, 1.0), (2.0, 4.0, 3.0), (1.0, 2.0, 5.0))), (1.0, 2.0, 3.0)))  # k = 1: zero
+@example(((((4.0, 0.0, 2.0), (0.0, 2.0, 1.0), (2.0, 1.0, 1.5))), (1.0, 2.0, 3.0)))  # k = 2: zero
 def test_solve_matches_the_slicing_lu_bit_for_bit(system):
     A, b = system
-    assert _solve_outcome(solve, A, b) == _solve_outcome(solve_by_slices, A, b)
+    assert _outcome(solve, A, b) == _outcome(solve_by_slices, A, b)
+
+
+@st.composite
+def square3(draw):
+    """3 x 3 matrices read as symmetric: the lab's families, or any entries at all.
+
+    The second kind puts nan, inf, signed zeros and huge values anywhere,
+    the upper triangle, which ``eigh`` converts but never reads, included.
+    """
+    if draw(st.booleans()):
+        return draw(symmetric(st.just(3)))
+    rows = draw(st.lists(st.lists(lu_entries, min_size=3, max_size=3), min_size=3, max_size=3))
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(square3())
+@example(((3.0, 0.0, 0.0), (0.0, -1e-300, 0.0), (0.0, 0.0, 1e-10)))  # diagonal
+@example(((-0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)))  # signed zeros only
+@example(((1.0, 0.0, 0.0), (math.nan, 1.0, 0.0), (0.0, 0.0, 1.0)))
+@example(((1.0, math.nan, math.inf), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))  # non-finite, ignored
+@example(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-math.inf, 0.0, 1.0)))
+@example(((1e200, 0.0, 0.0), (1e200, -1e200, 0.0), (1e-9, 1e200, 1e-9)))
+@example(((1.0, "x", 0.0), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))  # non-number, upper triangle
+@example(((1.0, 0.0, None), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))
+def test_eigh_matches_the_looping_jacobi_bit_for_bit(A):
+    assert _outcome(eigh, A) == _outcome(eigh_by_loops, A)
 
 
 def _reference_kernel(A, rtol: float):

@@ -198,8 +198,8 @@ RECORDS = {
         {"pg_divisors": None},
     ),
     ("seifertlab.perturb.lab", "NewtonResult"): (
-        ("point", "grad_norm", "value", "iterations", "converged", "message"),
-        {"message": ""},
+        ("point", "grad_norm", "value", "iterations", "converged", "message", "hessian"),
+        {"message": "", "hessian": None},
     ),
     ("seifertlab.perturb.lab", "PredictedPoint"): (("point", "site", "indices"), {}),
     ("seifertlab.perturb.lab", "FoundPoint"): (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ def test_newton_branches_from_z1_sites_move_by_eps_over_8(build):
             assert res.converged
             moved = _norm([a - b for a, b in zip(res.point, site.point)])
             assert moved / abs(eps) == pytest.approx(0.125, abs=0.04 * abs(eps))
+
+
+def test_newton_returns_the_hessian_its_polish_evaluated_at_the_point():
+    sc = circle_scenario()
+    S = sc.family.at(0.1)
+    res = newton_critical_point(S, sc.z1_sites[0].point)
+    assert res.converged and res.hessian is not None
+    assert res.hessian == S.hessian(res.point)
+
+
+def test_newton_never_returns_the_stand_in_for_a_failed_hessian():
+    # Hess S raises everywhere, so each step descends along -grad and polish
+    # gets only the nan stand-in; the caller must evaluate it again and fail
+    def hess(x):
+        raise OverflowError("hessian")
+
+    S = ScalarField(1, lambda x: x[0] ** 2 / 2, lambda x: (x[0],), hess)
+    res = newton_critical_point(S, [1.0])
+    assert res.converged and res.point == (0.0,)
+    assert res.hessian is None
 
 
 def test_newton_rejects_non_finite_seed():
@@ -637,6 +658,23 @@ def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
     assert len(calls) == 2  # one S1|Z0 Hessian per prediction, for every eps and sign
 
 
+@pytest.mark.parametrize("build", [circle_scenario, sphere_scenario])
+def test_localisation_evaluates_each_found_points_hessian_once(monkeypatch, build):
+    # Newton's polish stops at each of these points, and its Hessian there
+    # gives the index, the gap and the smallest |eigenvalue|
+    calls = Counter()
+    hessian = ScalarField.hessian
+
+    def counted(self, x):
+        calls[tuple(x)] += 1
+        return hessian(self, x)
+
+    monkeypatch.setattr(ScalarField, "hessian", counted)
+    (rep,) = run_localisation(build(), [0.1])
+    assert rep.ok and rep.found
+    assert [calls[f.point] for f in rep.found] == [1] * len(rep.found)
+
+
 def test_spectral_gap_follows_predicted_eigenvalue_order():
     eps, norm = 1e-5, 4.0
     flat = spectral_gap(linear_scenario(), eps, norm)  # O(eps^2) along the flat Z1
@@ -683,8 +721,10 @@ def test_record_construction_semantics():
         with pytest.raises(AttributeError):
             setattr(record, field, [])
     result = NewtonResult(np.zeros(1), 0.0, 0.0, 0, True)
-    assert result.message == ""
-    assert result._fields == ("point", "grad_norm", "value", "iterations", "converged", "message")
+    assert result.message == "" and result.hessian is None
+    assert result._fields == (
+        "point", "grad_norm", "value", "iterations", "converged", "message", "hessian",
+    )
 
 
 def test_localisation_rejects_zero_eps():
