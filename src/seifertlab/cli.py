@@ -187,13 +187,13 @@ def _splice(report: dict, key: str, write, **options) -> str:
     return write(records).join(parts)
 
 
-def _error(exc: Exception, where: str = "") -> tuple[dict, int]:
+def _error(exc: Exception, where: str = "", kind: str = "validation") -> tuple[dict, int]:
     """The error object of a failed request and its exit code.
 
     A failed internal cross-check (ConsistencyError) is kind "consistency",
-    exit 1; anything else is bad input, kind "validation", exit 2.
+    exit 1; anything else exits 2 as ``kind``: "validation" for bad input, "io" for a failed write.
     """
-    kind, code = ("consistency", 1) if isinstance(exc, ConsistencyError) else ("validation", 2)
+    kind, code = ("consistency", 1) if isinstance(exc, ConsistencyError) else (kind, 2)
     return {"error": {"kind": kind, "message": f"{where}{exc}"}}, code
 
 
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
         try:
             code = _run_batch(args) if args.mode == "batch" else _run_single(args)
         except OSError as exc:  # --out, --csv or stdout cannot be written
-            error, code = _error(exc)
+            error, code = _error(exc, kind="io")
             print((_dump_line if args.mode == "batch" else _dump)(error))  # fails on stdout
         sys.stdout.flush()  # a buffered stdout fails here, not at interpreter exit
     except OSError as exc:  # stdout itself cannot be written
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        error, code = _error(exc)
+        error, code = _error(exc, kind="io")
         print(_dump_line(error), file=sys.stderr)
     return code
 

@@ -36,11 +36,9 @@ from .lab import (
     PredictedPoint,
     lagrange_multiplier,
     leading_term,
-    morse_index,
     newton_critical_point,
     predicted_critical_points,
     run_localisation,
-    spectral_gap,
 )
 
 __all__ = [
@@ -58,13 +56,11 @@ __all__ = [
     "newton_critical_point",
     "DegenerateCriticalPointError",
     "MultiplierError",
-    "morse_index",
     "lagrange_multiplier",
     "leading_term",
     "PredictedPoint",
     "predicted_critical_points",
     "FoundPoint",
     "ExperimentReport",
-    "spectral_gap",
     "run_localisation",
 ]

@@ -2,9 +2,8 @@
 
 The tolerances are module constants, each with a comment on what it bounds:
 the block below, RANK_RTOL in linalg.py and the finite-difference steps
-in fields.py.  A call passes only newton_critical_point's tol,
-morse_index's gap, and run_localisation's basin_radius and c_bound; the
-command line sets the last two.
+in fields.py.  A call passes only newton_critical_point's tol and
+run_localisation's basin_radius and c_bound; the command line sets both.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .linalg import (
     _norm,
     _sub,
     eigh,
+    exact_inertia,
     inertia_counts,
     pinv_solve,
     solve,
@@ -35,14 +35,12 @@ __all__ = [
     "newton_critical_point",
     "DegenerateCriticalPointError",
     "MultiplierError",
-    "morse_index",
     "lagrange_multiplier",
     "leading_term",
     "PredictedPoint",
     "predicted_critical_points",
     "FoundPoint",
     "ExperimentReport",
-    "spectral_gap",
     "run_localisation",
 ]
 
@@ -56,14 +54,12 @@ CHART_NEWTON_TOL = 1e-8  # |grad f| at which Newton stops in a flat Z1's chart
 CHART_DEDUPE_RADIUS = 1e-6  # chart critical points of f closer than this are one
 MULTIPLIER_RESIDUAL = 1e-8  # |Hess S0 lambda + grad S1| from which a point is off Z1
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
-GAP_SHARE = 1e-2  # share of the smallest predicted eigenvalue that the gap takes
-EIGEN_RESOLUTION = 1e-12  # relative eigenvalue size float64 Hessians resolve, with margin
 # what float ** and the math functions raise where array arithmetic gives inf or nan
 _NON_FINITE = (ArithmeticError, ValueError)
 
 
 class DegenerateCriticalPointError(RuntimeError):
-    """A Hessian eigenvalue sits inside the declared spectral gap."""
+    """A chart Hessian eigenvalue sits inside the gap RESTRICTED_GAP."""
 
 
 class MultiplierError(RuntimeError):
@@ -187,16 +183,6 @@ def _index(evals, gap: float) -> int:
     return neg
 
 
-def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
-    """Number of Hessian eigenvalues below -gap at a nondegenerate point.
-
-    Any eigenvalue of magnitude <= gap raises: a spectral gap is a
-    precondition here, and a value inside the band means the point is
-    degenerate at this resolution.
-    """
-    return _index(eigh(S.hessian(x))[0], gap)
-
-
 def lagrange_multiplier(s0: ScalarField, s1: ScalarField, x) -> Vector:
     """Minimal-norm solution lambda of Hess S0(x) * lambda = -grad S1(x).
 
@@ -244,25 +230,26 @@ def predicted_critical_points(scenario: Scenario) -> list[PredictedPoint]:
     Isolated Z1 points are critical outright (a function on a finite set),
     with index 0.  On a flat, the leading term is minimized in chart
     coordinates by Newton from the declared seeds and the index read from
-    the chartwise Hessian inertia, with gap RESTRICTED_GAP.  One Hessian of
-    S1|Z0 per point gives the S1 term for both signs of eps: ind(-S1|Z0) is
-    its positive count.
+    the inertia of the chart Hessian Newton stopped with, gap RESTRICTED_GAP.
+    One Hessian of S1|Z0 per point gives the S1 term for both signs of eps:
+    ind(-S1|Z0) is its positive count.
     """
     out: list[PredictedPoint] = []
     for site in scenario.z1_sites:
         if site.flat:
             f_chart = _f_chart_field(scenario.family, site)
-            found_params: list[Vector] = []
+            found: list[NewtonResult] = []
             for seed in site.flat_seeds:
                 res = newton_critical_point(f_chart, seed, tol=CHART_NEWTON_TOL)
                 if not res.converged:
                     continue
-                if all(_norm(_sub(res.point, p)) > CHART_DEDUPE_RADIUS for p in found_params):
-                    found_params.append(res.point)
-            charted = [
-                (site.z0_chart(p), p, morse_index(f_chart, p, RESTRICTED_GAP))
-                for p in found_params
-            ]
+                if all(_norm(_sub(res.point, r.point)) > CHART_DEDUPE_RADIUS for r in found):
+                    found.append(res)
+            charted = []
+            for res in found:
+                p = res.point
+                H = res.hessian if res.hessian is not None else f_chart.hessian(p)
+                charted.append((site.z0_chart(p), p, _index(eigh(H)[0], RESTRICTED_GAP)))
         else:
             charted = [(site.point, (0.0,) * site.z0_dim, 0)]
         restricted = scenario.family.s1.restrict(site.z0_chart, site.z0_dim)
@@ -347,20 +334,6 @@ def _expected_signed_count(scenario: Scenario, eps_sign: int) -> int:
     return total
 
 
-def spectral_gap(scenario: Scenario, eps: float, hessian_norm: float) -> float:
-    """Inertia gap for a critical point of S_eps near Z1, from the problem's scale.
-
-    Relative to the Hessian norm, the predicted eigenvalues there are O(1)
-    normal to Z0, O(|eps|) normal to Z1 inside Z0, and O(eps^2) along a flat
-    Z1.  The gap is GAP_SHARE of the smallest of these scales, times the
-    Hessian norm, and never below the float64 resolution EIGEN_RESOLUTION
-    times the norm; an eigenvalue inside it is a degeneracy at this eps, not
-    the expected small eigenvalue.
-    """
-    order = 2 if any(site.flat for site in scenario.z1_sites) else 1
-    return hessian_norm * max(GAP_SHARE * min(abs(eps), 1.0) ** order, EIGEN_RESOLUTION)
-
-
 def run_localisation(
     scenario: Scenario,
     epsilons,
@@ -371,12 +344,13 @@ def run_localisation(
 
     For each eps: Newton from every leading-term critical point, deduplicate
     (radius DEDUPE_RADIUS), then check (a) found points biject onto the
-    predictions within basin_radius, (b) each Morse index, read with the gap
-    of :func:`spectral_gap`, matches the three-term index sum, (c) the
-    signed count equals the chi-weighted component formula (chi_c-weighted
+    predictions within basin_radius, (b) each Morse index, the exact inertia
+    of the Hessian at the float point, matches the three-term index sum, (c)
+    the signed count equals the chi-weighted component formula (chi_c-weighted
     for eps < 0; skipped when the scenario declares the properness
     hypothesis unavailable).  Points with norm above c_bound are flagged as
-    outside the localisation neighborhood and excluded from (a).
+    outside the localisation neighborhood and excluded from (a).  A singular
+    or non-finite Hessian gives no index, and a message names its spectrum.
     """
     preds = predicted_critical_points(scenario)
     family = scenario.family
@@ -427,13 +401,14 @@ def run_localisation(
                 used.add(matched)
             H = res.hessian if res.hessian is not None else S_eps.hessian(x)
             evals = eigh(H)[0]
-            abs_evals = [abs(v) for v in evals]
-            index: int | None
-            try:
-                index = _index(evals, spectral_gap(scenario, eps, max(abs_evals)))
-            except DegenerateCriticalPointError as exc:
-                index = None
-                messages.append(str(exc))
+            index: int | None = None
+            if not all(math.isfinite(v) for row in H for v in row):
+                messages.append(f"non-finite Hessian: spectrum {list(evals)}")
+            else:
+                index, zero, _ = exact_inertia(H)
+                if zero:
+                    index = None
+                    messages.append(f"singular Hessian: spectrum {list(evals)}")
             found.append(
                 FoundPoint(
                     point=x,
@@ -442,7 +417,7 @@ def run_localisation(
                     index=index,
                     predicted_index=None if matched is None else preds[matched].indices[sign],
                     matched_prediction=matched,
-                    min_abs_hessian_eig=min(abs_evals),
+                    min_abs_hessian_eig=min(map(abs, evals)),
                     outside_basin=outside,
                 )
             )

@@ -21,15 +21,16 @@ run a straight-line path instead (``_eigh3``, ``_solve3``): the same float
 operations in the same order on named entries, with no loop, list or index
 overhead.  The tests hold each bit for bit to the generic loops, which still
 serve the 1- and 2-dimensional chart problems of the predictions.
+``exact_inertia`` counts eigenvalue signs with no rounding at all.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import add, mul, neg, sub
+from operator import add, mul, ne, neg, sub
 
-__all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "pinv_solve"]
+__all__ = ["LinAlgError", "eigh", "solve", "inertia_counts", "exact_inertia", "pinv_solve"]
 
 _EPS = sys.float_info.epsilon
 _MAX_SWEEPS = 64  # Jacobi converges quadratically; finite input needs a handful
@@ -343,6 +344,37 @@ def inertia_counts(evals, gap: float) -> tuple[int, int, int]:
     null = sum(1 for v in evals if abs(v) <= gap)
     pos = sum(1 for v in evals if v > gap)
     return neg, null, pos
+
+
+def exact_inertia(H) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of symmetric H, exactly.
+
+    A finite float is a dyadic rational p/q, so scaling the lower triangle of
+    H by its largest q gives an integer matrix M of the same inertia (a
+    non-finite entry raises, as ``float.as_integer_ratio`` does).  det(tI - M),
+    M padded to 3 x 3 with zeros, is t^3 - c1 t^2 + c2 t - c3 with c_k the sum
+    of k x k principal minors.  Its roots are real, so 0 is a root as often as
+    trailing coefficients vanish, and Descartes' rule of signs counts the
+    positive roots exactly.  Above 3 x 3 it raises ValueError.
+    """
+    n = len(H)
+    if n > 3:
+        raise ValueError(f"exact_inertia reads at most 3 x 3 matrices, not {n} x {n}")
+    ratios = [
+        float(H[i][j]).as_integer_ratio() if i < n else (0, 1)
+        for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+    ]
+    den = max([q for _, q in ratios])
+    a, d, b, e, f, c = [p * (den // q) for p, q in ratios]
+    bc = b * c - f * f
+    c2 = a * b - d * d + a * c - e * e + bc
+    coeffs = (1, -(a + b + c), c2, e * (b * e - d * f) + d * (d * c - e * f) - a * bc)
+    zero = 0  # counts the 3 - n zeros of the padding too
+    while not coeffs[3 - zero]:
+        zero += 1
+    signs = [v > 0 for v in coeffs if v]
+    pos = sum(map(ne, signs, signs[1:]))
+    return 3 - zero - pos, zero - (3 - n), pos
 
 
 def pinv_solve(H, b, rtol: float = RANK_RTOL) -> tuple[float, ...]:

@@ -9,10 +9,8 @@ report's ``"z_components"``: it holds one integer record per CP^e component
 ``cli._dump_line`` and :func:`report_table`, print the SU(2) piece first and
 each record from one template, with no dict per component.
 
-``verify_sweep_report`` lives beside the identity chain in ``singularity``
-and is re-exported here; a ``verify`` call imports it from there and never
-loads this module.  :func:`seifert_report` and :func:`parse_poly` import the
-moduli side and ``LaurentPoly`` when they are called.
+:func:`seifert_report` and :func:`parse_poly` import the moduli side and
+``LaurentPoly`` when they are called.
 """
 
 from __future__ import annotations
@@ -22,12 +20,7 @@ from typing import TYPE_CHECKING
 
 from .orbifold import orbifold_euler_char
 from .seifert import SeifertData, brieskorn_seifert_data, n_bundle, require_homology_sphere
-from .singularity import (
-    _check_lattice_limit,
-    _identity_chain,
-    geometric_genus_pd,
-    verify_sweep_report,
-)
+from .singularity import _check_lattice_limit, _identity_chain, geometric_genus_pd
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -39,7 +32,6 @@ __all__ = [
     "parse_poly",
     "seifert_report",
     "brieskorn_report",
-    "verify_sweep_report",
     "singularity_block",
     "report_table",
 ]

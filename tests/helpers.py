@@ -24,7 +24,9 @@ from seifertlab.orbifold import (
     power,
     tensor,
 )
-from seifertlab.perturb.linalg import _EPS, _MAX_SWEEPS, RANK_RTOL, LinAlgError
+from seifertlab.perturb.fields import ScalarField
+from seifertlab.perturb.lab import _index
+from seifertlab.perturb.linalg import _EPS, _MAX_SWEEPS, RANK_RTOL, LinAlgError, eigh
 from seifertlab.seifert import SeifertData, bundle_log, n_bundle, require_homology_sphere
 
 
@@ -289,6 +291,16 @@ def eigh_by_loops(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
 
 VALIDATE_TOL = 1e-8  # a residual scenario_problems reads as zero lies below this
 VALIDATE_SAMPLES = 32  # Z0 points scenario_problems checks
+
+
+def morse_index(S: ScalarField, x, gap: float = 1e-8) -> int:
+    """Number of Hessian eigenvalues below -gap at a nondegenerate point.
+
+    Any eigenvalue of magnitude <= gap raises: a spectral gap is a
+    precondition here, and a value inside the band means the point is
+    degenerate at this resolution.
+    """
+    return _index(eigh(S.hessian(x))[0], gap)
 
 
 def circle_z0(n: int) -> list[tuple[float, float, float]]:

@@ -10,7 +10,8 @@ import pytest
 from helpers import eigh_by_loops, solve_by_slices
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seifertlab.perturb.linalg import LinAlgError, eigh, pinv_solve, solve
+from seifertlab.perturb import linear_scenario
+from seifertlab.perturb.linalg import LinAlgError, eigh, exact_inertia, pinv_solve, solve
 
 EIG_RTOL = 1e-12  # eigenvalues agree within this times max|eig|
 
@@ -97,6 +98,36 @@ def test_eigh_resolves_a_tiny_eigenvalue_to_high_relative_accuracy():
 def test_eigh_of_a_non_finite_matrix_is_nan():
     evals, _ = eigh(((1.0, math.inf), (math.inf, 1.0)))
     assert all(math.isnan(v) for v in evals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric())
+def test_exact_inertia_matches_lapack_signs(A):
+    reference = np.linalg.eigvalsh(np.array(A))
+    scale = float(np.max(np.abs(reference)))
+    assume(np.all(np.abs(reference) > 1e-6 * scale))  # LAPACK's signs are sure here
+    signs = (int(np.sum(reference < 0)), 0, int(np.sum(reference > 0)))
+    assert exact_inertia(A) == signs
+
+
+def test_exact_inertia_of_exact_cases():
+    assert exact_inertia(()) == (0, 0, 0)
+    assert exact_inertia(((-0.0,),)) == (0, 1, 0)
+    assert exact_inertia(((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -3.0))) == (1, 1, 1)
+    v = (1.0, -2.0, 3.0)
+    assert exact_inertia(tuple(tuple(a * b for b in v) for a in v)) == (0, 2, 1)  # rank one
+    assert exact_inertia(((0.0, 1.0), (1.0, 0.0))) == (1, 0, 1)  # leading minor zero
+    # eigenvalues 1.25e-26 and O(1): far below any float band
+    H = linear_scenario().family.at(1e-13).hessian((0.0, 0.0, 0.0))
+    assert exact_inertia(H) == (0, 0, 3)
+    assert exact_inertia(((-1e-300, 0.0), (0.0, 1e300))) == (1, 0, 1)
+    assert exact_inertia(((1.0, math.nan), (0.0, 1.0))) == (0, 0, 2)  # upper triangle unread
+    with pytest.raises(OverflowError):
+        exact_inertia(((1.0, 0.0), (math.inf, 1.0)))
+    with pytest.raises(ValueError):
+        exact_inertia(((1.0, 0.0), (0.0, math.nan)))
+    with pytest.raises(ValueError, match="at most 3 x 3"):
+        exact_inertia(((1.0,) * 4,) * 4)
 
 
 @settings(max_examples=300, deadline=None)

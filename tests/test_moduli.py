@@ -324,7 +324,8 @@ def _counting(monkeypatch, module, name, calls):
 def test_a_report_walks_the_powers_of_n_once(monkeypatch):
     import seifertlab.moduli as moduli
     import seifertlab.singularity as singularity
-    from seifertlab.reports import brieskorn_report, seifert_report, verify_sweep_report
+    from seifertlab.reports import brieskorn_report, seifert_report
+    from seifertlab.singularity import verify_sweep_report
 
     calls = []
     _counting(monkeypatch, moduli, "_walk", calls)

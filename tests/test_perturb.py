@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import Z0_SAMPLERS, part_by_part, scenario_problems, tangential_s1
+from helpers import Z0_SAMPLERS, morse_index, part_by_part, scenario_problems, tangential_s1
 from hypothesis import given, settings, strategies as st
 
 from seifertlab.perturb import (
@@ -24,17 +24,15 @@ from seifertlab.perturb import (
     lagrange_multiplier,
     leading_term,
     linear_scenario,
-    morse_index,
     newton_critical_point,
     predicted_critical_points,
     run_localisation,
     scenario_by_name,
     scenario_names,
-    spectral_gap,
     sphere_scenario,
 )
 from seifertlab.perturb import lab, scenarios
-from seifertlab.perturb.linalg import _norm, eigh, pinv_solve
+from seifertlab.perturb.linalg import _norm, eigh, exact_inertia, pinv_solve
 
 ALL_SCENARIOS = [circle_scenario, sphere_scenario, linear_scenario]
 
@@ -502,8 +500,8 @@ def test_found_points_match_per_point_definitions():
             for f in rep.found:
                 H = S_eps.hessian(f.point)
                 evals = eigh(H)[0]
-                gap = spectral_gap(sc, rep.epsilon, max(abs(v) for v in evals))
-                assert f.index == morse_index(S_eps, f.point, gap)
+                neg, zero, _ = exact_inertia(H)
+                assert f.index == (None if zero else neg)
                 assert f.min_abs_hessian_eig == min(abs(v) for v in evals)
                 assert f.value == S_eps.value(f.point)
                 grad = S_eps.gradient(f.point)
@@ -641,7 +639,7 @@ def test_degenerate_spectrum_message_is_unchanged():
     (rep,) = run_localisation(sphere_scenario(), [1e-12])
     assert (rep.bijection_ok, rep.indices_ok, rep.signed_count_ok) == (True, False, False)
     assert [f.index for f in rep.found] == [None, None]
-    assert rep.messages == ["Hessian eigenvalue within gap 8e-12: spectrum [0.0, 0.0, 8.0]"] * 2
+    assert rep.messages == ["singular Hessian: spectrum [0.0, 0.0, 8.0]"] * 2
 
 
 def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
@@ -661,7 +659,7 @@ def test_localisation_reads_each_restricted_hessian_once(monkeypatch):
 @pytest.mark.parametrize("build", [circle_scenario, sphere_scenario])
 def test_localisation_evaluates_each_found_points_hessian_once(monkeypatch, build):
     # Newton's polish stops at each of these points, and its Hessian there
-    # gives the index, the gap and the smallest |eigenvalue|
+    # gives the index and the smallest |eigenvalue|
     calls = Counter()
     hessian = ScalarField.hessian
 
@@ -675,29 +673,61 @@ def test_localisation_evaluates_each_found_points_hessian_once(monkeypatch, buil
     assert [calls[f.point] for f in rep.found] == [1] * len(rep.found)
 
 
-def test_spectral_gap_follows_predicted_eigenvalue_order():
-    eps, norm = 1e-5, 4.0
-    flat = spectral_gap(linear_scenario(), eps, norm)  # O(eps^2) along the flat Z1
-    isolated = spectral_gap(circle_scenario(), eps, norm)  # O(eps) inside Z0
-    assert 0 < flat < 1.25 * eps**2 < isolated < eps
-    assert spectral_gap(circle_scenario(), -eps, norm) == isolated
-    # a relative eigenvalue scale is at most 1, so |eps| > 1 does not widen the gap
-    assert spectral_gap(linear_scenario(), 1e150, norm) == spectral_gap(linear_scenario(), 1.0, norm)
-    # an O(eps^2) eigenvalue where O(eps) is predicted reads as degenerate
-    def quadratic(a, b):
-        return ScalarField(
-            2, lambda x: a * x[0] ** 2 + b * x[1] ** 2, hess=lambda x: np.diag([2 * a, 2 * b])
-        )
+def test_morse_index_reads_an_eigenvalue_inside_its_gap_as_degenerate():
+    # the band the chart Hessians are read with: an eigenvalue inside it raises
+    S = ScalarField(
+        2, lambda x: 4.0 * x[0] ** 2 + 1e-10 * x[1] ** 2, hess=lambda x: np.diag([8.0, 2e-10])
+    )
+    with pytest.raises(DegenerateCriticalPointError):
+        morse_index(S, [0.0, 0.0], gap=1e-8)
+    assert morse_index(S, [0.0, 0.0], gap=1e-12) == 0
 
-    S = quadratic(4.0, eps**2)
-    with pytest.raises(DegenerateCriticalPointError):
-        morse_index(S, [0.0, 0.0], gap=spectral_gap(circle_scenario(), eps, 8.0))
-    assert morse_index(S, [0.0, 0.0], gap=spectral_gap(linear_scenario(), eps, 8.0)) == 0
-    # below float64 resolution the gap stops shrinking, so an exact zero still trips
-    tiny = spectral_gap(linear_scenario(), 1e-9, norm)
-    assert tiny == pytest.approx(norm * 1e-12)
-    with pytest.raises(DegenerateCriticalPointError):
-        morse_index(quadratic(2.0, 0.0), [0.0, 0.0], gap=tiny)
+
+@pytest.mark.parametrize("build", ALL_SCENARIOS)
+def test_eps_sweep_reads_exact_indices_or_none(build):
+    # down to eps = 1e-13, where the flat Z1's eigenvalue 1.25 eps^2 is 1e-26 of the norm
+    sc = build()
+    epsilons = [sign * 10.0**-k for k in range(1, 14) for sign in (1, -1)]
+    for rep in run_localisation(sc, epsilons):
+        if sc.name == "linear" or abs(rep.epsilon) >= 1e-9:
+            assert rep.bijection_ok and rep.indices_ok, (rep.epsilon, rep.messages)
+            assert rep.signed_count_ok in (True, None)
+        else:
+            # Newton returns each seed on Z0, where the Hessian is exactly singular
+            assert rep.found and [f.index for f in rep.found] == [None] * len(rep.found)
+            assert len(rep.messages) == len(rep.found)
+            assert all(m.startswith("singular Hessian: spectrum [0.0, ") for m in rep.messages)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_hessian_gives_no_index(monkeypatch, bad):
+    # a nan spectrum lies outside every band, so a gap read such a point as index 0
+    H = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (bad, 0.0, 1.0))
+
+    def converged(S, seed, tol=lab.NEWTON_TOL):
+        x = tuple(map(float, seed))
+        return NewtonResult(x, 0.0, S.value(x), 0, True, hessian=H)
+
+    monkeypatch.setattr(lab, "newton_critical_point", converged)
+    (rep,) = run_localisation(circle_scenario(), [0.1])
+    assert [f.index for f in rep.found] == [None, None] and not rep.indices_ok
+    assert rep.messages == ["non-finite Hessian: spectrum [nan, nan, nan]"] * 2
+
+
+def test_flat_site_evaluates_one_chart_hessian_per_chart_critical_point(monkeypatch):
+    # the index is read from the chart Hessian Newton's polish stopped with
+    calls = Counter()
+    hessian = ScalarField.hessian
+
+    def counted(self, x):
+        if self.dim == 1:  # the chart field of linear's flat Z1
+            calls[tuple(x)] += 1
+        return hessian(self, x)
+
+    monkeypatch.setattr(ScalarField, "hessian", counted)
+    (pred,) = predicted_critical_points(linear_scenario())
+    chart_point = (pred.point[2],)  # the chart is t -> (0, 0, t)
+    assert calls[chart_point] == 1
 
 
 def test_localisation_abstains_on_degenerate_family():

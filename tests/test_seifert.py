@@ -229,7 +229,8 @@ def test_scale_matches_the_fraction_definitions(b, fibers):
 
 
 def test_one_orbifold_per_fibration(monkeypatch):
-    from seifertlab.reports import brieskorn_report, verify_sweep_report
+    from seifertlab.reports import brieskorn_report
+    from seifertlab.singularity import verify_sweep_report
 
     built = []
     original = Orbifold.__new__
