@@ -2,8 +2,9 @@
 
 The tolerances are module constants, each with a comment on what it bounds:
 the block below, RANK_RTOL in linalg.py and the finite-difference steps
-in fields.py.  A call passes only newton_critical_point's tol and
-run_localisation's basin_radius and c_bound; the command line sets both.
+in fields.py.  A call passes only run_localisation's basin_radius and
+c_bound; the command line sets both.  Newton runs to its rounding floor,
+so NEWTON_TOL bounds the |grad| it accepts there, not where it stops.
 """
 
 from __future__ import annotations
@@ -45,12 +46,10 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e6  # an iterate farther than this from the origin ends Newton as diverged
-NEWTON_TOL = 1e-10  # |grad S_eps| at which Newton stops, unless a call asks for another
+NEWTON_TOL = 1e-10  # largest |grad S| at which Newton's rounding floor counts as converged
 NEWTON_PINV_RTOL = 1e-12  # rank cutoff, relative to max|eigenvalue|, of a singular Newton step
 NEWTON_MAX_ITER = 100  # Newton steps before newton_critical_point gives up
-POLISH_ROUNDS = 2  # full Newton steps tried after convergence, each kept if |grad| drops
 DEDUPE_RADIUS = 10 * NEWTON_TOL  # Newton limits closer than this are one point of S_eps
-CHART_NEWTON_TOL = 1e-8  # |grad f| at which Newton stops in a flat Z1's chart
 CHART_DEDUPE_RADIUS = 1e-6  # chart critical points of f closer than this are one
 MULTIPLIER_RESIDUAL = 1e-8  # |Hess S0 lambda + grad S1| from which a point is off Z1
 RESTRICTED_GAP = 1e-6  # inertia gap for finite-difference chart Hessians
@@ -75,10 +74,10 @@ class NewtonResult(
 ):
     """The outcome of one Newton run.
 
-    ``hessian`` is Hess S at ``point`` when a polish round evaluated it there,
-    so a caller reads the spectrum without evaluating it again.  It is None
-    when no round did, and when that evaluation raised: a caller that
-    evaluates it then sees the error.
+    ``hessian`` is Hess S at ``point``, evaluated there by the step that no
+    longer lowered |grad|, so a caller reads the spectrum without evaluating
+    it again.  It is None when the run ended otherwise, and when that
+    evaluation raised: a caller that evaluates it then sees the error.
     """
 
     __slots__ = ()
@@ -97,14 +96,17 @@ def _or_nan(evaluate, x: Vector, nan):
         return nan
 
 
-def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> NewtonResult:
-    """Damped Newton iteration on grad S from the given seed, until |grad| <= tol.
+def newton_critical_point(S: ScalarField, seed) -> NewtonResult:
+    """Damped Newton iteration on grad S from the given seed, down to rounding.
 
     Steps solve Hess * d = -grad, falling back to the spectral pseudo-inverse
     when the Hessian is singular (which happens exactly on the unperturbed
-    critical manifold, where seeds usually start).  Each step is backtracked
-    until the gradient norm decreases.  Fails on divergence (iterate norm
-    above DIVERGENCE_NORM), on a step that cannot make progress, or after
+    critical manifold, where seeds usually start).  A full step is taken
+    whenever it lowers |grad|, however small |grad| already is.  Otherwise
+    the run has converged if |grad| <= NEWTON_TOL, and returns the Hessian it
+    just evaluated at the point; above NEWTON_TOL the step is backtracked
+    until |grad| decreases.  Fails on divergence (iterate norm above
+    DIVERGENCE_NORM), on a step that cannot make progress, or after
     NEWTON_MAX_ITER steps.
     """
     x = tuple(map(float, seed))
@@ -115,9 +117,6 @@ def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> Newt
     g = _or_nan(S.gradient, x, nan_vector)
     gnorm = _norm(g)
     for it in range(NEWTON_MAX_ITER):
-        if gnorm <= tol:
-            x, gnorm, H = _polish(S, x, g, gnorm)
-            return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, True, hessian=H)
         if _norm(x) > DIVERGENCE_NORM:
             return NewtonResult(x, gnorm, _or_nan(S.value, x, math.nan), it, False, "diverged")
         H = _or_nan(S.hessian, x, nan_matrix)
@@ -139,38 +138,16 @@ def newton_critical_point(S: ScalarField, seed, tol: float = NEWTON_TOL) -> Newt
                 x, g, gnorm = xn, gn, gn_norm
                 moved = True
                 break
+            if gnorm <= NEWTON_TOL:  # converged: only rounding is left
+                value = _or_nan(S.value, x, math.nan)
+                hessian = None if H is nan_matrix else H
+                return NewtonResult(x, gnorm, value, it, True, hessian=hessian)
             t *= 0.5
         if not moved:
             value = _or_nan(S.value, x, math.nan)
             return NewtonResult(x, gnorm, value, it + 1, False, "no progress")
     value = _or_nan(S.value, x, math.nan)
-    return NewtonResult(x, gnorm, value, NEWTON_MAX_ITER, gnorm <= tol, "max iterations")
-
-
-def _polish(S: ScalarField, x, g, gnorm):
-    """Extra full Newton steps once converged, keeping only strict improvements.
-
-    Returns the point, its |grad| and Hess S there: the Hessian of the round
-    that stopped at the point, or None if every round moved on or the
-    evaluation there failed.
-    """
-    nan_vector = (math.nan,) * len(x)
-    nan_matrix = (nan_vector,) * len(x)
-    H = None
-    for _ in range(POLISH_ROUNDS):
-        H = _or_nan(S.hessian, x, nan_matrix)
-        try:
-            step = solve(H, _neg(g))
-        except LinAlgError:
-            break
-        xn = _add(x, step)
-        gn = _or_nan(S.gradient, xn, nan_vector)
-        gn_norm = _norm(gn)
-        if not math.isfinite(gn_norm) or gn_norm >= gnorm:
-            break
-        x, g, gnorm = xn, gn, gn_norm
-        H = None  # evaluated at the point just left
-    return x, gnorm, None if H is nan_matrix else H
+    return NewtonResult(x, gnorm, value, NEWTON_MAX_ITER, gnorm <= NEWTON_TOL, "max iterations")
 
 
 def _index(evals, gap: float) -> int:
@@ -240,7 +217,7 @@ def predicted_critical_points(scenario: Scenario) -> list[PredictedPoint]:
             f_chart = _f_chart_field(scenario.family, site)
             found: list[NewtonResult] = []
             for seed in site.flat_seeds:
-                res = newton_critical_point(f_chart, seed, tol=CHART_NEWTON_TOL)
+                res = newton_critical_point(f_chart, seed)
                 if not res.converged:
                     continue
                 if all(_norm(_sub(res.point, r.point)) > CHART_DEDUPE_RADIUS for r in found):
@@ -342,10 +319,11 @@ def run_localisation(
 ) -> list[ExperimentReport]:
     """Localise Crit(S_eps) near Z1 for each eps and verify the predictions.
 
-    For each eps: Newton from every leading-term critical point, deduplicate
-    (radius DEDUPE_RADIUS), then check (a) found points biject onto the
-    predictions within basin_radius, (b) each Morse index, the exact inertia
-    of the Hessian at the float point, matches the three-term index sum, (c)
+    For each eps: Newton from every leading-term critical point, run to its
+    rounding floor however small eps is, deduplicate (radius DEDUPE_RADIUS),
+    then check (a) found points biject onto the predictions within
+    basin_radius, (b) each Morse index, the exact inertia of the Hessian
+    Newton evaluated at the float point, matches the three-term index sum, (c)
     the signed count equals the chi-weighted component formula (chi_c-weighted
     for eps < 0; skipped when the scenario declares the properness
     hypothesis unavailable).  Points with norm above c_bound are flagged as

@@ -21,7 +21,7 @@ and ``verify_sweep_report`` runs it over every triple up to a bound: the
 characteristic, comes from the count-only scan ``_excess_euler`` here, over
 ``orbifold._prefixes``; the moduli module reads the same scan, and this
 module imports nothing from it, so a sweep loads neither ``moduli`` nor
-``exact`` nor ``fractions``, nor ``reports``, which re-exports the sweep.
+``exact`` nor ``fractions``.
 The Pinkham-Dolgachev sum and the scan each sum along one fiber in closed
 form, with no formula or table in common: the sum takes one step per
 residue class of l modulo A/alpha for the largest alpha, and the scan one

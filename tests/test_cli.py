@@ -490,8 +490,8 @@ def test_batch_of_sweeps_matches_recorded_bytes(capsys, tmp_path):
 
 def test_perturb_output_matches_recorded_bytes(capsys):
     # sha256 of the output before the lab's tolerances became module constants;
-    # linear covers the skipped eps < 0 signed count, sphere at 1e-12 the
-    # singular-Hessian note (its digest re-recorded when the note lost its gap)
+    # linear covers the skipped eps < 0 signed count; sphere at 1e-12 was
+    # re-recorded when Newton ran past NEWTON_TOL to its rounding floor
     eps = "--eps=0.1,-0.1,0.01,-0.01,1e-3,-1e-3"
     for argv, digest in [
         (("circle", eps), "895be78aa4a5e4d5d985ec7e582ecbb705631c7e36473f64d0e686e7f03dc258"),
@@ -504,11 +504,20 @@ def test_perturb_output_matches_recorded_bytes(capsys):
         (("linear", eps, "--json"),
          "c69b296927af483aad811a6d8f521e5501976dcc2ee3e60bb7701bb7caf0b21e"),
         (("sphere", "--eps", "1e-12"),
-         "28defa2c1ffe3be1ccaee6e628e211a18fd765b44a7e4fcfc5949fdfea00e093"),
+         "ddfc54fb5957a9bee284f7db7f082ec7bf7fad8f363c2282550ec83d5fb45972"),
     ]:
         code, out = run(capsys, "perturb", "--scenario", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("scenario", ["circle", "sphere"])
+def test_perturb_asserts_below_the_newton_tolerance(capsys, scenario):
+    # |grad S_eps| at the seeds is below NEWTON_TOL here; Newton still leaves Z0
+    code, _ = run(
+        capsys, "perturb", "--scenario", scenario, "--eps=1e-10,-1e-10,1e-13,-1e-13", "--assert"
+    )
+    assert code == 0
 
 
 # 30 eps per scenario, |eps| log-uniform in [1e-3, 0.2] with a random sign and
@@ -536,7 +545,9 @@ WORKLOAD_EPS = {
 
 def test_perturb_batch_at_workload_scale_matches_recorded_bytes(capsys, tmp_path):
     # sha256 of the output before S_eps combined its parts inside `at()` and
-    # the LU and Jacobi loops stopped rebuilding their slices and pairs
+    # the LU and Jacobi loops stopped rebuilding their slices and pairs;
+    # re-recorded when Newton ran past NEWTON_TOL to its rounding floor, which
+    # moved linear at 0.00322 by one more full step
     path = tmp_path / "requests.ndjson"
     path.write_text("".join(
         json.dumps({"mode": "perturb", "scenario": name, "eps": eps}) + "\n"
@@ -547,7 +558,7 @@ def test_perturb_batch_at_workload_scale_matches_recorded_bytes(capsys, tmp_path
     assert len(out.splitlines()) == 3
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "9a47f7a8a5efdae8226e0cb4a9b99b127b71ed9fabafc3dbd2645b5ff31f3b29"
+        == "4872f86a41a572e44f41411088d14e29a05581d2d7e1bf3625137db35301baf1"
     )
 
 
