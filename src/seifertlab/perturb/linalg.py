@@ -1,8 +1,11 @@
 """Dense linear algebra for the lab's small symmetric problems, in plain floats.
 
 Vectors are tuples of floats and matrices are sequences of rows.  The lab's
-scenarios live in at most three dimensions, where a Python loop costs less
-than an array library's per-call overhead.
+fields have at most three dimensions, so ``eigh``, ``solve`` and
+``exact_inertia`` each work on one 3 x 3 matrix with its entries in named
+locals: no loop, list or index overhead.  A 1 x 1 or 2 x 2 problem is
+embedded as diag(I, A), the identity block at the top left (``_embed``),
+and the padding is cut from the result; above 3 x 3 each raises ValueError.
 
 ``eigh`` is cyclic Jacobi with Rutishauser's rotation formulas.  An
 off-diagonal entry counts as negligible when
@@ -10,17 +13,13 @@ off-diagonal entry counts as negligible when
 a sweep that finds every entry negligible.  This cutoff is the one under
 which Jacobi resolves tiny eigenvalues with high relative accuracy (Demmel &
 Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
-Appl. 13, 1992).  Its cyclic (p, q) order is built once per dimension.
-``solve`` is LU with partial pivoting on the rows of [A | b], in place and
-by index.  Like LAPACK's ``gesv``, it fails only on an exactly zero pivot.
-Both keep a fixed order of float operations: the tests hold ``solve`` bit
-for bit to an LU on slice copies of the rows.
-
-On a 3 x 3 matrix, the size of every registered scenario's Hessians, both
-run a straight-line path instead (``_eigh3``, ``_solve3``): the same float
-operations in the same order on named entries, with no loop, list or index
-overhead.  The tests hold each bit for bit to the generic loops, which still
-serve the 1- and 2-dimensional chart problems of the predictions.
+Appl. 13, 1992).  ``solve`` is LU with partial pivoting on [A | b].  Like
+LAPACK's ``gesv``, it fails only on an exactly zero pivot.  Both keep a
+fixed order of float operations: the tests hold each, at every size, bit for
+bit to a looping copy of the algorithm on the unpadded matrix.  The one
+exception is a 2 x 2 rotation whose angle overflows to nan: the loop then
+divides by zero, while ``eigh`` runs out of sweeps and raises LinAlgError,
+as on a 3 x 3 matrix.
 ``exact_inertia`` counts eigenvalue signs with no rounding at all.
 """
 
@@ -71,9 +70,25 @@ def _matvec(A, x) -> tuple:
     return tuple(_dot(row, x) for row in A)
 
 
-# Jacobi's cyclic order for each dimension met so far: each (p, q) with
-# p < q, and the other indices
-_ROTATION_PAIRS: dict[int, tuple[tuple[int, int, tuple[int, ...]], ...]] = {}
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _embed(A) -> tuple[int, tuple]:
+    """(pad, diag(I, A)): n x n A as the bottom-right block of a 3 x 3 matrix.
+
+    The top-left pad x pad block, pad = 3 - n, is the identity and the rest
+    of its rows and columns are zero.  Elimination clears those rows first,
+    with multiplier 0.0, and Jacobi finds their entries negligible, so
+    neither touches A's entries.  A 3 x 3 A passes through as it is; above
+    3 x 3 raises ValueError.
+    """
+    n = len(A)
+    if n == 3:
+        return 0, A
+    if n > 3:
+        raise ValueError(f"the lab's linear algebra reads at most 3 x 3 matrices, not {n} x {n}")
+    pad = 3 - n
+    return pad, _IDENTITY[:pad] + tuple([(0.0,) * pad + tuple(row) for row in A])
 
 
 def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -82,73 +97,13 @@ def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     Returns ``(evals, vecs)`` with ``vecs[k]`` the eigenvector of
     ``evals[k]``; the vectors are orthonormal.  Only the lower triangle of A
     is read.  A matrix with a non-finite entry gets nan eigenvalues.
-    """
-    n = len(A)
-    if n == 3:
-        return _eigh3(A)
-    a = [list(map(float, row)) for row in A]
-    w = [[0.0] * n for _ in range(n)]  # rows: the eigenvectors
-    for i in range(n):
-        w[i][i] = 1.0
-        for j in range(i):
-            a[j][i] = a[i][j]
-    if not all(math.isfinite(v) for row in a for v in row):
-        return (math.nan,) * n, tuple(map(tuple, w))
-    sqrt = math.sqrt
-    pairs = _ROTATION_PAIRS.get(n)
-    if pairs is None:
-        pairs = _ROTATION_PAIRS[n] = tuple([
-            (p, q, tuple([r for r in range(n) if r != p and r != q]))
-            for p in range(n)
-            for q in range(p + 1, n)
-        ])
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p, q, others in pairs:
-            ap, aq = a[p], a[q]
-            apq, app, aqq = ap[q], ap[p], aq[q]
-            if abs(apq) <= _EPS * sqrt(abs(app)) * sqrt(abs(aqq)):
-                ap[q] = aq[p] = 0.0
-                continue
-            rotated = True
-            theta = (aqq - app) / (2.0 * apq)
-            t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-            if theta < 0.0:
-                t = -t
-            c = 1.0 / sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            h = t * apq
-            ap[p] = app - h
-            aq[q] = aqq + h
-            ap[q] = aq[p] = 0.0
-            for r in others:
-                ar = a[r]
-                g, k = ar[p], ar[q]
-                ar[p] = ap[r] = g - s * (k + g * tau)
-                ar[q] = aq[r] = k + s * (g - k * tau)
-            wp, wq = w[p], w[q]
-            for i in range(n):
-                g, k = wp[i], wq[i]
-                wp[i] = g - s * (k + g * tau)
-                wq[i] = k + s * (g - k * tau)
-        if not rotated:
-            d = [a[i][i] for i in range(n)]
-            order = sorted(range(n), key=d.__getitem__)
-            return tuple([d[i] for i in order]), tuple([tuple(w[i]) for i in order])
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _eigh3(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """``eigh`` of a 3 x 3 matrix, its loops written out on named entries.
 
     d_i are the diagonal, e_pq the off-diagonal entries (p < q) and w_ij the
-    j-th entry of the i-th eigenvector row.  Each (p, q) block below is one
-    step of the generic loop, with the same float operations in the same
-    order, so both give the same bits.
+    j-th entry of the i-th eigenvector row of the embedded 3 x 3 matrix.
+    Each (p, q) block below is one Jacobi rotation, written out.
     """
-    r0, r1, r2 = A
-    d0, _, _ = map(float, r0)  # every entry becomes a float, as in the generic loop
+    pad, (r0, r1, r2) = _embed(A)
+    d0, _, _ = map(float, r0)  # every entry becomes a float, the upper triangle too
     e01, d1, _ = map(float, r1)
     e02, e12, d2 = map(float, r2)
     isfinite = math.isfinite
@@ -156,7 +111,7 @@ def _eigh3(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         isfinite(d0) and isfinite(d1) and isfinite(d2)
         and isfinite(e01) and isfinite(e02) and isfinite(e12)
     ):
-        return (math.nan,) * 3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        return (math.nan,) * (3 - pad), tuple([row[pad:] for row in _IDENTITY[pad:]])
     sqrt, hypot = math.sqrt, math.hypot
     w00, w01, w02 = 1.0, 0.0, 0.0
     w10, w11, w12 = 0.0, 1.0, 0.0
@@ -250,49 +205,23 @@ def _eigh3(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         if not rotated:
             d = (d0, d1, d2)
             w = ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22))
+            if pad:  # the padding's indices left out of the sort, its entries cut off
+                order = sorted(range(pad, 3), key=d.__getitem__)
+                return tuple([d[i] for i in order]), tuple([w[i][pad:] for i in order])
             i, j, k = sorted(range(3), key=d.__getitem__)
             return (d[i], d[j], d[k]), (w[i], w[j], w[k])
     raise LinAlgError("Eigenvalues did not converge")
 
 
 def solve(A, b) -> tuple[float, ...]:
-    """x with A x = b, by LU with partial pivoting; raises on an exactly zero pivot."""
-    n = len(A)
-    if n == 3:
-        return _solve3(A, b)
-    a = [[*map(float, row), float(bi)] for row, bi in zip(A, b)]  # [A | b]
-    for k in range(n):
-        p, big = k, abs(a[k][k])
-        for i in range(k + 1, n):
-            if abs(a[i][k]) > big:
-                p, big = i, abs(a[i][k])
-        if big == 0.0:
-            raise LinAlgError("Singular matrix")
-        a[k], a[p] = a[p], a[k]
-        ak = a[k]
-        pivot = ak[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            m = row[k] / pivot
-            for j in range(k + 1, n + 1):
-                row[j] -= m * ak[j]
-    x = [row[n] for row in a]
-    for k in range(n - 1, -1, -1):  # back substitution, column by column
-        xk = x[k] = x[k] / a[k][k]
-        for i in range(k):
-            x[i] -= xk * a[i][k]
-    return tuple(x)
+    """x with A x = b, by LU with partial pivoting; raises on an exactly zero pivot.
 
-
-def _solve3(A, b) -> tuple[float, ...]:
-    """``solve`` of a 3 x 3 system, its loops written out on named entries.
-
-    a_ij and b_i are the entries of [A | b]; a row swap swaps whole rows of
-    names.  The float operations and pivot tests are the generic loop's, in
-    its order, so both give the same bits.
+    a_ij and b_i are the entries of [A | b], embedded in a 3 x 3 system with
+    zeros on the right of the padding rows; a row swap swaps whole rows of
+    names.
     """
-    r0, r1, r2 = A
-    b0, b1, b2 = b
+    pad, (r0, r1, r2) = _embed(A)
+    b0, b1, b2 = (0.0,) * pad + tuple(b) if pad else b
     a00, a01, a02 = map(float, r0)
     b0 = float(b0)
     a10, a11, a12 = map(float, r1)
@@ -335,7 +264,7 @@ def _solve3(A, b) -> tuple[float, ...]:
     b1 -= x2 * a12
     x1 = b1 / a11
     b0 -= x1 * a01
-    return b0 / a00, x1, x2
+    return (b0 / a00, x1, x2)[pad:]
 
 
 def inertia_counts(evals, gap: float) -> tuple[int, int, int]:
@@ -350,31 +279,27 @@ def exact_inertia(H) -> tuple[int, int, int]:
     """(negative, zero, positive) eigenvalue counts of symmetric H, exactly.
 
     A finite float is a dyadic rational p/q, so scaling the lower triangle of
-    H by its largest q gives an integer matrix M of the same inertia (a
-    non-finite entry raises, as ``float.as_integer_ratio`` does).  det(tI - M),
-    M padded to 3 x 3 with zeros, is t^3 - c1 t^2 + c2 t - c3 with c_k the sum
-    of k x k principal minors.  Its roots are real, so 0 is a root as often as
+    H, embedded in 3 x 3 as ``eigh`` embeds it, by its largest q gives an
+    integer matrix M of the same inertia plus one positive eigenvalue per
+    padding row (a non-finite entry raises, as ``float.as_integer_ratio``
+    does).  det(tI - M) is t^3 - c1 t^2 + c2 t - c3 with c_k the sum of k x k
+    principal minors.  Its roots are real, so 0 is a root as often as
     trailing coefficients vanish, and Descartes' rule of signs counts the
-    positive roots exactly.  Above 3 x 3 it raises ValueError.
+    positive roots exactly.
     """
-    n = len(H)
-    if n > 3:
-        raise ValueError(f"exact_inertia reads at most 3 x 3 matrices, not {n} x {n}")
-    ratios = [
-        float(H[i][j]).as_integer_ratio() if i < n else (0, 1)
-        for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
-    ]
+    pad, (r0, r1, r2) = _embed(H)
+    ratios = [float(v).as_integer_ratio() for v in (r0[0], r1[0], r1[1], r2[0], r2[1], r2[2])]
     den = max([q for _, q in ratios])
     a, d, b, e, f, c = [p * (den // q) for p, q in ratios]
     bc = b * c - f * f
     c2 = a * b - d * d + a * c - e * e + bc
     coeffs = (1, -(a + b + c), c2, e * (b * e - d * f) + d * (d * c - e * f) - a * bc)
-    zero = 0  # counts the 3 - n zeros of the padding too
+    zero = 0
     while not coeffs[3 - zero]:
         zero += 1
     signs = [v > 0 for v in coeffs if v]
     pos = sum(map(ne, signs, signs[1:]))
-    return 3 - zero - pos, zero - (3 - n), pos
+    return 3 - zero - pos, zero, pos - pad
 
 
 def pinv_solve(H, b, rtol: float = RANK_RTOL) -> tuple[float, ...]:

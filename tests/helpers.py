@@ -196,10 +196,12 @@ def part_by_part(family, eps: float):
 
 
 def solve_by_slices(A, b) -> tuple[float, ...]:
-    """LU with partial pivoting on slice copies of the augmented rows.
+    """LU with partial pivoting on slice copies of the augmented rows, at any size.
 
-    The reference for ``linalg.solve``, which runs the same float operations
-    in the same order by index and must agree bit for bit.
+    The reference for ``linalg.solve`` at every size: its written-out
+    elimination of the system embedded in 3 x 3 runs the same float
+    operations on the real entries, in the same order, and must agree bit
+    for bit.
     """
     n = len(A)
     a = [[*map(float, row), float(bi)] for row, bi in zip(A, b)]  # [A | b]
@@ -223,17 +225,17 @@ def solve_by_slices(A, b) -> tuple[float, ...]:
     return tuple(x)
 
 
-# Jacobi's cyclic order for each dimension met so far: each (p, q) with
-# p < q, and the other indices
+# the cyclic order of eigh_by_loops for each dimension met so far: each
+# (p, q) with p < q, and the other indices
 _ROTATION_PAIRS: dict[int, tuple[tuple[int, int, tuple[int, ...]], ...]] = {}
 
 
 def eigh_by_loops(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """Cyclic Jacobi with loops over the rotation pairs, rows and columns.
+    """Cyclic Jacobi with loops over the rotation pairs, rows and columns, at any size.
 
-    The reference for ``linalg.eigh`` on 3 x 3 matrices, whose written-out
-    rotations run the same float operations in the same order and must agree
-    bit for bit.  This is ``linalg.eigh``'s generic path, copied.
+    The reference for ``linalg.eigh`` at every size: its written-out
+    rotations of the matrix embedded in 3 x 3 run the same float operations
+    on the real entries, in the same order, and must agree bit for bit.
     """
     n = len(A)
     a = [list(map(float, row)) for row in A]

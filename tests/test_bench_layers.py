@@ -53,7 +53,7 @@ def test_layer_metrics_resolve_every_traced_name(bench):
 
 def test_perturb_counts_each_evaluation_once(bench):
     # counts repeat exactly, so an evaluation added back shows up here: two
-    # Newton runs, whose polish Hessians give the two found points' spectra
+    # Newton runs, each returning the Hessian at its point for the spectrum
     run, spans = bench
     from seifertlab import cli
 

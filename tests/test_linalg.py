@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 from helpers import eigh_by_loops, solve_by_slices
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seifertlab.perturb import linear_scenario
+from seifertlab.perturb import ScalarField, linear_scenario, newton_critical_point
 from seifertlab.perturb.linalg import LinAlgError, eigh, exact_inertia, pinv_solve, solve
 
 EIG_RTOL = 1e-12  # eigenvalues agree within this times max|eig|
@@ -96,8 +97,9 @@ def test_eigh_resolves_a_tiny_eigenvalue_to_high_relative_accuracy():
 
 
 def test_eigh_of_a_non_finite_matrix_is_nan():
-    evals, _ = eigh(((1.0, math.inf), (math.inf, 1.0)))
-    assert all(math.isnan(v) for v in evals)
+    evals, vecs = eigh(((1.0, math.inf), (math.inf, 1.0)))
+    assert len(evals) == 2 and all(math.isnan(v) for v in evals)
+    assert vecs == ((1.0, 0.0), (0.0, 1.0))  # the 2 x 2 identity, the padding cut off
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,20 +212,24 @@ def test_solve_matches_the_slicing_lu_bit_for_bit(system):
 
 
 @st.composite
-def square3(draw):
-    """3 x 3 matrices read as symmetric: the lab's families, or any entries at all.
+def square(draw):
+    """1 x 1 to 3 x 3 matrices read as symmetric: the lab's families, or any entries at all.
 
     The second kind puts nan, inf, signed zeros and huge values anywhere,
     the upper triangle, which ``eigh`` converts but never reads, included.
     """
     if draw(st.booleans()):
-        return draw(symmetric(st.just(3)))
-    rows = draw(st.lists(st.lists(lu_entries, min_size=3, max_size=3), min_size=3, max_size=3))
+        return draw(symmetric())
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(lu_entries, min_size=n, max_size=n), min_size=n, max_size=n))
     return tuple(map(tuple, rows))
 
 
+_HUGE = sys.float_info.max
+
+
 @settings(max_examples=500, deadline=None)
-@given(square3())
+@given(square())
 @example(((3.0, 0.0, 0.0), (0.0, -1e-300, 0.0), (0.0, 0.0, 1e-10)))  # diagonal
 @example(((-0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)))  # signed zeros only
 @example(((1.0, 0.0, 0.0), (math.nan, 1.0, 0.0), (0.0, 0.0, 1.0)))
@@ -232,8 +238,32 @@ def square3(draw):
 @example(((1e200, 0.0, 0.0), (1e200, -1e200, 0.0), (1e-9, 1e200, 1e-9)))
 @example(((1.0, "x", 0.0), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))  # non-number, upper triangle
 @example(((1.0, 0.0, None), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))
+@example(((-0.0,),))
+@example(((math.nan,),))
+@example(((-math.inf,),))
+@example(((-0.0, 0.0), (-0.0, -0.0)))  # signed zeros only
+@example(((2.0, math.nan), (1.0, -0.0)))  # non-finite, ignored
+@example(((1.0, 0.0), (math.nan, 1.0)))
+@example(((-0.0, 0.0), (math.inf, 1.0)))
+@example(((1.0, 2.0), (2.0, -0.0)))  # one rotation
+@example(((_HUGE, 0.0), (_HUGE, -1e300)))  # a rotation angle of inf/inf
 def test_eigh_matches_the_looping_jacobi_bit_for_bit(A):
-    assert _outcome(eigh, A) == _outcome(eigh_by_loops, A)
+    got, expected = _outcome(eigh, A), _outcome(eigh_by_loops, A)
+    if got != expected:
+        # A 2 x 2 rotation whose angle is inf/inf turns the diagonal nan.  The
+        # loop then divides by the entry it zeroed, on its next sweep; eigh's
+        # padding entries turn nan instead, as the loop's do on diag(1, A).
+        assert len(A) == 2 and expected[0] is ZeroDivisionError
+        assert got == _outcome(eigh_by_loops, ((1.0, 0.0, 0.0), (0.0, *A[0]), (0.0, *A[1])))
+
+
+def test_one_size_rule_above_3_x_3():
+    A, b = ((1.0, 0.0, 0.0, 0.0),) * 4, (1.0,) * 4
+    for fn, args in ((eigh, (A,)), (solve, (A, b)), (pinv_solve, (A, b)), (exact_inertia, (A,))):
+        with pytest.raises(ValueError, match="at most 3 x 3"):
+            fn(*args)
+    with pytest.raises(ValueError, match="at most 3 x 3"):
+        newton_critical_point(ScalarField(4, f=lambda x: sum(v * v for v in x)), (1.0,) * 4)
 
 
 def _reference_kernel(A, rtol: float):
