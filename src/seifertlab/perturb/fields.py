@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 __all__ = ["ScalarField", "PerturbationFamily"]
 
@@ -17,10 +17,6 @@ def _vec(x) -> Vector:
     return tuple(map(float, x))
 
 
-def _mat(rows) -> Matrix:
-    return tuple([tuple(map(float, row)) for row in rows])
-
-
 def _shift(x: Vector, i: int, h: float) -> Vector:
     """x with h added to its i-th coordinate."""
     return x[:i] + (x[i] + h,) + x[i + 1:]
@@ -29,26 +25,23 @@ def _shift(x: Vector, i: int, h: float) -> Vector:
 class ScalarField:
     """A smooth function R^d -> R with optional analytic gradient/Hessian.
 
-    Points are handed to the callbacks as tuples of floats; the gradient and
-    Hessian callbacks may return any float sequences (rows, for a Hessian),
-    numpy arrays included, which ``gradient`` and ``hessian`` convert to
-    tuples of floats.  The field that ``PerturbationFamily.at`` builds skips
-    that conversion: its callbacks already return tuples of floats, converted
-    once from the parts' outputs.  When an analytic
-    evaluator is absent, central finite differences stand in (step
-    ``GRAD_STEP`` for gradients, ``HESS_STEP`` for Hessians).  Where both
-    exist they must agree within finite-difference accuracy; the test suite
-    checks this on every built-in scenario.
+    A point becomes a tuple of floats where it enters: ``value``,
+    ``gradient``, ``hessian`` and the ``fd_`` methods take any sequence of
+    numbers.  The callbacks take that tuple; ``f`` returns a float, ``grad``
+    a tuple of floats and ``hess`` a tuple of such rows, and each method
+    returns its callback's output as it is.  When an analytic evaluator is
+    absent, central finite differences stand in (step ``GRAD_STEP`` for
+    gradients, ``HESS_STEP`` for Hessians).  Where both exist they must agree
+    within finite-difference accuracy; the test suite checks this on every
+    built-in scenario.
     """
-
-    _floats = False  # True: the callbacks return tuples of floats, kept as they are
 
     def __init__(
         self,
         dim: int,
         f: Callable[[Vector], float],
-        grad: Callable[[Vector], Sequence[float]] | None = None,
-        hess: Callable[[Vector], Sequence[Sequence[float]]] | None = None,
+        grad: Callable[[Vector], Vector] | None = None,
+        hess: Callable[[Vector], Matrix] | None = None,
         is_zero: bool = False,
     ):
         if dim < 0:
@@ -71,28 +64,26 @@ class ScalarField:
         )
 
     def value(self, x) -> float:
-        return float(self._f(_vec(x)))
+        return self._f(_vec(x))
 
     def gradient(self, x) -> Vector:
         if self._grad is None:
             return self.fd_gradient(x)
-        g = self._grad(_vec(x))
-        return g if self._floats else _vec(g)
+        return self._grad(_vec(x))
 
     def hessian(self, x) -> Matrix:
         if self._hess is None:
             return self.fd_hessian(x)
-        H = self._hess(_vec(x))
-        return H if self._floats else _mat(H)
+        return self._hess(_vec(x))
 
     def fd_gradient(self, x) -> Vector:
         """Central-difference gradient, independent of any analytic evaluator."""
         x = _vec(x)
         f = self._f
-        return _vec(
+        return tuple([
             (f(_shift(x, i, GRAD_STEP)) - f(_shift(x, i, -GRAD_STEP))) / (2 * GRAD_STEP)
             for i in range(self.dim)
-        )
+        ])
 
     def fd_hessian(self, x) -> Matrix:
         """Central-difference Hessian, symmetrized."""
@@ -113,23 +104,26 @@ class ScalarField:
                 ) / (4 * HESS_STEP**2)
                 out[i][j] = mixed
                 out[j][i] = mixed
-        return _mat(out)
+        return tuple(map(tuple, out))
 
-    def restrict(self, chart: Callable[[Vector], Sequence[float]], dim: int) -> "ScalarField":
-        """The composition with a chart t -> x(t); derivatives via differences."""
-        return ScalarField(dim, f=lambda t: self._f(_vec(chart(_vec(t)))), is_zero=self.is_zero)
+    def restrict(self, chart: Callable[[Vector], Vector], dim: int) -> "ScalarField":
+        """The composition with a chart t -> x(t) of floats; derivatives via differences."""
+        return ScalarField(dim, f=lambda t: self._f(chart(t)), is_zero=self.is_zero)
 
 
 class PerturbationFamily:
     """The truncated family S_eps = s0 + eps*s1 + eps^2*s2 on a common R^d.
 
     Truncation at second order is not a loss: the localisation statements
-    depend only on s0, s1, s2.
+    depend only on s0, s1, s2.  Each part needs an analytic gradient and
+    Hessian, so that S_eps has them too.
     """
 
     def __init__(self, s0: ScalarField, s1: ScalarField, s2: ScalarField):
         if not (s0.dim == s1.dim == s2.dim):
             raise ValueError("family members must share one dimension")
+        if any(s._grad is None or s._hess is None for s in (s0, s1, s2)):
+            raise ValueError("family members need an analytic gradient and Hessian")
         self.s0 = s0
         self.s1 = s1
         self.s2 = s2
@@ -138,39 +132,27 @@ class PerturbationFamily:
     def dim(self) -> int:
         return self.s0.dim
 
-    def value(self, x, eps: float) -> float:
-        x = _vec(x)
-        return (
-            float(self.s0._f(x)) + eps * float(self.s1._f(x)) + eps**2 * float(self.s2._f(x))
-        )
-
     def at(self, eps: float) -> ScalarField:
-        """S_eps as a single field; derivatives stay analytic if the parts are.
+        """S_eps as a single field with analytic derivatives.
 
-        One pass per derivative: each part's callback runs once on the point,
-        in the order s0, s1, s2, its output is converted to floats here, and
-        the three are summed entry by entry as a + eps*b + e2*c, with
-        e2 = eps**2 computed here once (so OverflowError comes from here).
-        The field's ``gradient`` returns that tuple of sums and its
-        ``hessian`` a tuple of such rows, with no second conversion.  The
-        floats are those of summing the parts' own ``gradient``/``hessian``.
-        If a part has no analytic gradient (Hessian), S_eps differences its
-        value instead.
+        One pass per evaluation: each part's callback runs once on the point,
+        in the order s0, s1, s2, and the three outputs, floats by the
+        ``ScalarField`` contract, are summed as they are, entry by entry, as
+        a + eps*b + e2*c, with e2 = eps**2 computed here once (so
+        OverflowError comes from here).  The floats are those of summing the
+        parts' own ``value``/``gradient``/``hessian``.
         """
-        parts = (self.s0, self.s1, self.s2)
         e2 = eps**2
+        f0, f1, f2 = self.s0._f, self.s1._f, self.s2._f
+        g0, g1, g2 = self.s0._grad, self.s1._grad, self.s2._grad
+        h0, h1, h2 = self.s0._hess, self.s1._hess, self.s2._hess
 
         def combine(v0, v1, v2):
-            v0, v1, v2 = map(float, v0), map(float, v1), map(float, v2)
             return tuple([a + eps * b + e2 * c for a, b, c in zip(v0, v1, v2)])
 
-        grad = hess = None
-        if all(s._grad is not None for s in parts):
-            g0, g1, g2 = [s._grad for s in parts]
-            grad = lambda x: combine(g0(x), g1(x), g2(x))
-        if all(s._hess is not None for s in parts):
-            h0, h1, h2 = [s._hess for s in parts]
-            hess = lambda x: tuple([combine(*rows) for rows in zip(h0(x), h1(x), h2(x))])
-        field = ScalarField(self.dim, f=lambda x: self.value(x, eps), grad=grad, hess=hess)
-        field._floats = True
-        return field
+        return ScalarField(
+            self.dim,
+            f=lambda x: f0(x) + eps * f1(x) + e2 * f2(x),
+            grad=lambda x: combine(g0(x), g1(x), g2(x)),
+            hess=lambda x: tuple([combine(*rows) for rows in zip(h0(x), h1(x), h2(x))]),
+        )

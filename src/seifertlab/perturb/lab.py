@@ -237,11 +237,7 @@ def predicted_critical_points(scenario: Scenario) -> list[PredictedPoint]:
                 s1_neg, _, s1_pos = inertia_counts(evals, RESTRICTED_GAP)
             base = site.component.morse_bott_index + f_index
             out.append(
-                PredictedPoint(
-                    point=tuple(map(float, point)),
-                    site=site,
-                    indices={1: base + s1_neg, -1: base + s1_pos},
-                )
+                PredictedPoint(point, site, indices={1: base + s1_neg, -1: base + s1_pos})
             )
     return out
 

@@ -1,6 +1,8 @@
 """Dense linear algebra for the lab's small symmetric problems, in plain floats.
 
-Vectors are tuples of floats and matrices are sequences of rows.  The lab's
+Vectors are tuples of floats and matrices are sequences of rows of floats.
+Entries are read as given, with no conversion: the lab's fields return
+floats, and a caller with other numbers converts them first.  The lab's
 fields have at most three dimensions, so ``eigh``, ``solve`` and
 ``exact_inertia`` each work on one 3 x 3 matrix with its entries in named
 locals: no loop, list or index overhead.  A 1 x 1 or 2 x 2 problem is
@@ -96,16 +98,17 @@ def eigh(A) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
 
     Returns ``(evals, vecs)`` with ``vecs[k]`` the eigenvector of
     ``evals[k]``; the vectors are orthonormal.  Only the lower triangle of A
-    is read.  A matrix with a non-finite entry gets nan eigenvalues.
+    is read, so the upper one may hold anything.  A matrix with a non-finite
+    entry in the lower triangle gets nan eigenvalues.
 
     d_i are the diagonal, e_pq the off-diagonal entries (p < q) and w_ij the
     j-th entry of the i-th eigenvector row of the embedded 3 x 3 matrix.
     Each (p, q) block below is one Jacobi rotation, written out.
     """
     pad, (r0, r1, r2) = _embed(A)
-    d0, _, _ = map(float, r0)  # every entry becomes a float, the upper triangle too
-    e01, d1, _ = map(float, r1)
-    e02, e12, d2 = map(float, r2)
+    d0, _, _ = r0
+    e01, d1, _ = r1
+    e02, e12, d2 = r2
     isfinite = math.isfinite
     if not (
         isfinite(d0) and isfinite(d1) and isfinite(d2)
@@ -222,12 +225,9 @@ def solve(A, b) -> tuple[float, ...]:
     """
     pad, (r0, r1, r2) = _embed(A)
     b0, b1, b2 = (0.0,) * pad + tuple(b) if pad else b
-    a00, a01, a02 = map(float, r0)
-    b0 = float(b0)
-    a10, a11, a12 = map(float, r1)
-    b1 = float(b1)
-    a20, a21, a22 = map(float, r2)
-    b2 = float(b2)
+    a00, a01, a02 = r0
+    a10, a11, a12 = r1
+    a20, a21, a22 = r2
     # column 0: the strict > keeps the first of equal magnitudes
     big = abs(a00)
     if abs(a10) > big:
@@ -278,17 +278,18 @@ def inertia_counts(evals, gap: float) -> tuple[int, int, int]:
 def exact_inertia(H) -> tuple[int, int, int]:
     """(negative, zero, positive) eigenvalue counts of symmetric H, exactly.
 
-    A finite float is a dyadic rational p/q, so scaling the lower triangle of
-    H, embedded in 3 x 3 as ``eigh`` embeds it, by its largest q gives an
-    integer matrix M of the same inertia plus one positive eigenvalue per
-    padding row (a non-finite entry raises, as ``float.as_integer_ratio``
-    does).  det(tI - M) is t^3 - c1 t^2 + c2 t - c3 with c_k the sum of k x k
-    principal minors.  Its roots are real, so 0 is a root as often as
-    trailing coefficients vanish, and Descartes' rule of signs counts the
-    positive roots exactly.
+    A finite float is a dyadic rational p/q, which its ``as_integer_ratio``
+    gives, so scaling the lower triangle of H, embedded in 3 x 3 as ``eigh``
+    embeds it, by its largest q gives an integer matrix M of the same inertia
+    plus one positive eigenvalue per padding row.  Only the lower triangle
+    is read, each entry as given; a non-finite one raises, as
+    ``float.as_integer_ratio`` does.  det(tI - M) is
+    t^3 - c1 t^2 + c2 t - c3 with c_k the sum of k x k principal minors.
+    Its roots are real, so 0 is a root as often as trailing coefficients
+    vanish, and Descartes' rule of signs counts the positive roots exactly.
     """
     pad, (r0, r1, r2) = _embed(H)
-    ratios = [float(v).as_integer_ratio() for v in (r0[0], r1[0], r1[1], r2[0], r2[1], r2[2])]
+    ratios = [v.as_integer_ratio() for v in (r0[0], r1[0], r1[1], r2[0], r2[1], r2[2])]
     den = max([q for _, q in ratios])
     a, d, b, e, f, c = [p * (den // q) for p, q in ratios]
     bc = b * c - f * f

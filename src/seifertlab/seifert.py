@@ -131,7 +131,11 @@ def brieskorn_seifert_data(alphas: Sequence[int]) -> SeifertData:
 def require_homology_sphere(S: SeifertData) -> int:
     """A*e(Y) = +-1 of an integral homology sphere; ValueError naming A*e(Y) otherwise."""
     if abs(S.a_times_e) != 1:
-        raise ValueError(f"not an integral homology sphere: A*e(Y) = {S.a_times_e}")
+        try:
+            value = f"A*e(Y) = {S.a_times_e}"
+        except ValueError:  # more digits than str(int) prints (sys.get_int_max_str_digits)
+            value = f"|A*e(Y)| has {S.a_times_e.bit_length()} bits"
+        raise ValueError(f"not an integral homology sphere: {value}")
     return S.a_times_e
 
 

@@ -85,7 +85,11 @@ def _check_lattice_limit(*alphas: int) -> None:
     m = math.prod(alphas) * (len(alphas) - 2)
     if m > _LATTICE_LIMIT:
         name = "p*q*r" if len(alphas) == 3 else "A*(n-2)"
-        raise ValueError(f"{name} = {m} exceeds the desk-scale limit {_LATTICE_LIMIT}")
+        try:
+            name = f"{name} = {m}"
+        except ValueError:  # more digits than str(int) prints (sys.get_int_max_str_digits)
+            name = f"{name}, of {m.bit_length()} bits,"
+        raise ValueError(f"{name} exceeds the desk-scale limit {_LATTICE_LIMIT}")
 
 
 def _link_bound(S: SeifertData) -> int:

@@ -67,3 +67,5 @@ def test_perturb_counts_each_evaluation_once(bench):
     layers = run._layer_metrics(tracer.snapshot(), 0)
     assert layers["perturb.lab.newton_calls"][0] == 2
     assert layers["perturb.fields.hessian_calls"][0] == 10
+    assert layers["perturb.fields.gradient_calls"][0] == 12
+    assert layers["perturb.linalg.pinv_solve_calls"][0] == 2

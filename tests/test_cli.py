@@ -176,6 +176,44 @@ def test_lattice_limit_checked_before_moduli_work(capsys, monkeypatch):
     _check_lattice_limit(3, 5, 7, 11, 13, 16)  # A*(n-2) = 960960 still fits
 
 
+def _first_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_a_limit_too_long_to_print_keeps_the_programs_message(capsys, tmp_path):
+    # the product of the first 1500 primes has more decimal digits than str(int)
+    # prints (sys.get_int_max_str_digits), so each message names its size in bits
+    primes = _first_primes(1500)
+    assert math.prod(primes) > 10 ** sys.get_int_max_str_digits()
+    fibers = [arg for p in primes for arg in ("--fiber", f"{p}/1")]
+    expected = {
+        "brieskorn": "A*(n-2), of 17936 bits, exceeds the desk-scale limit 1000000",
+        "seifert": "not an integral homology sphere: |A*e(Y)| has 17926 bits",
+    }
+    for argv in (["brieskorn", *map(str, primes)], ["seifert", "--b", "-1", *fibers]):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "validation", "message": expected[argv[0]]}
+    path = tmp_path / "requests.ndjson"
+    path.write_text(
+        json.dumps({"mode": "brieskorn", "exponents": primes}) + "\n"
+        + json.dumps({"mode": "seifert", "b": -1, "fibers": [[p, 1] for p in primes]}) + "\n"
+    )
+    code, out = run(capsys, "batch", str(path))
+    assert code == 1  # a batch with an error line exits 1
+    lines = [json.loads(line)["error"] for line in out.splitlines()]
+    assert [e["kind"] for e in lines] == ["validation"] * 2
+    assert [e["message"] for e in lines] == [
+        f"line {i}: {expected[mode]}" for i, mode in ((1, "brieskorn"), (2, "seifert"))
+    ]
+
+
 def test_bad_fiber_syntax(capsys):
     code, out = run(capsys, "seifert", "--b", "-1", "--fiber", "2:1")
     assert code == 2

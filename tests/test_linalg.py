@@ -216,7 +216,7 @@ def square(draw):
     """1 x 1 to 3 x 3 matrices read as symmetric: the lab's families, or any entries at all.
 
     The second kind puts nan, inf, signed zeros and huge values anywhere,
-    the upper triangle, which ``eigh`` converts but never reads, included.
+    the upper triangle, which ``eigh`` never reads, included.
     """
     if draw(st.booleans()):
         return draw(symmetric())
@@ -236,8 +236,6 @@ _HUGE = sys.float_info.max
 @example(((1.0, math.nan, math.inf), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))  # non-finite, ignored
 @example(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-math.inf, 0.0, 1.0)))
 @example(((1e200, 0.0, 0.0), (1e200, -1e200, 0.0), (1e-9, 1e200, 1e-9)))
-@example(((1.0, "x", 0.0), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))  # non-number, upper triangle
-@example(((1.0, 0.0, None), (2.0, 1.0, 0.0), (0.0, 3.0, 1.0)))
 @example(((-0.0,),))
 @example(((math.nan,),))
 @example(((-math.inf,),))

@@ -100,27 +100,19 @@ def test_family_at_combines_terms():
     assert np.allclose(S.hessian(x), hessian(x))
 
 
+def _float_bits(value):
+    """value with every float, in nested tuples too, replaced by its bits."""
+    if isinstance(value, tuple):
+        return [_float_bits(v) for v in value]
+    return struct.pack("<d", value) if type(value) is float else value
+
+
 def _bits(evaluate, x):
-    """Every float of evaluate(x) as its bits, or the type of the exception it raises."""
+    """_float_bits of evaluate(x), or the type of the exception it raises."""
     try:
-        out = evaluate(x)
+        return _float_bits(evaluate(x))
     except ArithmeticError as exc:
         return type(exc)
-    rows = out if isinstance(out, tuple) else (out,)
-    floats = [v for row in rows for v in (row if isinstance(row, tuple) else (row,))]
-    return [struct.pack("<d", v) for v in floats]
-
-
-def _assert_single_pass_equals_parts(family, x, eps):
-    S = family.at(eps)
-    routes = [
-        S.value,
-        S.gradient if S._grad is not None else None,
-        S.hessian if S._hess is not None else None,
-    ]
-    for through_at, reference in zip(routes, part_by_part(family, eps)):
-        if through_at is not None:  # else S_eps differences its own value instead
-            assert _bits(through_at, x) == _bits(reference, x)
 
 
 coordinates = st.one_of(
@@ -137,57 +129,53 @@ magnitudes = st.floats(1e-6, 1e150)
     st.sampled_from([1.0, -1.0]),
 )
 def test_family_single_pass_equals_its_parts_bit_for_bit(build, x, magnitude, sign):
-    _assert_single_pass_equals_parts(build().family, tuple(x), sign * magnitude)
+    family, x, eps = build().family, tuple(x), sign * magnitude
+    S = family.at(eps)
+    for through_at, reference in zip((S.value, S.gradient, S.hessian), part_by_part(family, eps)):
+        assert _bits(through_at, x) == _bits(reference, x)
 
 
-def _mixed_family(analytic: bool = True) -> PerturbationFamily:
-    """Parts whose callbacks return ints, lists, tuples and numpy arrays.
-
-    Without ``analytic`` the last part has no gradient or Hessian callback,
-    so it is differentiated by central differences.
-    """
-    s0 = ScalarField(
-        2,
-        lambda x: 3 * x[0] - 1,
-        lambda x: [2, -x[1]],
-        lambda x: np.array([[4, 1], [1, -1]]),
-    )
-    s1 = ScalarField(
-        2,
-        lambda x: np.float64(1e300) * x[0] + x[1],
-        lambda x: np.array([1e300, x[1]]),
-        lambda x: [[x[0], 1e300], [1e300, 2.0]],
-    )
-    s2 = ScalarField(
-        2,
-        lambda x: 7 * x[1] + x[0] + x[0] * x[1],
-        (lambda x: (1 + x[1], 7 + x[0])) if analytic else None,
-        (lambda x: ((0, 1), (1, np.float32(0.1)))) if analytic else None,
-    )
-    return PerturbationFamily(s0, s1, s2)
+def _is_floats(v) -> bool:
+    return type(v) is tuple and all(type(e) is float for e in v)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, math.nan])), min_size=2,
-             max_size=2),
-    magnitudes,
-    st.sampled_from([1.0, -1.0]),
-    st.booleans(),
-)
-def test_family_turns_int_list_and_array_parts_into_the_same_floats(x, magnitude, sign, analytic):
-    # each part's output becomes floats before eps touches it, so a huge eps
-    # gives the same inf and nan as the part-by-part sum, and no warning
-    _assert_single_pass_equals_parts(_mixed_family(analytic), tuple(x), sign * magnitude)
+# signed zeros and huge entries, beside each scenario's own points
+_EDGE_POINTS = [(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (1e150, -1e150, -0.0), (-0.0, 1e150, 1.0)]
+_EDGE_PARAMS = [(0.0,), (-0.0,), (0.1,), (-1e150,)]
 
 
-def test_family_at_of_mixed_parts_on_a_fixed_point():
-    S = _mixed_family().at(0.1)
-    assert S.gradient((1.0, 2.0)) == (2 + 0.1 * 1e300 + 0.1**2 * 3.0, -2 + 0.1 * 2.0 + 0.1**2 * 8)
-    float32_tenth = 0.10000000149011612
-    assert S.hessian((1.0, 2.0))[1] == (
-        1 + 0.1 * 1e300 + 0.1**2 * 1.0, -1 + 0.1 * 2.0 + 0.1**2 * float32_tenth
-    )
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_callbacks_return_exact_floats(name):
+    # S_eps sums the parts' outputs and linalg factors them as they are
+    sc = scenario_by_name(name)
+    points = Z0_SAMPLERS[name](6) + [site.point for site in sc.z1_sites] + _EDGE_POINTS
+    for part in (sc.family.s0, sc.family.s1, sc.family.s2):
+        for x in points:
+            assert type(part.value(x)) is float
+            assert _is_floats(part.gradient(x))
+            H = part.hessian(x)
+            assert type(H) is tuple and all(map(_is_floats, H))
+    for site in sc.z1_sites:
+        for t in _EDGE_PARAMS:
+            assert _is_floats(site.z0_chart(t * site.z0_dim))
+
+
+def test_points_enter_s_eps_as_floats_from_any_sequence():
+    # unconverted, these points would reach the callbacks as numpy floats or ints
+    S = circle_scenario().family.at(0.1)
+    x = (1.0, 0.0, 2.0)
+    for same in (list(x), np.array(x), (1, 0, 2)):
+        for evaluate in (S.value, S.gradient, S.hessian):
+            assert _bits(evaluate, same) == _bits(evaluate, x)
+
+
+def test_family_rejects_a_part_without_analytic_derivatives():
+    zero = ScalarField.zero(3)
+    f = lambda x: x[0]
+    for part in (ScalarField(3, f), ScalarField(3, f, lambda x: (1.0, 0.0, 0.0))):
+        for parts in ((part, zero, zero), (zero, part, zero), (zero, zero, part)):
+            with pytest.raises(ValueError, match="analytic gradient and Hessian"):
+                PerturbationFamily(*parts)
 
 
 # ---------------------------------------------------------------- newton
@@ -304,6 +292,13 @@ def test_newton_never_returns_the_stand_in_for_a_failed_hessian():
     assert res.hessian is None
 
 
+def test_newton_seed_enters_as_floats():
+    S = circle_scenario().family.at(0.1)
+    from_ints = newton_critical_point(S, [1, 0, 0])
+    assert from_ints.converged
+    assert _float_bits(from_ints) == _float_bits(newton_critical_point(S, (1.0, 0.0, 0.0)))
+
+
 def test_newton_rejects_non_finite_seed():
     S = ScalarField(1, lambda x: x[0] ** 2)
     with pytest.raises(ValueError):
@@ -341,7 +336,9 @@ def test_leading_term_on_circle():
 
 def test_leading_term_reduces_to_s2_when_s1_vanishes():
     sc = circle_scenario()
-    s2 = ScalarField(3, lambda x: float(x[0] + 2 * x[1]))
+    s2 = ScalarField(
+        3, lambda x: x[0] + 2 * x[1], lambda x: (1.0, 2.0, 0.0), lambda x: ((0.0,) * 3,) * 3
+    )
     family = PerturbationFamily(sc.family.s0, ScalarField.zero(3), s2)
     x = [0.6, 0.8, 0.0]  # any point of the circle
     assert leading_term(family, x) == pytest.approx(s2.value(x), abs=1e-12)
